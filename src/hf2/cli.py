@@ -3,9 +3,10 @@ verification against the oracle, duality and induction-slice scans, Mackey
 functor output, and summand bookkeeping.
 
 Exit codes: 0 pass, 1 verified mismatch, 2 usage or IO error, 3 budget
-exceeded for a required computation.  Reports are deterministic: record
-ordering follows box iteration order and timestamps only appear in the
-"meta" sidecar, which comparison tooling must ignore.
+exceeded for a required computation, 4 internal fault (an invariant of the
+engine or oracle failed: a defect in hf2, not in the input).  Reports are
+deterministic: record ordering follows box iteration order and timestamps
+only appear in the "meta" sidecar, which comparison tooling must ignore.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 
 from . import duality, engine, oracle, reps
+from .gf2 import InternalInvariantError
 from .monomial import eps_rename
 from .reps import Degree, DegreeError
 
@@ -30,6 +32,7 @@ EXIT_PASS = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(Exception):
@@ -506,6 +509,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except (InternalInvariantError, engine.PartOverlapError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (UsageError, DegreeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

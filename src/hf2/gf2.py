@@ -9,6 +9,11 @@ beats anything fancier.
 from __future__ import annotations
 
 
+class InternalInvariantError(ValueError):
+    """An invariant the oracle's own construction guarantees was violated;
+    this is a defect in hf2, never a problem with the caller's input."""
+
+
 class Span:
     """Row-echelon span with optional tracking of generator coordinates.
 
@@ -100,7 +105,7 @@ class CohomologyReducer:
         """Coordinates of the class of a cocycle v over the chosen basis."""
         comb = self.span.express(v)
         if comb is None:
-            raise ValueError("vector is not a cocycle of this degree")
+            raise InternalInvariantError("vector is not a cocycle of this degree")
         out = 0
         for i, gen_idx in enumerate(self._rep_gen_indices):
             if (comb >> gen_idx) & 1:

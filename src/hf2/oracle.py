@@ -1,12 +1,11 @@
 """Brute-force oracle: levelwise cellular cochain complexes over GF(2).
 
-A virtual-representation sphere is modeled by an explicit cochain complex
-of permutation modules.  The complex is stored at the bottom (trivial
-subgroup) level together with the cyclic generator's permutation action;
-every subgroup level is the fixed subcomplex, with bases given by orbit
-sums.  Restriction is inclusion of fixed points, transfer is the relative
-norm, and the graded Mackey functor of the sphere mapped into the
-Eilenberg-MacLane object is read off as cohomology of these complexes.
+A virtual-representation sphere is modeled by a cochain complex of
+permutation modules.  Every subgroup level is the fixed subcomplex, with
+bases given by orbit sums.  Restriction is inclusion of fixed points,
+transfer is the relative norm, and the graded Mackey functor of the sphere
+mapped into the Eilenberg-MacLane object is read off as cohomology of
+these complexes.
 
 Cell models: one copy of the rotation lambda_k contributes cells G/G,
 G/C_{2^k}, G/C_{2^k} with maps nu (orbit-sum inclusion) and 1 - gamma;
@@ -14,16 +13,35 @@ m copies use the alternating minimal model nu, 1-gamma, N, 1-gamma, ...
 of length 2m, where N is the full orbit norm.  A copy of alpha contributes
 G/G, G/C_{2^{n-1}} with nu; further copies extend by 1 + gamma (which on a
 two-point orbit coincides with the norm).  Distinct representations are
-smashed.  The smash-of-one-copy-each route and these minimal models agree
-levelwise (tested), which also pins the orbit-sum convention for the first
-differential.
+smashed, and the negative part of a virtual degree is dualized.
+
+The public entry points (`oracle_top_dim`, `oracle_pi`, `predict_cols`)
+are level-direct: `_LevelSlice` builds the level-j fixed subcomplex in the
+three cochain degrees s-1, s, s+1 the answer reads, straight from orbit
+data.  A cell of the tensor model is a tuple of factor degrees plus one
+coordinate in Z/B per factor (B the factor's block, 1 in factor degree 0);
+gamma adds 1 to every coordinate, and level j is the action of
+gamma^(2^(n-j)).  A differential row for a target orbit is the parity of
+the transposed differential of its representative over each source orbit,
+so no bottom-level vector is formed; res, tr and gamma act on orbit
+indices in closed form.
+
+The bottom-level route (`sphere_complex`, `smash`, `dualize`, `_Level`,
+`level_diff`, `_induced`) stores the whole complex at the trivial-subgroup
+level with the generator's permutation action.  It is the independent
+reference the level-direct builder is tested against, and it still carries
+multiplication by a_alpha.  The smash-of-one-copy-each route and the
+minimal models agree levelwise (tested), which also pins the orbit-sum
+convention for the first differential.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
+from operator import mul
 
-from .gf2 import CohomologyReducer, Span, columns_to_bitstrings
+from .gf2 import CohomologyReducer, Span, columns_to_bitstrings, nullspace, rank
 from .reps import Degree, DegreeError, make_degree
 from . import reps
 
@@ -361,6 +379,184 @@ def _induced(
     return cols
 
 
+def _relative_norm(c: SphereComplex, s: int, j: int):
+    """The transfer from level j-1 to level j on bottom-level vectors of
+    degree s: v -> v + gamma^(2^(n-j)) v."""
+    power = 1 << (c.n - j)
+    perm = c.gamma[s]
+
+    def norm(v: int) -> int:
+        w = v
+        for _ in range(power):
+            w = _permute(w, perm)
+        return v ^ w
+
+    return norm
+
+
+# -- level-direct truncated model ---------------------------------------------
+
+
+def _factors(n: int, d: Degree) -> list[tuple[int, int, int]]:
+    """(block, length, sign) of the minimal model of each nonzero coefficient:
+    lambda_i in increasing i, then alpha.  sign -1 marks a factor of the
+    negative part, which enters dualized."""
+    out = [
+        (1 << (n - i), 2 * abs(c), 1 if c > 0 else -1)
+        for i, c in enumerate(d.c_lambda)
+        if c
+    ]
+    if d.c_alpha:
+        out.append((2, abs(d.c_alpha), 1 if d.c_alpha > 0 else -1))
+    return out
+
+
+def _factor_d(block: int, u: int, x: int):
+    """Support of a minimal factor's differential from factor degree u to
+    u + 1, applied to the cell with coordinate x."""
+    if u % 2:  # 1 - gamma (on alpha's two points this is also the norm)
+        return (x, (x + 1) % block)
+    return range(block)  # nu at u = 0, the norm above
+
+
+def _factor_d_t(block: int, u: int, y: int):
+    """Support of the transpose of that differential, applied to the cell
+    with coordinate y in factor degree u + 1."""
+    if u == 0:
+        return (0,)
+    if u % 2:
+        return (y, (y - 1) % block)
+    return range(block)
+
+
+class _CellClass:
+    """The orbits of one factor-degree signature at one level.
+
+    Representatives fix the coordinate of the first factor with the largest
+    block to [0, p) when that block exceeds p; every other coordinate is
+    free.  Orbit index = offset + mixed radix of the representative.
+    """
+
+    __slots__ = ("sig", "blocks", "star", "radices", "strides", "offset", "count")
+
+    def __init__(self, sig: tuple[int, ...], blocks: tuple[int, ...], p: int, offset: int):
+        self.sig = sig
+        self.blocks = blocks
+        big = max(blocks, default=1)
+        self.star = blocks.index(big) if big > p else -1
+        self.radices = tuple(p if f == self.star else b for f, b in enumerate(blocks))
+        strides, step = [], 1
+        for r in reversed(self.radices):
+            strides.append(step)
+            step *= r
+        self.strides = tuple(reversed(strides))
+        self.offset = offset
+        self.count = step
+
+
+class _LevelSlice:
+    """Level-j fixed subcomplex of the model of degree d, in cochain degrees
+    s-1, s and s+1 only (s = -t), with orbit-sum bases.
+
+    dims[deg] is the orbit count of degree deg; at level 0 every orbit is a
+    single cell, so those are the bottom-level widths.
+    """
+
+    def __init__(self, n: int, d: Degree, j: int):
+        self.factors = _factors(n, d)
+        self.s = -d.t
+        self.p = 1 << (n - j)
+        self.classes: dict[int, dict[tuple[int, ...], _CellClass]] = {}
+        self.dims: dict[int, int] = {}
+        ranges = [range(length + 1) for _, length, _ in self.factors]
+        signs = [sign for _, _, sign in self.factors]
+        by_degree: dict[int, list] = {deg: [] for deg in (self.s - 1, self.s, self.s + 1)}
+        for sig in product(*ranges):
+            deg = sum(sign * u for sign, u in zip(signs, sig))
+            if deg in by_degree:
+                by_degree[deg].append(sig)
+        for deg, sigs in by_degree.items():
+            table, offset = {}, 0
+            for sig in sigs:
+                blocks = tuple(b if u else 1 for (b, _, _), u in zip(self.factors, sig))
+                table[sig] = cls = _CellClass(sig, blocks, self.p, offset)
+                offset += cls.count
+            self.classes[deg] = table
+            self.dims[deg] = offset
+
+    def index(self, cls: _CellClass, x) -> int:
+        """Orbit index of the cell with coordinates x in class cls."""
+        if cls.star >= 0:
+            k = x[cls.star] // self.p * self.p
+            if k:
+                x = [(v - k) % b for v, b in zip(x, cls.blocks)]
+        return cls.offset + sum(map(mul, x, cls.strides))
+
+    def cells(self, deg: int):
+        """(class, representative) of every orbit of degree deg, in index order."""
+        for cls in self.classes[deg].values():
+            for x in product(*map(range, cls.radices)):
+                yield cls, x
+
+    def rows(self, deg: int) -> list[int]:
+        """Rows of the level differential from degree deg to deg + 1: one per
+        target orbit O', with bit O set when |supp d^T(rep O') & O| is odd."""
+        src = self.classes[deg]
+        out = []
+        for sig, cls in self.classes[deg + 1].items():
+            moves = []
+            for f, (block, length, sign) in enumerate(self.factors):
+                u = sig[f]
+                if sign > 0 and u > 0:
+                    pre = sig[:f] + (u - 1,) + sig[f + 1:]
+                    moves.append((f, src[pre], _factor_d_t, block, u - 1))
+                elif sign < 0 and u < length:
+                    pre = sig[:f] + (u + 1,) + sig[f + 1:]
+                    moves.append((f, src[pre], _factor_d, block, u))
+            for y in product(*map(range, cls.radices)):
+                row = 0
+                for f, pre_cls, support, block, u in moves:
+                    x = list(y)
+                    for c in support(block, u, y[f]):
+                        x[f] = c
+                        row ^= 1 << self.index(pre_cls, x)
+                out.append(row)
+        return out
+
+    def reducer(self) -> CohomologyReducer:
+        s = self.s
+        return CohomologyReducer(
+            self.dims[s],
+            _transpose(self.rows(s - 1), self.dims[s - 1]),
+            _transpose(self.rows(s), self.dims[s]),
+        )
+
+
+def _transpose(rows: list[int], width: int) -> list[int]:
+    cols = [0] * width
+    for i, row in enumerate(rows):
+        for b in _bits(row):
+            cols[b] |= 1 << i
+    return cols
+
+
+def _shift(cls: _CellClass, x, m: int) -> list[int]:
+    """gamma^m on cell coordinates."""
+    return [(v + m) % b for v, b in zip(x, cls.blocks)]
+
+
+def _orbit_induced(red_src: CohomologyReducer, red_tgt: CohomologyReducer, image) -> list[int]:
+    """Matrix on cohomology of a chain map given by image(b), the target
+    vector of source orbit b."""
+    cols = []
+    for rep in red_src.reps:
+        v = 0
+        for b in _bits(rep):
+            v ^= image(b)
+        cols.append(red_tgt.express(v))
+    return cols
+
+
 # -- the oracle ---------------------------------------------------------------
 
 
@@ -414,31 +610,9 @@ def _model(n: int, d: Degree) -> tuple[SphereComplex, int]:
 
 
 def predict_cols(n: int, d: Degree) -> int:
-    """Largest bottom-level coordinate count among the three degrees used."""
-    p, nn = split_degree(d)
-
-    def dims_of(v: Degree) -> dict[int, int]:
-        out = {0: 1}
-        factors = [(1 << (n - i), 2 * c) for i, c in enumerate(v.c_lambda) if c > 0]
-        if v.c_alpha > 0:
-            factors.append((2, v.c_alpha))
-        for block, length in factors:
-            new: dict[int, int] = {}
-            for s, dim in out.items():
-                for s2 in range(length + 1):
-                    w = dim * (1 if s2 == 0 else block)
-                    new[s + s2] = new.get(s + s2, 0) + w
-            out = new
-        return out
-
-    dp = dims_of(p)
-    dn = dims_of(nn)
-    total: dict[int, int] = {}
-    for s1, w1 in dp.items():
-        for s2, w2 in dn.items():
-            total[s1 - s2] = total.get(s1 - s2, 0) + w1 * w2
-    s = -d.t
-    return max(total.get(x, 0) for x in (s - 1, s, s + 1))
+    """Largest bottom-level coordinate count among the three degrees used:
+    the level-0 orbit counts of the builder's own size table."""
+    return max(_LevelSlice(n, d, 0).dims.values())
 
 
 def _check_budget(n: int, d: Degree, budget: int | None) -> None:
@@ -451,48 +625,48 @@ def _check_budget(n: int, d: Degree, budget: int | None) -> None:
 def oracle_top_dim(n: int, d: Degree, budget: int | None = None) -> int:
     """Top-level dimension of the graded Mackey functor at degree d."""
     _check_budget(n, d, budget)
-    c, s = _model(n, d)
-    return level_cohomology(c, n, s).h_dim
+    sl = _LevelSlice(n, d, n)
+    s = sl.s
+    if not sl.dims[s]:
+        return 0
+    return sl.dims[s] - rank(sl.rows(s)) - rank(sl.rows(s - 1))
 
 
 def oracle_pi(n: int, d: Degree, budget: int | None = None) -> MackeyAnswer:
     """Full Mackey functor at degree d: levelwise dimensions with induced
     restriction, transfer and Weyl-generator matrices on cohomology."""
     _check_budget(n, d, budget)
-    c, s = _model(n, d)
-    reducers = [level_cohomology(c, j, s) for j in range(n + 1)]
-    dims = [r.h_dim for r in reducers]
+    slices = [_LevelSlice(n, d, j) for j in range(n + 1)]
+    s = -d.t
+    reducers = [sl.reducer() for sl in slices]
+    cells = [list(sl.cells(s)) if red.h_dim else [] for sl, red in zip(slices, reducers)]
     res_mats, tr_mats, gamma_mats = [], [], []
-    if s in c.dims:
-        for j in range(1, n + 1):
-            res_mats.append(
-                _induced(c, c, j, j - 1, s, reducers[j], reducers[j - 1], lambda v: v)
-            )
-            power = 1 << (c.n - j)
-            perm = c.gamma[s]
+    for j in range(1, n + 1):
+        hi, lo = slices[j], slices[j - 1]
 
-            def norm(v: int, power=power, perm=perm) -> int:
-                w = v
-                for _ in range(power):
-                    w = _permute(w, perm)
-                return v ^ w
+        def res(b: int, j=j, hi=hi, lo=lo) -> int:
+            # O_j(x) -> O_{j-1}(x) + O_{j-1}(x + p_j), one term if they coincide
+            cls, x = cells[j][b]
+            lo_cls = lo.classes[s][cls.sig]
+            return (1 << lo.index(lo_cls, x)) | (1 << lo.index(lo_cls, _shift(cls, x, hi.p)))
 
-            tr_mats.append(
-                _induced(c, c, j - 1, j, s, reducers[j - 1], reducers[j], norm)
-            )
-        for j in range(n + 1):
-            perm = c.gamma[s]
-            gamma_mats.append(
-                _induced(
-                    c, c, j, j, s, reducers[j], reducers[j],
-                    lambda v, perm=perm: _permute(v, perm),
-                )
-            )
-    else:
-        res_mats = [[] for _ in range(n)]
-        tr_mats = [[] for _ in range(n)]
-        gamma_mats = [[] for _ in range(n + 1)]
-    return MackeyAnswer(n, d, dims, res_mats, tr_mats, gamma_mats)
+        def tr(b: int, j=j, hi=hi, lo=lo) -> int:
+            # O_{j-1}(x) -> O_j(x), or 0 when O_{j-1}(x + p_j) is the same orbit
+            cls, x = cells[j - 1][b]
+            if lo.index(cls, _shift(cls, x, hi.p)) == b:
+                return 0
+            return 1 << hi.index(hi.classes[s][cls.sig], x)
+
+        res_mats.append(_orbit_induced(reducers[j], reducers[j - 1], res))
+        tr_mats.append(_orbit_induced(reducers[j - 1], reducers[j], tr))
+    for j, sl in enumerate(slices):
+
+        def gamma(b: int, j=j, sl=sl) -> int:
+            cls, x = cells[j][b]
+            return 1 << sl.index(cls, _shift(cls, x, 1))
+
+        gamma_mats.append(_orbit_induced(reducers[j], reducers[j], gamma))
+    return MackeyAnswer(n, d, [r.h_dim for r in reducers], res_mats, tr_mats, gamma_mats)
 
 
 # -- multiplication by the alpha Euler class ----------------------------------
@@ -533,8 +707,6 @@ def mult_a_alpha(n: int, d: Degree, j: int, budget: int | None = None):
 def verify_lemma_kernel(n: int, d: Degree, budget: int | None = None) -> dict:
     """Check ker(a_alpha) = im(tr) on pi_d and im(a_alpha) = ker(res) on
     pi_{d-alpha}, at the top level."""
-    from .gf2 import nullspace
-
     src, tgt, s, include = _alpha_mult_setup(n, d, budget)
     red_top_s = level_cohomology(src, n, s)
     red_top_t = level_cohomology(tgt, n, s)
@@ -542,18 +714,8 @@ def verify_lemma_kernel(n: int, d: Degree, budget: int | None = None) -> dict:
     red_sub_t = level_cohomology(tgt, n - 1, s)
 
     a_cols = _induced(src, tgt, n, n, s, red_top_s, red_top_t, lambda v: include(v, s))
-
-    power = 1 << (src.n - n)
-    perm_s = src.gamma.get(s)
-
-    def norm_src(v: int) -> int:
-        w = v
-        for _ in range(power):
-            w = _permute(w, perm_s)
-        return v ^ w
-
     tr_cols = (
-        _induced(src, src, n - 1, n, s, red_sub_s, red_top_s, norm_src)
+        _induced(src, src, n - 1, n, s, red_sub_s, red_top_s, _relative_norm(src, s, n))
         if s in src.dims
         else []
     )
@@ -582,18 +744,11 @@ def verify_lemma_kernel(n: int, d: Degree, budget: int | None = None) -> dict:
         "degree": reps.format_degree(d),
         "dim_pi_d": red_top_s.h_dim,
         "dim_pi_d_minus_alpha": red_top_t.h_dim,
-        "ker_a_alpha_dim": _span_dim(ker_a),
-        "im_tr_dim": _span_dim(im_tr),
-        "im_a_alpha_dim": _span_dim(im_a),
-        "ker_res_dim": _span_dim(ker_res),
+        "ker_a_alpha_dim": rank(ker_a),
+        "im_tr_dim": rank(im_tr),
+        "im_a_alpha_dim": rank(im_a),
+        "ker_res_dim": rank(ker_res),
         "ker_eq_im_tr": ker_eq,
         "im_eq_ker_res": im_eq,
         "pass": ker_eq and im_eq,
     }
-
-
-def _span_dim(vectors) -> int:
-    s = Span()
-    for v in vectors:
-        s.add(v)
-    return s.dim

@@ -1,4 +1,4 @@
-"""Acceptance suite: the ten exit criteria, one test each.
+"""Acceptance suite: the eleven exit criteria, one test each.
 
 Every criterion prints a single PASS/FAIL line (run pytest with -s or read
 captured output).  All comparisons are exact; the boxes are the stated
@@ -239,6 +239,25 @@ def test_criterion_10_closed_route_equality():
         f"recursive vs closed part-(2) construction for n=4,5 "
         f"({total} degrees, {bad} mismatches)",
         bad == 0,
+    )
+
+
+def test_criterion_11_differential_n4():
+    mismatches, skipped = [], []
+    for d in box_degrees(4, (-6, 6), (-1, 1), (-1, 1)):
+        e = engine.dimension(4, d)
+        try:
+            o = oracle_top_dim(4, d)
+        except oracle.BudgetExceededError as exc:
+            skipped.append((str(d), str(exc)))
+            continue
+        if e != o:
+            mismatches.append((str(d), e, o))
+    _report(
+        11,
+        f"n=4 engine vs oracle over 1053 degrees "
+        f"({len(mismatches)} mismatches, {len(skipped)} over budget)",
+        not mismatches and not skipped,
     )
 
 

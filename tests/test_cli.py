@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from hf2 import cli
+from hf2 import cli, engine, gf2
 
 
 def run_cli(capsys, *argv):
@@ -172,6 +172,20 @@ class TestOtherCommands:
     def test_slice_check_needs_n2(self, capsys):
         code, _, _ = run_cli(capsys, "slice-check", "--n", "1", "--box", "t=0..0,a=0..0")
         assert code == 2
+
+
+class TestInternalFault:
+    def test_not_a_cocycle_exit_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(gf2.Span, "express", lambda self, v: None)
+        code, out, err = run_cli(capsys, "mackey", "--n", "3", "--deg", "-3,0,0,2")
+        assert code == 4 and out == ""
+        assert "internal error" in err and "not a cocycle" in err
+
+    def test_part_overlap_exit_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(engine, "part4", engine.positive_cone_basis)
+        code, out, err = run_cli(capsys, "basis", "--n", "3", "--deg", "0,0,0,0")
+        assert code == 4 and out == ""
+        assert "internal error" in err
 
 
 def test_console_script():

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
-from hf2 import engine
-from hf2.gf2 import Span
+from hf2 import engine, oracle
+from hf2.gf2 import Span, rank
 from hf2.oracle import (
     BudgetExceededError,
     OrbitModule,
@@ -16,6 +18,10 @@ from hf2.oracle import (
     unit_complex,
     verify_lemma_kernel,
     _alpha_complex,
+    _induced,
+    _model,
+    _permute,
+    _relative_norm,
     _rep_complex,
 )
 from hf2.reps import (
@@ -242,6 +248,63 @@ class TestOraclePi:
         assert payload["res"][2] == ["1"]
 
 
+PARITY_BOXES = [(2, (-6, 6), (-2, 2)), (3, (-5, 5), (-1, 1))]
+
+
+def _map_ranks(res, tr, gamma):
+    """Basis-free invariants of the Mackey maps: ranks of res_j, tr_j and
+    gamma_j + 1."""
+    return (
+        [rank(m) for m in res],
+        [rank(m) for m in tr],
+        [rank([col ^ (1 << i) for i, col in enumerate(m)]) for m in gamma],
+    )
+
+
+def _reference_ranks(n, d):
+    """Map ranks from the bottom-level complex."""
+    c, s = _model(n, d)
+    reds = [level_cohomology(c, j, s) for j in range(n + 1)]
+    if s not in c.dims:
+        return _map_ranks([[]] * n, [[]] * n, [[]] * (n + 1))
+    res = [
+        _induced(c, c, j, j - 1, s, reds[j], reds[j - 1], lambda v: v)
+        for j in range(1, n + 1)
+    ]
+    tr = [
+        _induced(c, c, j - 1, j, s, reds[j - 1], reds[j], _relative_norm(c, s, j))
+        for j in range(1, n + 1)
+    ]
+    gamma = [
+        _induced(c, c, j, j, s, reds[j], reds[j], lambda v, p=c.gamma[s]: _permute(v, p))
+        for j in range(n + 1)
+    ]
+    return _map_ranks(res, tr, gamma)
+
+
+class TestLevelDirectParity:
+    """The level-direct builder against the bottom-level reference."""
+
+    @pytest.mark.parametrize("n,t_range,r", PARITY_BOXES)
+    def test_level_dims(self, n, t_range, r):
+        for d in box_degrees(n, t_range, r, r):
+            c, s = _model(n, d)
+            ref = [level_cohomology(c, j, s).h_dim for j in range(n + 1)]
+            assert oracle_pi(n, d).level_dims == ref, str(d)
+            assert oracle_top_dim(n, d) == ref[n], str(d)
+
+    @pytest.mark.parametrize("n,t_range,r", PARITY_BOXES)
+    def test_map_ranks_on_sample(self, n, t_range, r):
+        degrees = random.Random(2026 + n).sample(list(box_degrees(n, t_range, r, r)), 80)
+        nontrivial = 0
+        for d in degrees:
+            mk = oracle_pi(n, d)
+            ranks = _map_ranks(mk.res, mk.tr, mk.gamma)
+            assert ranks == _reference_ranks(n, d), str(d)
+            nontrivial += any(any(x) for x in ranks)
+        assert nontrivial >= 10  # the sample exercises nonzero maps
+
+
 class TestLemmaKernel:
     def test_unit_degree(self):
         rep = verify_lemma_kernel(2, zero_degree(2))
@@ -271,3 +334,41 @@ class TestBudget:
             oracle_top_dim(3, d, budget=3)
         assert err.value.predicted > 3
         assert "budget" in str(err.value)
+
+    def test_predicted_equals_built(self, monkeypatch):
+        built = []
+
+        class Recording(oracle._LevelSlice):
+            def rows(self, deg):
+                built.append((self.p, self.dims[deg], self.dims[deg + 1]))
+                return super().rows(deg)
+
+        monkeypatch.setattr(oracle, "_LevelSlice", Recording)
+        n = 3
+        for d in box_degrees(n, (-5, 5), (-1, 1), (-1, 1)):
+            predicted = predict_cols(n, d)
+            built.clear()
+            oracle_pi(n, d)
+            bottom = [w for p, *ws in built if p == 1 << n for w in ws]
+            assert predicted == max(bottom), str(d)
+            built.clear()
+            oracle_top_dim(n, d)
+            top = [w for p, *ws in built if p == 1 for w in ws]
+            assert predicted >= max(top, default=0), str(d)
+
+
+@pytest.mark.slow
+def test_sampled_n5_against_engine():
+    n = 5
+    box = list(box_degrees(n, (-6, 6), (-1, 1), (-1, 1)))
+    mismatches, skipped = [], 0
+    for d in random.Random(5).sample(box, 200):
+        try:
+            o = oracle_top_dim(n, d)
+        except BudgetExceededError:
+            skipped += 1
+            continue
+        if o != engine.dimension(n, d):
+            mismatches.append(str(d))
+    print(f"n=5 sample: 200 degrees, {len(mismatches)} mismatches, {skipped} over budget")
+    assert not mismatches, mismatches
