@@ -12,6 +12,7 @@ only appear in the "meta" sidecar, which comparison tooling must ignore.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -21,7 +22,7 @@ import time
 from dataclasses import dataclass
 from multiprocessing import Pool
 
-from . import duality, engine, oracle, reps
+from . import duality, engine, gf2, monomial, oracle, reps
 from .gf2 import InternalInvariantError
 from .monomial import eps_rename
 from .reps import Degree, DegreeError
@@ -154,8 +155,23 @@ def _line_hash(key: str, value) -> str:
     return hashlib.sha1(f"{key}={value}".encode()).hexdigest()[:12]
 
 
+# The modules whose code computes each kind of cached value.
+_VALUE_MODULES = {"oracle": (oracle, gf2), "engine": (engine, monomial, reps)}
+
+
+@functools.cache
+def _fingerprint(kind: str) -> str:
+    """Short hash of the source of the modules that compute `kind` values,
+    read once per process, so a cached value does not outlive its code."""
+    h = hashlib.sha1()
+    for module in _VALUE_MODULES[kind]:
+        with open(module.__file__, "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()[:12]
+
+
 def _cache_key(kind: str, n: int, d: Degree) -> str:
-    return f"{SCHEMA_VERSION}|{kind}|{n}|{reps.format_degree(d)}"
+    return f"{SCHEMA_VERSION}|{kind}|{_fingerprint(kind)}|{n}|{reps.format_degree(d)}"
 
 
 def _open_cache(args, n: int):
@@ -200,7 +216,7 @@ def _emit(payload: dict, args, csv_rows=None, table_lines=None) -> None:
 def cmd_dim(args) -> int:
     d = reps.parse_degree(args.deg, args.n)
     cache = _open_cache(args, args.n)
-    key = _cache_key("engine", args.n, d)
+    key = _cache_key("engine", args.n, d) if cache else None
     val = cache.get(key) if cache else None
     if val is None:
         val = engine.dimension(args.n, d)

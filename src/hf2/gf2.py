@@ -4,6 +4,14 @@ Vectors in F_2^dim are Python ints with bit i = coordinate i.  Matrices are
 stored column-major as lists of such ints (columns[j] = image of the j-th
 source basis vector).  Sizes here stay in the low thousands, where int XOR
 beats anything fancier.
+
+Elimination keys each stored row by its leading bit (its pivot), so reducing
+a vector costs one dictionary lookup per XOR it actually needs.  Results do
+not depend on the order rows are met in: a generator is kept exactly when it
+lies outside the span of the ones before it, and coordinates over the kept
+generators are unique.  The kernel basis of `nullspace`, the representatives
+of `CohomologyReducer` and every coordinate vector are therefore fixed by the
+input columns alone (tests/test_gf2.py checks this against brute force).
 """
 
 from __future__ import annotations
@@ -15,32 +23,47 @@ class InternalInvariantError(ValueError):
 
 
 class Span:
-    """Row-echelon span with optional tracking of generator coordinates.
+    """Span of added generators, kept as rows keyed by their leading bit.
 
-    Each stored row keeps the combination of added generators that produced
-    it, so express() can return coordinates of a vector over the generators.
+    Every stored row has a distinct leading bit, its pivot, so each nonzero
+    vector of the span has a pivot as its leading bit.  Reduction therefore
+    looks up the vector's current top bit: a hit is an XOR that must happen,
+    a miss (or 0) ends it, and rows that cannot apply are never visited.
+
+    Each row keeps the combination of added generators that produced it, so
+    express() can return coordinates of a vector over the generators.  A
+    generator is kept exactly when it is independent of the earlier ones,
+    and coordinates over independent generators are unique, so neither the
+    kept generators nor any coordinates depend on how elimination proceeds.
     """
 
     def __init__(self):
-        self.rows: list[tuple[int, int, int]] = []  # (pivot, vector, combination)
+        self.pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (vector, combination)
         self.n_gens = 0
 
     def _reduce(self, v: int, comb: int) -> tuple[int, int]:
-        for pivot, row, rcomb in self.rows:
-            if (v >> pivot) & 1:
-                v ^= row
-                comb ^= rcomb
+        """(v, comb) minus span rows until v is 0 or its top bit is no pivot."""
+        pivots = self.pivots
+        while v:
+            row = pivots.get(v.bit_length() - 1)
+            if row is None:
+                break
+            v ^= row[0]
+            comb ^= row[1]
+        return v, comb
+
+    def _absorb(self, v: int, comb: int) -> tuple[int, int]:
+        """Reduce (v, comb) and keep it as a new row unless v reduces to 0."""
+        v, comb = self._reduce(v, comb)
+        if v:
+            self.pivots[v.bit_length() - 1] = (v, comb)
         return v, comb
 
     def add(self, v: int) -> bool:
         """Add a generator; returns True if it enlarged the span."""
         gen_index = self.n_gens
         self.n_gens += 1
-        v, comb = self._reduce(v, 1 << gen_index)
-        if v == 0:
-            return False
-        self.rows.append((v.bit_length() - 1, v, comb))
-        return True
+        return self._absorb(v, 1 << gen_index)[0] != 0
 
     def contains(self, v: int) -> bool:
         return self._reduce(v, 0)[0] == 0
@@ -52,13 +75,13 @@ class Span:
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
 
 def rank(vectors) -> int:
     s = Span()
     for v in vectors:
-        s.add(v)
+        s._absorb(v, 0)  # no generator coordinates are needed
     return s.dim
 
 
@@ -70,12 +93,9 @@ def nullspace(columns: list[int]) -> list[int]:
     s = Span()
     kernel = []
     for j, col in enumerate(columns):
-        v, comb = s._reduce(col, 1 << j)
+        v, comb = s._absorb(col, 1 << j)
         if v == 0:
             kernel.append(comb)
-        else:
-            s.rows.append((v.bit_length() - 1, v, comb))
-        s.n_gens += 1
     return kernel
 
 
@@ -86,16 +106,15 @@ class CohomologyReducer:
         if len(d_out_columns) != dim:
             raise ValueError("d_out must have one column per basis vector (zeros allowed)")
         self.dim = dim
+        # Rows carry coordinates over the representatives only: boundaries
+        # enter with none, so a reduced cocycle's combination is its class.
         self.span = Span()
         for col in d_in_columns:
-            self.span.add(col)
+            self.span._absorb(col, 0)
         self.reps: list[int] = []
-        self._rep_gen_indices: list[int] = []
         for z in nullspace(d_out_columns):
-            idx = self.span.n_gens
-            if self.span.add(z):
+            if self.span._absorb(z, 1 << len(self.reps))[0]:
                 self.reps.append(z)
-                self._rep_gen_indices.append(idx)
 
     @property
     def h_dim(self) -> int:
@@ -106,11 +125,7 @@ class CohomologyReducer:
         comb = self.span.express(v)
         if comb is None:
             raise InternalInvariantError("vector is not a cocycle of this degree")
-        out = 0
-        for i, gen_idx in enumerate(self._rep_gen_indices):
-            if (comb >> gen_idx) & 1:
-                out |= 1 << i
-        return out
+        return comb
 
 
 def columns_to_bitstrings(columns: list[int], dim: int) -> list[str]:

@@ -285,36 +285,38 @@ def dualize(c: SphereComplex) -> SphereComplex:
 
 
 class _Level:
-    """Fixed subcomplex of one degree at one subgroup level."""
+    """Fixed subcomplex of one degree at one subgroup level.
 
-    __slots__ = ("orbits", "rep_to_index", "dim")
+    `step` is the level's generator on coordinates (gamma^(2^(n-j))).  An
+    orbit is represented by its smallest coordinate; `rep_mask` marks the
+    representatives and `orbit_of` maps each coordinate to its orbit index.
+    """
 
-    def __init__(self, perm: list[int], power: int):
-        seen = [False] * len(perm)
+    __slots__ = ("orbits", "orbit_of", "rep_mask", "dim")
+
+    def __init__(self, step: list[int]):
+        self.orbit_of = [-1] * len(step)
         self.orbits: list[int] = []
-        self.rep_to_index: dict[int, int] = {}
-        for start in range(len(perm)):
-            if seen[start]:
+        self.rep_mask = 0
+        for start in range(len(step)):
+            if self.orbit_of[start] >= 0:
                 continue
+            idx = len(self.orbits)
             mask = 0
             i = start
-            while not seen[i]:
-                seen[i] = True
+            while self.orbit_of[i] < 0:
+                self.orbit_of[i] = idx
                 mask |= 1 << i
-                j = i
-                for _ in range(power):
-                    j = perm[j]
-                i = j
-            self.rep_to_index[start] = len(self.orbits)
+                i = step[i]
+            self.rep_mask |= 1 << start
             self.orbits.append(mask)
         self.dim = len(self.orbits)
 
     def to_level(self, mask: int) -> int:
         """Express a fixed vector in the orbit-sum basis."""
         out = 0
-        for rep, idx in self.rep_to_index.items():
-            if (mask >> rep) & 1:
-                out |= 1 << idx
+        for b in _bits(mask & self.rep_mask):
+            out |= 1 << self.orbit_of[b]
         return out
 
     def to_ambient(self, vec: int) -> int:
@@ -324,11 +326,17 @@ class _Level:
         return out
 
 
+def _perm_pow2(perm: list[int], e: int) -> list[int]:
+    """perm composed with itself 2^e times, by repeated squaring."""
+    for _ in range(e):
+        perm = [perm[i] for i in perm]
+    return perm
+
+
 def _level(c: SphereComplex, j: int, s: int) -> _Level:
     key = (j, s)
     if key not in c._levels:
-        power = 1 << (c.n - j)
-        c._levels[key] = _Level(c.gamma[s], power)
+        c._levels[key] = _Level(_perm_pow2(c.gamma[s], c.n - j))
     return c._levels[key]
 
 
@@ -382,16 +390,8 @@ def _induced(
 def _relative_norm(c: SphereComplex, s: int, j: int):
     """The transfer from level j-1 to level j on bottom-level vectors of
     degree s: v -> v + gamma^(2^(n-j)) v."""
-    power = 1 << (c.n - j)
-    perm = c.gamma[s]
-
-    def norm(v: int) -> int:
-        w = v
-        for _ in range(power):
-            w = _permute(w, perm)
-        return v ^ w
-
-    return norm
+    step = _perm_pow2(c.gamma[s], c.n - j)
+    return lambda v: v ^ _permute(v, step)
 
 
 # -- level-direct truncated model ---------------------------------------------
@@ -470,9 +470,9 @@ class _LevelSlice:
         self.dims: dict[int, int] = {}
         ranges = [range(length + 1) for _, length, _ in self.factors]
         signs = [sign for _, _, sign in self.factors]
+        sig_degrees = _outer_sums(0, [[sign * u for u in r] for r, sign in zip(ranges, signs)])
         by_degree: dict[int, list] = {deg: [] for deg in (self.s - 1, self.s, self.s + 1)}
-        for sig in product(*ranges):
-            deg = sum(sign * u for sign, u in zip(signs, sig))
+        for sig, deg in zip(product(*ranges), sig_degrees):
             if deg in by_degree:
                 by_degree[deg].append(sig)
         for deg, sigs in by_degree.items():
@@ -504,24 +504,81 @@ class _LevelSlice:
         src = self.classes[deg]
         out = []
         for sig, cls in self.classes[deg + 1].items():
-            moves = []
+            rows = [0] * cls.count
             for f, (block, length, sign) in enumerate(self.factors):
                 u = sig[f]
                 if sign > 0 and u > 0:
-                    pre = sig[:f] + (u - 1,) + sig[f + 1:]
-                    moves.append((f, src[pre], _factor_d_t, block, u - 1))
+                    pre = src[sig[:f] + (u - 1,) + sig[f + 1:]]
+                    supports = [_factor_d_t(block, u - 1, y) for y in range(cls.radices[f])]
                 elif sign < 0 and u < length:
-                    pre = sig[:f] + (u + 1,) + sig[f + 1:]
-                    moves.append((f, src[pre], _factor_d, block, u))
-            for y in product(*map(range, cls.radices)):
-                row = 0
-                for f, pre_cls, support, block, u in moves:
-                    x = list(y)
-                    for c in support(block, u, y[f]):
-                        x[f] = c
-                        row ^= 1 << self.index(pre_cls, x)
-                out.append(row)
+                    pre = src[sig[:f] + (u + 1,) + sig[f + 1:]]
+                    supports = [_factor_d(block, u, y) for y in range(cls.radices[f])]
+                else:
+                    continue
+                self._add_move(rows, cls, pre, f, supports)
+            out.extend(rows)
         return out
+
+    def _add_move(self, rows, cls: _CellClass, pre: _CellClass, f: int, supports) -> None:
+        """XOR into rows (one per orbit of cls, in index order) the part of
+        the differential that reaches class pre through factor f.  Target
+        cell y meets the cells of pre that agree with y off f and carry a
+        coordinate c from supports[y[f]] at f.
+
+        index(pre, x) first shifts every coordinate by k = x[star] // p * p.
+        With the star off f, k is fixed by the coordinates z off f, so every c
+        of one y lies at a fixed offset from one base per z.  With the star on
+        f, k = c // p * p, and each group of cs sharing it has one base per z.
+        Bases and target positions are tabulated over all z at once, as outer
+        sums of per-factor terms.
+        """
+        p, st = self.p, pre.star
+        wf, step = pre.strides[f], cls.strides[f]
+        # the factors off f, the star first so that k is constant along runs of z
+        others = sorted((g for g in range(len(cls.radices)) if g != f), key=lambda g: g != st)
+        targets = _outer_sums(
+            0, [[v * cls.strides[g] for v in range(cls.radices[g])] for g in others]
+        )
+
+        def bases(k: int, start: int, factors) -> list[int]:
+            """start plus the terms of index(pre, x) over factors, per z."""
+            return _outer_sums(start, [
+                [(v - k) % pre.blocks[g] * pre.strides[g] for v in range(cls.radices[g])]
+                for g in factors
+            ])
+
+        if st == f:
+            ks = sorted({c // p * p for cs in supports for c in cs})
+            tables = {k: bases(k, pre.offset, others) for k in ks}
+            groups = []
+            for cs in supports:
+                parts = [_bits_at([c % p * wf for c in cs if c // p * p == k]) for k in ks]
+                groups.append([(tables[k], m) for k, m in zip(ks, parts) if m])
+            for zi, t in enumerate(targets):
+                for y, group in enumerate(groups):
+                    row = 0
+                    for table, m in group:
+                        row ^= m << table[zi]
+                    rows[t + y * step] ^= row
+            return
+        if st < 0:
+            runs = [(0, bases(0, pre.offset, others))]
+        else:  # one run per value v of the star coordinate
+            runs = []
+            for v in range(cls.radices[st]):
+                k = v // p * p
+                lead = pre.offset + (v - k) % pre.blocks[st] * pre.strides[st]
+                runs.append((k, bases(k, lead, others[1:])))
+        masks = {}
+        positions = iter(targets)
+        for k, table in runs:
+            if k not in masks:
+                bf = pre.blocks[f]
+                masks[k] = [_bits_at([(c - k) % bf * wf for c in cs]) for cs in supports]
+            for b in table:
+                t = next(positions)
+                for y, m in enumerate(masks[k]):
+                    rows[t + y * step] ^= m << b
 
     def reducer(self) -> CohomologyReducer:
         s = self.s
@@ -532,11 +589,30 @@ class _LevelSlice:
         )
 
 
+def _outer_sums(start: int, arrays) -> list[int]:
+    """start + a_1[z_1] + ... + a_m[z_m] for every z, in product order."""
+    out = [start]
+    for arr in arrays:
+        out = [o + a for o in out for a in arr]
+    return out
+
+
+def _bits_at(positions) -> int:
+    """XOR of 1 << q over the positions (repeats cancel)."""
+    out = 0
+    for q in positions:
+        out ^= 1 << q
+    return out
+
+
 def _transpose(rows: list[int], width: int) -> list[int]:
     cols = [0] * width
     for i, row in enumerate(rows):
-        for b in _bits(row):
-            cols[b] |= 1 << i
+        bit = 1 << i
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
     return cols
 
 
@@ -615,27 +691,41 @@ def predict_cols(n: int, d: Degree) -> int:
     return max(_LevelSlice(n, d, 0).dims.values())
 
 
-def _check_budget(n: int, d: Degree, budget: int | None) -> None:
+def _model_cols(n: int, d: Degree) -> int:
+    """Coordinate count of the bottom-level model of d over all degrees: a
+    minimal factor has one cell in degree 0 and a block in each other."""
+    out = 1
+    for block, length, _ in _factors(n, d):
+        out *= 1 + block * length
+    return out
+
+
+def _check_budget(d: Degree, width: int, budget: int | None) -> None:
+    """Refuse a computation whose widest matrix would have `width` columns."""
     cap = DEFAULT_BUDGET if budget is None else budget
-    predicted = predict_cols(n, d)
-    if predicted > cap:
-        raise BudgetExceededError(d, predicted, cap)
+    if width > cap:
+        raise BudgetExceededError(d, width, cap)
 
 
 def oracle_top_dim(n: int, d: Degree, budget: int | None = None) -> int:
-    """Top-level dimension of the graded Mackey functor at degree d."""
-    _check_budget(n, d, budget)
+    """Top-level dimension of the graded Mackey functor at degree d.
+
+    The budget bounds the widest of the three level-n degrees, which is all
+    this builds."""
     sl = _LevelSlice(n, d, n)
     s = sl.s
     if not sl.dims[s]:
         return 0
+    _check_budget(d, max(sl.dims.values()), budget)
     return sl.dims[s] - rank(sl.rows(s)) - rank(sl.rows(s - 1))
 
 
 def oracle_pi(n: int, d: Degree, budget: int | None = None) -> MackeyAnswer:
     """Full Mackey functor at degree d: levelwise dimensions with induced
-    restriction, transfer and Weyl-generator matrices on cohomology."""
-    _check_budget(n, d, budget)
+    restriction, transfer and Weyl-generator matrices on cohomology.
+
+    The budget bounds the level-0 width, the widest level built."""
+    _check_budget(d, predict_cols(n, d), budget)
     slices = [_LevelSlice(n, d, j) for j in range(n + 1)]
     s = -d.t
     reducers = [sl.reducer() for sl in slices]
@@ -674,10 +764,11 @@ def oracle_pi(n: int, d: Degree, budget: int | None = None) -> MackeyAnswer:
 
 def _alpha_mult_setup(n: int, d: Degree, budget: int | None):
     """Complexes and inclusion realizing multiplication by a_alpha from
-    degree d to degree d - alpha."""
-    _check_budget(n, d, budget)
-    d_target = d - reps.alpha_degree(n)
-    _check_budget(n, d_target, budget)
+    degree d to degree d - alpha.
+
+    The budget bounds the target, the larger of the two bottom-level models:
+    the source smashed with the dual of one alpha cell pair (1 + 2 cells)."""
+    _check_budget(d, 3 * _model_cols(n, d), budget)
     src, s = _model(n, d)
     dual_alpha = dualize(_alpha_complex(n, 1))
     tgt = smash(src, dual_alpha)

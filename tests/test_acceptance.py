@@ -1,12 +1,15 @@
-"""Acceptance suite: the eleven exit criteria, one test each.
+"""Acceptance suite: the twelve exit criteria, one test each.
 
 Every criterion prints a single PASS/FAIL line (run pytest with -s or read
 captured output).  All comparisons are exact; the boxes are the stated
-desk-scale boxes.
+desk-scale boxes.  Criterion 12 (the n=4 box with radius 2, about 25 s) is
+opt-in: `pytest -m slow`.
 """
 
 import itertools
 import random
+
+import pytest
 
 from hf2 import engine, oracle, duality, tate
 from hf2.monomial import Monomial, degree_of, eps_rename, multiply, times_a_lambda
@@ -256,6 +259,26 @@ def test_criterion_11_differential_n4():
     _report(
         11,
         f"n=4 engine vs oracle over 1053 degrees "
+        f"({len(mismatches)} mismatches, {len(skipped)} over budget)",
+        not mismatches and not skipped,
+    )
+
+
+@pytest.mark.slow
+def test_criterion_12_differential_n4_wide():
+    mismatches, skipped = [], []
+    for d in box_degrees(4, (-8, 8), (-2, 2), (-2, 2)):
+        e = engine.dimension(4, d)
+        try:
+            o = oracle_top_dim(4, d)
+        except oracle.BudgetExceededError as exc:
+            skipped.append((str(d), str(exc)))
+            continue
+        if e != o:
+            mismatches.append((str(d), e, o))
+    _report(
+        12,
+        f"n=4 engine vs oracle over 10625 degrees "
         f"({len(mismatches)} mismatches, {len(skipped)} over budget)",
         not mismatches and not skipped,
     )

@@ -1,10 +1,11 @@
+import functools
 import json
 import subprocess
 import sys
 
 import pytest
 
-from hf2 import cli, engine, gf2
+from hf2 import cli, engine, gf2, oracle
 
 
 def run_cli(capsys, *argv):
@@ -75,7 +76,7 @@ class TestVerify:
 
     def test_budget_exit_3(self, capsys):
         code, out, _ = run_cli(
-            capsys, "verify", "--n", "2", "--box", "t=0..0,a=0..0,l0=2..2",
+            capsys, "verify", "--n", "2", "--box", "t=-2..-2,a=1..1,l0=2..2",
             "--budget", "2",
         )
         payload = json.loads(out)
@@ -136,6 +137,25 @@ class TestCache:
         cache_file.write_text("{ not json\n" + cache_file.read_text().replace('"v": 1', '"v": 9'))
         code, out, _ = run_cli(capsys, *args)
         assert code == 0 and out.strip() == "1"  # checksum rejects the tampered line
+
+    def test_code_change_misses(self, capsys, tmp_path, monkeypatch):
+        args = (
+            "verify", "--n", "2", "--box", "t=-1..1,a=0..0,l0=0..0",
+            "--cache-dir", str(tmp_path / "cache"),
+        )
+        cache_file = tmp_path / "cache" / "hf2-cache-n2.jsonl"
+        run_cli(capsys, *args)
+        n_lines = len(cache_file.read_text().splitlines())
+        run_cli(capsys, *args)
+        assert len(cache_file.read_text().splitlines()) == n_lines  # warm: pure hits
+        edited = tmp_path / "oracle.py"
+        edited.write_bytes(open(oracle.__file__, "rb").read() + b"# edited\n")
+        monkeypatch.setattr(oracle, "__file__", str(edited))
+        monkeypatch.setattr(cli, "_fingerprint", functools.cache(cli._fingerprint.__wrapped__))
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0 and json.loads(out)["pass"]
+        # the three oracle values miss and are stored again; engine keys still hit
+        assert len(cache_file.read_text().splitlines()) == n_lines + 3
 
 
 class TestOtherCommands:

@@ -9,6 +9,7 @@ from hf2.oracle import (
     OrbitModule,
     dualize,
     level_cohomology,
+    mult_a_alpha,
     oracle_pi,
     oracle_top_dim,
     predict_cols,
@@ -329,32 +330,55 @@ class TestBudget:
         assert predict_cols(3, d) >= 1
 
     def test_budget_error(self):
-        d = make_degree(3, 0, 2, [2, 2])
+        d = make_degree(3, -2, 2, [2, 2])  # level-3 widths 3, 11, 26
         with pytest.raises(BudgetExceededError) as err:
             oracle_top_dim(3, d, budget=3)
         assert err.value.predicted > 3
         assert "budget" in str(err.value)
 
     def test_predicted_equals_built(self, monkeypatch):
-        built = []
+        built, checked, models = [], [], []
 
         class Recording(oracle._LevelSlice):
             def rows(self, deg):
                 built.append((self.p, self.dims[deg], self.dims[deg + 1]))
                 return super().rows(deg)
 
+        def recording_check(d, width, budget):
+            checked.append(width)
+            check(d, width, budget)
+
+        def recording_smash(c1, c2):
+            out = smash(c1, c2)
+            models.append(out.total_cols())
+            return out
+
+        check = oracle._check_budget
         monkeypatch.setattr(oracle, "_LevelSlice", Recording)
+        monkeypatch.setattr(oracle, "_check_budget", recording_check)
+        monkeypatch.setattr(oracle, "smash", recording_smash)
         n = 3
         for d in box_degrees(n, (-5, 5), (-1, 1), (-1, 1)):
             predicted = predict_cols(n, d)
             built.clear()
+            checked.clear()
             oracle_pi(n, d)
             bottom = [w for p, *ws in built if p == 1 << n for w in ws]
             assert predicted == max(bottom), str(d)
+            assert checked == [max(bottom)], str(d)
             built.clear()
+            checked.clear()
             oracle_top_dim(n, d)
             top = [w for p, *ws in built if p == 1 for w in ws]
             assert predicted >= max(top, default=0), str(d)
+            # nothing is built, so nothing is checked, when degree s is empty
+            assert checked == ([max(top)] if top else []), str(d)
+        for d in box_degrees(2, (-3, 3), (-1, 1), (-1, 1)):
+            for run in (verify_lemma_kernel, lambda n, d: mult_a_alpha(n, d, 1)):
+                checked.clear()
+                models.clear()
+                run(2, d)
+                assert checked == [max(models)], str(d)
 
 
 @pytest.mark.slow
