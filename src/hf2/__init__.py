@@ -43,13 +43,8 @@ from .duality import dual_degree, dual_monomial, duality_scan, lambda_class
 from .oracle import (
     BudgetExceededError,
     MackeyAnswer,
-    OrbitModule,
-    SphereComplex,
-    dualize,
     oracle_pi,
     oracle_top_dim,
-    smash,
-    sphere_complex,
     verify_lemma_kernel,
 )
 

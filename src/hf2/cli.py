@@ -308,6 +308,14 @@ def cmd_verify(args) -> int:
             fresh = engine.dimension(args.n, d)
             if cache.get(_cache_key("engine", args.n, d)) != fresh:
                 selftest_failures += 1
+            cached = cache.get(_cache_key("oracle", args.n, d))
+            if cached is None:
+                continue
+            try:
+                if oracle.oracle_top_dim(args.n, d, args.budget) != cached:
+                    selftest_failures += 1
+            except oracle.BudgetExceededError:
+                pass  # this run's budget refuses the degree, so it cannot be re-checked
 
     payload = {
         "schema": SCHEMA_VERSION,
@@ -474,7 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject-fault", action="store_true",
                    help="corrupt the first engine value (harness self-test)")
     p.add_argument("--cache-selftest", type=int, default=0,
-                   help="recompute this many cached degrees and compare")
+                   help="recompute the engine and oracle values of this many cached "
+                   "degrees and compare")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("duality-scan", help="dimension symmetry scan over a box")

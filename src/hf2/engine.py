@@ -4,8 +4,9 @@ The answer in any degree is assembled from four parts: the positive cone,
 the classes infinitely divisible by a_{lambda_1} (computed by renaming the
 a_{lambda_0}-divisible classes one group down and tensoring with Laurent
 powers of a_{lambda_0}), three explicit blocks of a_{lambda_0}-divisible
-families, and the explicit non-divisible families.  Groups of order 2 and
-4 are handled by their own closed forms.
+families, and the explicit non-divisible families.  The group of order 2 is
+handled by its own closed form; for order 4 the blocks that need a lambda_1
+are empty and part (2) is the base of the renaming recursion.
 
 Every family is solved degreewise: given a target degree, the lambda slots
 and the alpha slot force all but finitely many exponents, so each query
@@ -300,13 +301,11 @@ def _d_lambda0(n: int, d: Degree) -> frozenset[tuple[Monomial, int]]:
     renaming depth that produced each."""
     if n < 2:
         raise DegreeError("the a_lambda_0-divisible set needs n >= 2")
-    if n == 2:
-        base = _b1_fam1(2, d) | _c4_sigma_alpha_family(d) | _b2(2, d) | _posD(2, d)
-        return frozenset((m, 0) for m in base)
     found: dict[Monomial, int] = {}
     for m, dep in _d_lambda1(n, d):
         found[m] = dep
-    for m in part3(n, d) | _posD(n, d):
+    blocks = _b1_fam1(n, d) | _b1_fam2(n, d) | _b2(n, d) | _b3(n, d)
+    for m in blocks | _posD(n, d):
         if m not in found or found[m] > 0:
             found[m] = 0
     return frozenset(found.items())
@@ -314,9 +313,11 @@ def _d_lambda0(n: int, d: Degree) -> frozenset[tuple[Monomial, int]]:
 
 def _d_lambda1(n: int, d: Degree) -> frozenset[tuple[Monomial, int]]:
     """Classes infinitely divisible by a_lambda_1: rename the divisible set
-    of the quotient group and restore the forced a_lambda_0 power."""
-    if n < 3:
-        raise DegreeError("the a_lambda_1-divisible set needs n >= 3")
+    of the quotient group and restore the forced a_lambda_0 power.  For
+    n = 2, the base of the recursion, this is the part-(2) family of C_4 at
+    depth 0."""
+    if n == 2:
+        return frozenset((m, 0) for m in _c4_sigma_alpha_family(d))
     k = -d.c_lambda[0]
     inner = _d_lambda0(n - 1, strip_lambda0(d))
     return frozenset(
@@ -329,6 +330,8 @@ def d_divisible(n: int, generator: str, d: Degree) -> frozenset[Monomial]:
     if generator == "aL0":
         return frozenset(m for m, _ in _d_lambda0(n, d))
     if generator == "aL1":
+        if n < 3:
+            raise DegreeError("the a_lambda_1-divisible set needs n >= 3")
         return frozenset(m for m, _ in _d_lambda1(n, d))
     raise MonomialError(f"unsupported divisibility generator {generator!r}")
 
@@ -397,31 +400,11 @@ def _basis_c2(d: Degree) -> dict[Monomial, BasisElement]:
     return out
 
 
-def _basis_c4(d: Degree) -> dict[Monomial, BasisElement]:
-    out = {}
-    for m in positive_cone_basis(2, d):
-        out[m] = BasisElement(m, "POS", 0)
-    tagged = [
-        (_b1_fam1(2, d), "P3.B1"),
-        (_b2(2, d), "P3.B2"),
-        (_c4_sigma_alpha_family(d), "P2"),
-        (part4(2, d), "P4"),
-    ]
-    for fam, tag in tagged:
-        for m in fam:
-            if m in out:
-                raise PartOverlapError(f"{m} appears in {out[m].part} and {tag}")
-            out[m] = BasisElement(m, tag, 0)
-    return out
-
-
 def basis(n: int, d: Degree) -> AnswerBasis:
     if d.n != n:
         raise DegreeError(f"degree is over n={d.n}, expected {n}")
     if n == 1:
         found = _basis_c2(d)
-    elif n == 2:
-        found = _basis_c4(d)
     else:
         found = {}
         pos = positive_cone_basis(n, d)

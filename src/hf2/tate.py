@@ -24,31 +24,17 @@ def _mono(n, sigma, ea, eu, eal, eul):
 
 
 def hh_basis(n: int, d: Degree) -> frozenset[Monomial]:
-    """Homotopy fixed points: a_alpha (square-zero for n >= 2), a_lambda_0
-    polynomial, all orientation classes inverted."""
-    out = []
-    if n == 1:
-        s = d.t
-        k = -d.c_alpha - s
-        if k >= 0:
-            out.append(_mono(1, 0, k, s, (), ()))
-        return frozenset(out)
-    for eps in (0, 1):
-        s = -d.c_alpha - eps
-        rem = d.t - s
-        if rem % 2:
-            continue
-        s0 = rem // 2 + sum(d.c_lambda[1:])
-        k = -d.c_lambda[0] - s0
-        if k >= 0:
-            eul = (s0,) + tuple(-c for c in d.c_lambda[1:])
-            eal = (k,) + (0,) * (n - 2)
-            out.append(_mono(n, 0, eps, s, eal, eul))
-    return frozenset(out)
+    """Homotopy fixed points: the Tate classes with a nonnegative power of
+    the localized Euler class (a_alpha for n = 1, a_lambda_0 otherwise)."""
+    return frozenset(
+        m for m in ht_basis(n, d) if (m.e_a_alpha if n == 1 else m.e_a_lambda[0]) >= 0
+    )
 
 
 def ht_basis(n: int, d: Degree) -> frozenset[Monomial]:
-    """Tate: as hh_basis but with the localized Euler class inverted too."""
+    """Tate: one class per degree.  All orientation classes and the
+    localized Euler class are inverted; a_alpha is square-zero for n >= 2
+    and a_lambda_0 is Laurent."""
     out = []
     if n == 1:
         s = d.t

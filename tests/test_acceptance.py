@@ -13,10 +13,11 @@ import pytest
 
 from hf2 import engine, oracle, duality, tate
 from hf2.monomial import Monomial, degree_of, eps_rename, multiply, times_a_lambda
-from hf2.oracle import OrbitModule, oracle_pi, oracle_top_dim, sphere_complex
+from hf2.oracle import oracle_pi, oracle_top_dim
 from hf2.reps import make_degree, pullback_eps, trivial_degree
 
 from fixtures import box_degrees, c2_closed_form, c4_closed_form, c8_closed_form
+from reference_oracle import OrbitModule, dualize, sphere_complex
 
 
 def _report(num: int, desc: str, ok: bool) -> None:
@@ -162,12 +163,22 @@ def test_criterion_9_structural_invariants():
     ok = True
     rng = random.Random(2026)
 
-    # cochain complexes: d after d = 0 and gamma naturality
+    # cochain complexes: d after d = 0 and gamma naturality on the reference,
+    # and d after d = 0 on the level-direct rows at every level and degree of
+    # each sphere and its dual
     for n, coords in [(2, (0, 1, (1,))), (3, (0, 2, (1, 1))), (3, (0, 0, (0, 2)))]:
         v = make_degree(n, *coords[:2], coords[2])
         c = sphere_complex(n, v)
         c.validate()
-        oracle.dualize(c).validate()
+        dualize(c).validate()
+        for w in (v, make_degree(n, 0, -v.c_alpha, [-x for x in v.c_lambda])):
+            factors = oracle._factors(n, w)
+            top = sum(length for _, length, _ in factors)
+            for j in range(n + 1):
+                for s in range(-top - 1, top + 2):
+                    sl = oracle._LevelSlice(n, factors, s, j)
+                    d_in, d_out = sl.rows(s - 1), sl.rows(s)
+                    ok &= all(_apply(d_in, row) == 0 for row in d_out)
 
     # Mackey compatibility and double coset on orbit modules (exhaustive)
     for n in (1, 2, 3):

@@ -138,6 +138,26 @@ class TestCache:
         code, out, _ = run_cli(capsys, *args)
         assert code == 0 and out.strip() == "1"  # checksum rejects the tampered line
 
+    def test_selftest_rechecks_oracle(self, capsys, tmp_path):
+        args = (
+            "verify", "--n", "2", "--box", "t=-1..1,a=0..0,l0=0..0",
+            "--cache-dir", str(tmp_path), "--cache-selftest", "3",
+        )
+        run_cli(capsys, *args)
+        cache_file = tmp_path / "hf2-cache-n2.jsonl"
+        lines = []
+        for line in cache_file.read_text().splitlines():
+            rec = json.loads(line)
+            if "|oracle|" in rec["k"] and rec["k"].endswith("|0,0,0"):
+                rec["v"] += 1  # a wrong value under a valid line checksum
+                rec["h"] = cli._line_hash(rec["k"], rec["v"])
+            lines.append(json.dumps(rec))
+        cache_file.write_text("\n".join(lines) + "\n")
+        code, out, _ = run_cli(capsys, *args)
+        summary = json.loads(out)["summary"]
+        assert code == 1
+        assert summary["mismatches"] == 1 and summary["cache_selftest_failures"] == 1
+
     def test_code_change_misses(self, capsys, tmp_path, monkeypatch):
         args = (
             "verify", "--n", "2", "--box", "t=-1..1,a=0..0,l0=0..0",
