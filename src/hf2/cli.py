@@ -20,7 +20,6 @@ import re
 import sys
 import time
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 from . import duality, engine, gf2, monomial, oracle, reps
 from .gf2 import InternalInvariantError
@@ -184,6 +183,10 @@ def _open_cache(args, n: int):
 # -- workers ------------------------------------------------------------------
 
 
+def _refusal(exc: oracle.BudgetExceededError) -> str:
+    return f"predicted {exc.predicted} columns > budget {exc.cap}"
+
+
 def _verify_one(task):
     n, deg_str, budget = task
     d = reps.parse_degree(deg_str, n)
@@ -192,7 +195,7 @@ def _verify_one(task):
         orc = oracle.oracle_top_dim(n, d, budget)
         return deg_str, eng, orc, None
     except oracle.BudgetExceededError as exc:
-        return deg_str, eng, None, f"predicted {exc.predicted} columns > budget {exc.cap}"
+        return deg_str, eng, None, _refusal(exc)
 
 
 # -- output -------------------------------------------------------------------
@@ -263,11 +266,18 @@ def cmd_verify(args) -> int:
         if eng is None or orc is None:
             todo.append((args.n, deg_str, args.budget))
             records.append(None)
+            continue
+        try:  # cached values face this run's budget, like fresh ones
+            oracle.top_slice(args.n, d, args.budget)
+        except oracle.BudgetExceededError as exc:
+            records.append((deg_str, eng, None, _refusal(exc)))
         else:
             records.append((deg_str, eng, orc, None))
 
     if todo:
         if args.jobs > 1:
+            from multiprocessing import Pool  # only here: it slows every start-up
+
             with Pool(args.jobs) as pool:
                 results = pool.map(_verify_one, todo, chunksize=16)
         else:

@@ -106,13 +106,21 @@ class CohomologyReducer:
         if len(d_out_columns) != dim:
             raise ValueError("d_out must have one column per basis vector (zeros allowed)")
         self.dim = dim
+        kernel = nullspace(d_out_columns)
         # Rows carry coordinates over the representatives only: boundaries
         # enter with none, so a reduced cocycle's combination is its class.
+        # Boundaries are cocycles, so once the span has the kernel's
+        # dimension every later vector reduces to 0 and would be dropped:
+        # both loops stop there.
         self.span = Span()
         for col in d_in_columns:
+            if self.span.dim == len(kernel):
+                break
             self.span._absorb(col, 0)
         self.reps: list[int] = []
-        for z in nullspace(d_out_columns):
+        for z in kernel:
+            if self.span.dim == len(kernel):
+                break
             if self.span._absorb(z, 1 << len(self.reps))[0]:
                 self.reps.append(z)
 

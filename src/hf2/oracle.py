@@ -22,12 +22,13 @@ degrees s-1, s, s+1 the answer reads, straight from orbit data.  A cell of
 the tensor model is a tuple of factor degrees plus one coordinate in Z/B
 per factor (B the factor's block, 1 in factor degree 0); gamma adds 1 to
 every coordinate, and level j is the action of gamma^(2^(n-j)).  A
-differential row for a target orbit is the parity of the transposed
-differential of its representative over each source orbit, so no
-bottom-level vector is formed.  res, tr, gamma and multiplication by
-a_alpha (the inclusion of the model into its smash with one dual alpha cell
-pair) act on orbit indices in closed form.  The budget bounds the widest
-slice an entry point builds.
+differential is emitted column by column, in the column-major form `gf2`
+takes, as the image of each source orbit sum: the coefficient of a target
+orbit O' in d(sum O) is the number of cells of O' that d(rep O) hits, times
+|O| / |O'|, mod 2, so no bottom-level vector is formed.  res, tr, gamma and
+multiplication by a_alpha (the inclusion of the model into its smash with
+one dual alpha cell pair) act on orbit indices in closed form.  The budget
+bounds the widest slice an entry point builds.
 
 The bottom-level route, which stores the whole complex at the trivial-
 subgroup level with the generator's permutation action, lives in the test
@@ -109,13 +110,14 @@ class _CellClass:
     free.  Orbit index = offset + mixed radix of the representative.
     """
 
-    __slots__ = ("sig", "blocks", "star", "radices", "strides", "offset", "count")
+    __slots__ = ("sig", "blocks", "star", "period", "radices", "strides", "offset", "count")
 
     def __init__(self, sig: tuple[int, ...], blocks: tuple[int, ...], p: int, offset: int):
         self.sig = sig
         self.blocks = blocks
         big = max(blocks, default=1)
         self.star = blocks.index(big) if big > p else -1
+        self.period = max(big, p)  # gamma^period fixes every cell; orbit size period / p
         self.radices = tuple(p if f == self.star else b for f, b in enumerate(blocks))
         strides, step = [], 1
         for r in reversed(self.radices):
@@ -132,7 +134,10 @@ class _LevelSlice:
     only, with orbit-sum bases.
 
     dims[deg] is the orbit count of degree deg; at level 0 every orbit is a
-    single cell, so those are the bottom-level widths.
+    single cell, so those are the bottom-level widths.  cols(deg) is the
+    differential deg -> deg + 1 in the column-major form `gf2` takes: one
+    column per degree-deg orbit sum, with the |O| / |O'| rule of the module
+    docstring applied per pair of classes.
     """
 
     def __init__(self, n: int, factors: list[tuple[int, int, int]], s: int, j: int):
@@ -174,95 +179,84 @@ class _LevelSlice:
             for x in product(*map(range, cls.radices))
         ]
 
-    def rows(self, deg: int) -> list[int]:
-        """Rows of the level differential from degree deg to deg + 1: one per
-        target orbit O', with bit O set when |supp d^T(rep O') & O| is odd."""
-        src = self.classes[deg]
+    def cols(self, deg: int) -> list[int]:
+        """The level differential from degree deg to deg + 1 as columns, one
+        per degree-deg orbit O in index order: the image of the orbit sum.
+
+        Counting pairs (x in O, y in O') with y in supp d(x) both ways, the
+        coefficient of O' is |supp d(rep O) & O'| |O| / |O'| mod 2.  Orbit
+        sizes (period / p per class) differ only where a move changes its
+        factor's block.  A dual factor leaving factor degree 1 may shrink
+        them; |O| / |O'| is then even and the move adds nothing.  nu leaving
+        factor degree 0 may grow them; its support is then a union of
+        stabilizer orbits of size |O'| / |O|, so it is counted modulo the
+        source cell's stabilizer gamma^period.
+        """
+        dst = self.classes[deg + 1]
         out = []
-        for sig, cls in self.classes[deg + 1].items():
-            rows = [0] * cls.count
+        for sig, cls in self.classes[deg].items():
+            cols = [0] * cls.count
             for f, (block, length, sign) in enumerate(self.factors):
                 u = sig[f]
-                if sign > 0 and u > 0:
-                    pre = src[sig[:f] + (u - 1,) + sig[f + 1:]]
-                    supports = [_factor_d_t(block, u - 1, y) for y in range(cls.radices[f])]
-                elif sign < 0 and u < length:
-                    pre = src[sig[:f] + (u + 1,) + sig[f + 1:]]
-                    supports = [_factor_d(block, u, y) for y in range(cls.radices[f])]
+                if sign > 0 and u < length:
+                    tgt = dst[sig[:f] + (u + 1,) + sig[f + 1:]]
+                    support, v = _factor_d, u
+                elif sign < 0 and u > 0:
+                    tgt = dst[sig[:f] + (u - 1,) + sig[f + 1:]]
+                    support, v = _factor_d_t, u - 1
                 else:
                     continue
-                self._add_move(rows, cls, pre, f, supports)
-            out.extend(rows)
+                if tgt.period < cls.period:
+                    continue
+                if tgt.period > cls.period:
+                    supports = [range(cls.period)]
+                else:
+                    supports = [support(block, v, x) for x in range(cls.radices[f])]
+                self._add_move(cols, cls, tgt, f, supports)
+            out.extend(cols)
         return out
 
-    def _add_move(self, rows, cls: _CellClass, pre: _CellClass, f: int, supports) -> None:
-        """XOR into rows (one per orbit of cls, in index order) the part of
-        the differential that reaches class pre through factor f.  Target
-        cell y meets the cells of pre that agree with y off f and carry a
-        coordinate c from supports[y[f]] at f.
+    def _add_move(self, cols, cls: _CellClass, tgt: _CellClass, f: int, supports) -> None:
+        """XOR into cols (one per orbit of cls, in index order) the part of
+        the differential that moves factor f into class tgt: source cell x
+        meets the cells of tgt that agree with x off f and carry a coordinate
+        c from supports[x[f]] at f.
 
-        index(pre, x) first shifts every coordinate by k = x[star] // p * p.
-        With the star off f, k is fixed by the coordinates z off f, so every c
-        of one y lies at a fixed offset from one base per z.  With the star on
-        f, k = c // p * p, and each group of cs sharing it has one base per z.
-        Bases and target positions are tabulated over all z at once, as outer
-        sums of per-factor terms.
+        index(tgt, .) first shifts every coordinate by k = (star coordinate)
+        // p * p.  With the star off f, k is fixed by the coordinates z off f,
+        so each k takes its own run of z; with the star on f, k = c // p * p,
+        so each k takes its own cs.  Per k, column positions and base indices
+        over z are outer sums of per-factor terms, and each x[f] adds a mask
+        of its cs at offsets from the base (the cs of one support are
+        distinct mod the block, so their bits add).
         """
-        p, st = self.p, pre.star
-        wf, step = pre.strides[f], cls.strides[f]
-        # the factors off f, the star first so that k is constant along runs of z
-        others = sorted((g for g in range(len(cls.radices)) if g != f), key=lambda g: g != st)
-        targets = _outer_sums(
-            0, [[v * cls.strides[g] for v in range(cls.radices[g])] for g in others]
-        )
-
-        def bases(k: int, start: int, factors) -> list[int]:
-            """start plus the terms of index(pre, x) over factors, per z."""
-            return _outer_sums(start, [
-                [(v - k) % pre.blocks[g] * pre.strides[g] for v in range(cls.radices[g])]
-                for g in factors
-            ])
-
+        p, st = self.p, tgt.star
+        wf, bf, step = tgt.strides[f], tgt.blocks[f], cls.strides[f]
         if st == f:
             ks = sorted({c // p * p for cs in supports for c in cs})
-            tables = {k: bases(k, pre.offset, others) for k in ks}
-            groups = []
-            for cs in supports:
-                parts = [_bits_at([c % p * wf for c in cs if c // p * p == k]) for k in ks]
-                groups.append([(tables[k], m) for k, m in zip(ks, parts) if m])
-            for zi, t in enumerate(targets):
-                for y, group in enumerate(groups):
-                    row = 0
-                    for table, m in group:
-                        row ^= m << table[zi]
-                    rows[t + y * step] ^= row
-            return
-        if st < 0:
-            runs = [(0, bases(0, pre.offset, others))]
-        else:  # one run per value v of the star coordinate
-            runs = []
-            for v in range(cls.radices[st]):
-                k = v // p * p
-                lead = pre.offset + (v - k) % pre.blocks[st] * pre.strides[st]
-                runs.append((k, bases(k, lead, others[1:])))
-        masks = {}
-        positions = iter(targets)
-        for k, table in runs:
-            if k not in masks:
-                bf = pre.blocks[f]
-                masks[k] = [_bits_at([(c - k) % bf * wf for c in cs]) for cs in supports]
-            for b in table:
-                t = next(positions)
-                for y, m in enumerate(masks[k]):
-                    rows[t + y * step] ^= m << b
+        else:
+            ks = range(0, cls.radices[st], p) if st >= 0 else (0,)
+        for k in ks:
+            masks = [
+                (y * step, sum(1 << (c - k) % bf * wf for c in cs if st != f or c // p * p == k))
+                for y, cs in enumerate(supports)
+            ]
+            masks = [(off, m) for off, m in masks if m]
+            targets, bases = [0], [tgt.offset]
+            for g, (r, s, bg, w) in enumerate(zip(cls.radices, cls.strides, tgt.blocks, tgt.strides)):
+                if g != f:
+                    vals = range(k, k + p) if g == st else range(r)
+                    ts = [v * s for v in vals]
+                    bs = [(v - k) % bg * w for v in vals]
+                    targets = [o + a for o in targets for a in ts]
+                    bases = [o + a for o in bases for a in bs]
+            for t, b in zip(targets, bases):
+                for off, m in masks:
+                    cols[t + off] ^= m << b
 
     def reducer(self) -> CohomologyReducer:
         s = self.s
-        return CohomologyReducer(
-            self.dims[s],
-            _transpose(self.rows(s - 1), self.dims[s - 1]),
-            _transpose(self.rows(s), self.dims[s]),
-        )
+        return CohomologyReducer(self.dims[s], self.cols(s - 1), self.cols(s))
 
 
 def _outer_sums(start: int, arrays) -> list[int]:
@@ -271,25 +265,6 @@ def _outer_sums(start: int, arrays) -> list[int]:
     for arr in arrays:
         out = [o + a for o in out for a in arr]
     return out
-
-
-def _bits_at(positions) -> int:
-    """XOR of 1 << q over the positions (repeats cancel)."""
-    out = 0
-    for q in positions:
-        out ^= 1 << q
-    return out
-
-
-def _transpose(rows: list[int], width: int) -> list[int]:
-    cols = [0] * width
-    for i, row in enumerate(rows):
-        bit = 1 << i
-        while row:
-            low = row & -row
-            cols[low.bit_length() - 1] |= bit
-            row ^= low
-    return cols
 
 
 def _shift(cls: _CellClass, x, m: int) -> list[int]:
@@ -415,17 +390,24 @@ def _widest(slices) -> int:
     return max(w for sl in slices for w in sl.dims.values())
 
 
-def oracle_top_dim(n: int, d: Degree, budget: int | None = None) -> int:
-    """Top-level dimension of the graded Mackey functor at degree d.
-
-    The budget bounds the widest of the three level-n degrees, which is all
-    this builds."""
+def top_slice(n: int, d: Degree, budget: int | None = None) -> _LevelSlice:
+    """The level-n slice `oracle_top_dim` reads, checked against the budget:
+    the widest of its three degrees counts, and a slice whose degree s is
+    empty is not checked (the answer is 0 and nothing is reduced)."""
     sl = _LevelSlice(n, _factors(n, d), -d.t, n)
+    if sl.dims[sl.s]:
+        _check_budget(d, max(sl.dims.values()), budget)
+    return sl
+
+
+def oracle_top_dim(n: int, d: Degree, budget: int | None = None) -> int:
+    """Top-level dimension of the graded Mackey functor at degree d, as
+    dim - rank(D_s) - rank(D_{s-1}) on the budget-checked `top_slice`."""
+    sl = top_slice(n, d, budget)
     s = sl.s
     if not sl.dims[s]:
         return 0
-    _check_budget(d, max(sl.dims.values()), budget)
-    return sl.dims[s] - rank(sl.rows(s)) - rank(sl.rows(s - 1))
+    return sl.dims[s] - rank(sl.cols(s)) - rank(sl.cols(s - 1))
 
 
 def oracle_pi(n: int, d: Degree, budget: int | None = None) -> MackeyAnswer:

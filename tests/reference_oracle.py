@@ -8,7 +8,8 @@ fixed points, transfer is the relative norm, and multiplication by a_alpha
 is the inclusion of the model into its smash with one dual alpha cell pair.
 
 The package's level-direct builder (`hf2.oracle._LevelSlice`) never forms a
-bottom-level vector; the parity tests compare it against this module.  The
+bottom-level vector; the parity tests compare it against this module, and
+its differentials against `level_cols`, which forms d cell by cell.  The
 smash-of-one-copy-each route and the minimal models agree levelwise
 (tested), which also pins the orbit-sum convention for the first
 differential.  Nothing here is budgeted: callers keep to small degrees.
@@ -16,10 +17,12 @@ differential.  Nothing here is budgeted: callers keep to small degrees.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import product
 
 from hf2.gf2 import CohomologyReducer
-from hf2.oracle import _bits, _lemma_report
+from hf2.oracle import _bits, _factor_d, _factor_d_t, _lemma_report
 from hf2.reps import Degree, DegreeError, make_degree
 
 
@@ -420,3 +423,59 @@ def verify_lemma_kernel(n: int, d: Degree) -> dict:
         else []
     )
     return _lemma_report(d, red_top_s.h_dim, red_top_t.h_dim, a_cols, tr_cols, res_cols)
+
+
+# -- the level-direct differential, cell by cell ------------------------------
+
+
+def level_cols(sl, deg: int) -> list[int]:
+    """`_LevelSlice.cols(deg)` from the cells: for each degree-deg orbit
+    representative x, the bottom-level support of d(x) (the factor maps of
+    `hf2.oracle`, one factor moving at a time), its hits per target orbit,
+    and the coefficient hits * |O| / |O'| mod 2 of each target orbit sum.
+    Orbits and their sizes are listed by applying gamma^p to the slice's
+    representatives, so no index arithmetic of the slice is reused."""
+
+    def orbits(d: int):
+        """(class, representative) per orbit index, the orbit index of every
+        cell, and the size of every orbit."""
+        reps, where, sizes = [], {}, []
+        for cls in sl.classes[d].values():
+            for x in product(*map(range, cls.radices)):
+                i = len(reps)
+                reps.append((cls, x))
+                orbit, y = [], x
+                while not orbit or y != x:  # apply gamma^p until x comes back
+                    orbit.append(y)
+                    y = tuple((v + sl.p) % b for v, b in zip(y, cls.blocks))
+                for y in orbit:
+                    if where.setdefault((cls.sig, y), i) != i:
+                        raise AssertionError(f"representatives {where[cls.sig, y]} and {i} share an orbit")
+                sizes.append(len(orbit))
+        return reps, where, sizes
+
+    sources, _, src_sizes = orbits(deg)
+    _, where, tgt_sizes = orbits(deg + 1)
+    out = []
+    for (cls, x), size in zip(sources, src_sizes):
+        cells = Counter()
+        for f, (block, length, sign) in enumerate(sl.factors):
+            u = cls.sig[f]
+            if sign > 0 and u < length:
+                v, cs = u + 1, _factor_d(block, u, x[f])
+            elif sign < 0 and u > 0:
+                v, cs = u - 1, _factor_d_t(block, u - 1, x[f])
+            else:
+                continue
+            sig = cls.sig[:f] + (v,) + cls.sig[f + 1:]
+            for c in cs:
+                cells[sig, x[:f] + (c,) + x[f + 1:]] ^= 1
+        hits = Counter(where[cell] for cell, odd in cells.items() if odd)
+        col = 0
+        for o, h in hits.items():
+            coeff, rest = divmod(h * size, tgt_sizes[o])
+            if rest:
+                raise AssertionError(f"{h} hits of an orbit of {tgt_sizes[o]} from one of {size}")
+            col |= (coeff & 1) << o
+        out.append(col)
+    return out

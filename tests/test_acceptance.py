@@ -164,8 +164,8 @@ def test_criterion_9_structural_invariants():
     rng = random.Random(2026)
 
     # cochain complexes: d after d = 0 and gamma naturality on the reference,
-    # and d after d = 0 on the level-direct rows at every level and degree of
-    # each sphere and its dual
+    # and d after d = 0 on the level-direct columns at every level and
+    # degree of each sphere and its dual
     for n, coords in [(2, (0, 1, (1,))), (3, (0, 2, (1, 1))), (3, (0, 0, (0, 2)))]:
         v = make_degree(n, *coords[:2], coords[2])
         c = sphere_complex(n, v)
@@ -177,8 +177,8 @@ def test_criterion_9_structural_invariants():
             for j in range(n + 1):
                 for s in range(-top - 1, top + 2):
                     sl = oracle._LevelSlice(n, factors, s, j)
-                    d_in, d_out = sl.rows(s - 1), sl.rows(s)
-                    ok &= all(_apply(d_in, row) == 0 for row in d_out)
+                    d_in, d_out = sl.cols(s - 1), sl.cols(s)
+                    ok &= all(_apply(d_out, col) == 0 for col in d_in)
 
     # Mackey compatibility and double coset on orbit modules (exhaustive)
     for n in (1, 2, 3):

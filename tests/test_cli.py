@@ -121,6 +121,16 @@ class TestCache:
         p1.pop("meta"), p2.pop("meta")
         assert p1 == p2
 
+    def test_cached_values_obey_budget(self, capsys, tmp_path):
+        # a default-budget run fills the cache; a tight budget still refuses
+        args = ("verify", "--n", "2", "--box", "t=-2..-2,a=1..1,l0=2..2",
+                "--cache-dir", str(tmp_path))
+        runs = [run_cli(capsys, *args, *extra) for extra in (("--budget", "2"), (), ("--budget", "2"))]
+        assert [code for code, _, _ in runs] == [3, 0, 3]
+        cold, warm = json.loads(runs[0][1]), json.loads(runs[2][1])
+        cold.pop("meta"), warm.pop("meta")
+        assert warm == cold
+
     def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("HF2_CACHE_DIR", str(tmp_path))
         code, out, _ = run_cli(capsys, "dim", "--n", "2", "--deg", "0,0,0", "--format", "table")
@@ -235,3 +245,13 @@ def test_console_script():
         text=True,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "1"
+
+
+def test_import_leaves_out_multiprocessing():
+    # only `verify --jobs N` with N > 1 needs it, so start-up does not pay for it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hf2.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"

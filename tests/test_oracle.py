@@ -309,6 +309,41 @@ class TestLevelDirectParity:
         assert nontrivial >= 10  # the sample exercises nonzero maps
 
 
+def _check_cols(n: int, degrees) -> int:
+    """Compare `_LevelSlice.cols` with the cell-by-cell reference at every
+    level, at both degrees the reducer reads, for each degree's model and the
+    a_alpha target model (two alpha factors); returns the nonzero matrices."""
+    nonzero = 0
+    for d in degrees:
+        for factors in (oracle._factors(n, d), oracle._factors(n, d) + [(2, 1, -1)]):
+            for j in range(n + 1):
+                sl = oracle._LevelSlice(n, factors, -d.t, j)
+                for deg in (sl.s - 1, sl.s):
+                    cols = sl.cols(deg)
+                    assert cols == ref.level_cols(sl, deg), (str(d), factors, j, deg)
+                    nonzero += any(cols)
+    return nonzero
+
+
+class TestColumns:
+    """The level differentials against the cell-by-cell reference."""
+
+    @pytest.mark.parametrize("n,t_range,r,sample", [
+        (1, (-6, 6), (-3, 3), None), (2, (-5, 5), (-2, 2), None), (3, (-5, 5), (-1, 1), 80),
+    ])
+    def test_against_reference(self, n, t_range, r, sample):
+        degrees = list(box_degrees(n, t_range, r, r))
+        if sample:
+            degrees = random.Random(2026 + n).sample(degrees, sample)
+        assert _check_cols(n, degrees) >= 50
+
+
+@pytest.mark.slow
+def test_cols_n4_sample():
+    degrees = random.Random(2030).sample(list(box_degrees(4, (-6, 6), (-1, 1), (-1, 1))), 200)
+    assert _check_cols(4, degrees) >= 50
+
+
 LEMMA_BOXES = [(1, (-6, 6), (-3, 3)), (2, (-5, 5), (-2, 2)), (3, (-4, 4), (-1, 1))]
 
 
@@ -373,9 +408,9 @@ class TestBudget:
         built, checked = [], []
 
         class Recording(oracle._LevelSlice):
-            def rows(self, deg):
+            def cols(self, deg):
                 built.append((self.p, self.dims[deg], self.dims[deg + 1]))
-                return super().rows(deg)
+                return super().cols(deg)
 
         def recording_check(d, width, budget):
             checked.append(width)
