@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from . import duality, engine, gf2, monomial, oracle, reps
+from . import duality, engine, gf2, oracle, reps
 from .gf2 import InternalInvariantError
 from .monomial import eps_rename
 from .reps import Degree, DegreeError
@@ -154,23 +154,24 @@ def _line_hash(key: str, value) -> str:
     return hashlib.sha1(f"{key}={value}".encode()).hexdigest()[:12]
 
 
-# The modules whose code computes each kind of cached value.
-_VALUE_MODULES = {"oracle": (oracle, gf2), "engine": (engine, monomial, reps)}
+# Only oracle values are cached: engine values cost less to recompute than to
+# store and load again.  These modules compute the cached values.
+_ORACLE_MODULES = (oracle, gf2)
 
 
 @functools.cache
-def _fingerprint(kind: str) -> str:
-    """Short hash of the source of the modules that compute `kind` values,
+def _fingerprint() -> str:
+    """Short hash of the source of the modules that compute oracle values,
     read once per process, so a cached value does not outlive its code."""
     h = hashlib.sha1()
-    for module in _VALUE_MODULES[kind]:
+    for module in _ORACLE_MODULES:
         with open(module.__file__, "rb") as fh:
             h.update(fh.read())
     return h.hexdigest()[:12]
 
 
-def _cache_key(kind: str, n: int, d: Degree) -> str:
-    return f"{SCHEMA_VERSION}|{kind}|{_fingerprint(kind)}|{n}|{reps.format_degree(d)}"
+def _cache_key(n: int, d: Degree) -> str:
+    return f"{SCHEMA_VERSION}|oracle|{_fingerprint()}|{n}|{reps.format_degree(d)}"
 
 
 def _open_cache(args, n: int):
@@ -217,14 +218,7 @@ def _emit(payload: dict, args, csv_rows=None, table_lines=None) -> None:
 
 
 def cmd_dim(args) -> int:
-    d = reps.parse_degree(args.deg, args.n)
-    cache = _open_cache(args, args.n)
-    key = _cache_key("engine", args.n, d) if cache else None
-    val = cache.get(key) if cache else None
-    if val is None:
-        val = engine.dimension(args.n, d)
-        if cache:
-            cache.put(key, val)
+    val = engine.dimension(args.n, reps.parse_degree(args.deg, args.n))
     if args.format == "json":
         print(json.dumps({"n": args.n, "degree": args.deg, "dimension": val}))
     elif args.format == "csv":
@@ -261,12 +255,12 @@ def cmd_verify(args) -> int:
     todo = []
     for d in degrees:
         deg_str = reps.format_degree(d)
-        eng = cache.get(_cache_key("engine", args.n, d)) if cache else None
-        orc = cache.get(_cache_key("oracle", args.n, d)) if cache else None
-        if eng is None or orc is None:
+        orc = cache.get(_cache_key(args.n, d)) if cache else None
+        if orc is None:
             todo.append((args.n, deg_str, args.budget))
             records.append(None)
             continue
+        eng = engine.dimension(args.n, d)
         try:  # cached values face this run's budget, like fresh ones
             oracle.top_slice(args.n, d, args.budget)
         except oracle.BudgetExceededError as exc:
@@ -287,11 +281,9 @@ def cmd_verify(args) -> int:
             if rec is None:
                 records[i] = next(it)
         if cache:
-            for deg_str, eng, orc, skip in results:
-                d = reps.parse_degree(deg_str, args.n)
-                cache.put(_cache_key("engine", args.n, d), eng)
+            for deg_str, _, orc, skip in results:
                 if skip is None:
-                    cache.put(_cache_key("oracle", args.n, d), orc)
+                    cache.put(_cache_key(args.n, reps.parse_degree(deg_str, args.n)), orc)
 
     if args.inject_fault:
         deg_str, eng, orc, skip = records[0]
@@ -315,10 +307,7 @@ def cmd_verify(args) -> int:
     if cache and args.cache_selftest:
         step = max(1, len(degrees) // args.cache_selftest)
         for d in degrees[::step][: args.cache_selftest]:
-            fresh = engine.dimension(args.n, d)
-            if cache.get(_cache_key("engine", args.n, d)) != fresh:
-                selftest_failures += 1
-            cached = cache.get(_cache_key("oracle", args.n, d))
+            cached = cache.get(_cache_key(args.n, d))
             if cached is None:
                 continue
             try:
@@ -492,8 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject-fault", action="store_true",
                    help="corrupt the first engine value (harness self-test)")
     p.add_argument("--cache-selftest", type=int, default=0,
-                   help="recompute the engine and oracle values of this many cached "
-                   "degrees and compare")
+                   help="recompute the oracle values of this many cached degrees "
+                   "and compare")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("duality-scan", help="dimension symmetry scan over a box")

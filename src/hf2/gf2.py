@@ -2,8 +2,11 @@
 
 Vectors in F_2^dim are Python ints with bit i = coordinate i.  Matrices are
 stored column-major as lists of such ints (columns[j] = image of the j-th
-source basis vector).  Sizes here stay in the low thousands, where int XOR
-beats anything fancier.
+source basis vector).  Cohomology takes one elimination with clearing (the
+"twist" of Chen-Kerber): with d_in reduced first, a d_out column whose index
+j leads some boundary b equals d_out of b + e_j, which lies below j, so it is
+skipped; the kernel of the other columns is then a basis of cohomology, as
+none of its vectors leads at a boundary pivot.
 
 Elimination keys each stored row by its leading bit (its pivot), so reducing
 a vector costs one dictionary lookup per XOR it actually needs.  Results do
@@ -100,29 +103,33 @@ def nullspace(columns: list[int]) -> list[int]:
 
 
 class CohomologyReducer:
-    """Basis of ker(d_out)/im(d_in) plus coordinates for arbitrary cocycles."""
+    """Basis of ker(d_out)/im(d_in) plus coordinates for arbitrary cocycles,
+    from one elimination with clearing (module docstring).
+
+    The span holds d_in without coordinates, so a reduced cocycle's
+    combination is its class.  The d_out columns off its pivots are reduced
+    once, each tagged with its index, and each that reduces to 0 gives a
+    representative, in column order: the kernel basis vectors of
+    nullspace(d_out) independent of the image and of the ones before them.
+    """
 
     def __init__(self, dim: int, d_in_columns: list[int], d_out_columns: list[int]):
         if len(d_out_columns) != dim:
             raise ValueError("d_out must have one column per basis vector (zeros allowed)")
         self.dim = dim
-        kernel = nullspace(d_out_columns)
-        # Rows carry coordinates over the representatives only: boundaries
-        # enter with none, so a reduced cocycle's combination is its class.
-        # Boundaries are cocycles, so once the span has the kernel's
-        # dimension every later vector reduces to 0 and would be dropped:
-        # both loops stop there.
         self.span = Span()
         for col in d_in_columns:
-            if self.span.dim == len(kernel):
-                break
             self.span._absorb(col, 0)
+        cleared = self.span.pivots  # representatives join only after the loop below
+        cocycles = Span()
         self.reps: list[int] = []
-        for z in kernel:
-            if self.span.dim == len(kernel):
-                break
-            if self.span._absorb(z, 1 << len(self.reps))[0]:
-                self.reps.append(z)
+        for j, col in enumerate(d_out_columns):
+            if j not in cleared:
+                v, z = cocycles._absorb(col, 1 << j)
+                if not v:
+                    self.reps.append(z)
+        for i, z in enumerate(self.reps):
+            self.span._absorb(z, 1 << i)
 
     @property
     def h_dim(self) -> int:

@@ -43,7 +43,7 @@ from functools import cached_property
 from itertools import product
 from operator import mul
 
-from .gf2 import CohomologyReducer, Span, columns_to_bitstrings, nullspace, rank
+from .gf2 import CohomologyReducer, columns_to_bitstrings, nullspace, rank
 from .reps import Degree
 from . import reps
 
@@ -401,13 +401,13 @@ def top_slice(n: int, d: Degree, budget: int | None = None) -> _LevelSlice:
 
 
 def oracle_top_dim(n: int, d: Degree, budget: int | None = None) -> int:
-    """Top-level dimension of the graded Mackey functor at degree d, as
-    dim - rank(D_s) - rank(D_{s-1}) on the budget-checked `top_slice`."""
+    """Top-level dimension of the graded Mackey functor at degree d: h_dim of
+    the one-pass reducer of the budget-checked `top_slice`, or 0 when its
+    degree s is empty (no differential can be built into it)."""
     sl = top_slice(n, d, budget)
-    s = sl.s
-    if not sl.dims[s]:
+    if not sl.dims[sl.s]:
         return 0
-    return sl.dims[s] - rank(sl.cols(s)) - rank(sl.cols(s - 1))
+    return sl.reducer().h_dim
 
 
 def oracle_pi(n: int, d: Degree, budget: int | None = None) -> MackeyAnswer:
@@ -472,17 +472,9 @@ def _lemma_report(d: Degree, dim_s: int, dim_t: int, a_cols, tr_cols, res_cols) 
     (pi_d -> pi_{d-alpha}), tr on pi_d and res on pi_{d-alpha}."""
     ker_a = nullspace(a_cols)
     ker_res = nullspace(res_cols)
-
-    def span_eq(gens_a, gens_b) -> bool:
-        sa, sb = Span(), Span()
-        for g in gens_a:
-            sa.add(g)
-        for g in gens_b:
-            sb.add(g)
-        return sa.dim == sb.dim and all(sa.contains(g) for g in gens_b)
-
-    ker_eq = span_eq(ker_a, tr_cols)
-    im_eq = span_eq(a_cols, ker_res)
+    # two spans agree when each has the rank of their union
+    ker_eq = rank(ker_a) == rank(tr_cols) == rank(ker_a + tr_cols)
+    im_eq = rank(a_cols) == rank(ker_res) == rank(a_cols + ker_res)
     return {
         "degree": reps.format_degree(d),
         "dim_pi_d": dim_s,

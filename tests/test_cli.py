@@ -131,22 +131,22 @@ class TestCache:
         cold.pop("meta"), warm.pop("meta")
         assert warm == cold
 
+    ONE_DEGREE = ("verify", "--n", "2", "--box", "t=0..0,a=0..0,l0=0..0")
+
     def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("HF2_CACHE_DIR", str(tmp_path))
-        code, out, _ = run_cli(capsys, "dim", "--n", "2", "--deg", "0,0,0", "--format", "table")
-        assert code == 0 and out.strip() == "1"
+        code, out, _ = run_cli(capsys, *self.ONE_DEGREE)
+        assert code == 0 and json.loads(out)["records"][0]["oracle"] == 1
         assert (tmp_path / "hf2-cache-n2.jsonl").exists()
 
     def test_corruption_recovery(self, capsys, tmp_path):
-        args = (
-            "dim", "--n", "2", "--deg", "0,0,0", "--cache-dir", str(tmp_path),
-            "--format", "table",
-        )
+        args = (*self.ONE_DEGREE, "--cache-dir", str(tmp_path))
         run_cli(capsys, *args)
         cache_file = tmp_path / "hf2-cache-n2.jsonl"
         cache_file.write_text("{ not json\n" + cache_file.read_text().replace('"v": 1', '"v": 9'))
         code, out, _ = run_cli(capsys, *args)
-        assert code == 0 and out.strip() == "1"  # checksum rejects the tampered line
+        # the checksum rejects the tampered line, so the value is recomputed
+        assert code == 0 and json.loads(out)["records"][0]["oracle"] == 1
 
     def test_selftest_rechecks_oracle(self, capsys, tmp_path):
         args = (
@@ -184,7 +184,7 @@ class TestCache:
         monkeypatch.setattr(cli, "_fingerprint", functools.cache(cli._fingerprint.__wrapped__))
         code, out, _ = run_cli(capsys, *args)
         assert code == 0 and json.loads(out)["pass"]
-        # the three oracle values miss and are stored again; engine keys still hit
+        # the three oracle values miss under the new fingerprint and are stored again
         assert len(cache_file.read_text().splitlines()) == n_lines + 3
 
 

@@ -197,3 +197,15 @@ class TestAgainstBruteForce:
         if non_cocycles:
             with pytest.raises(InternalInvariantError):
                 red.express(data.draw(st.sampled_from(non_cocycles)))
+
+    @settings(deadline=None)
+    @given(complexes())
+    def test_reducer_clears(self, cx):
+        # clearing: no representative touches a leading bit of a boundary,
+        # and the one pass gives the rank formula's dimension
+        dim, d_in, d_out = cx
+        red = CohomologyReducer(dim, d_in, d_out)
+        cleared = {b.bit_length() - 1 for b in _subset_sums(d_in) if b}
+        assert all(z >> i & 1 == 0 for z in red.reps for i in cleared)
+        assert red.h_dim == dim - rank(d_out) - rank(d_in)
+        assert [red.express(z) for z in red.reps] == [1 << i for i in range(red.h_dim)]
