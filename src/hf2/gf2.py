@@ -9,11 +9,13 @@ skipped; the kernel of the other columns is then a basis of cohomology, as
 none of its vectors leads at a boundary pivot.
 
 Elimination keys each stored row by its leading bit (its pivot), so reducing
-a vector costs one dictionary lookup per XOR it actually needs.  Results do
-not depend on the order rows are met in: a generator is kept exactly when it
-lies outside the span of the ones before it, and coordinates over the kept
-generators are unique.  The kernel basis of `nullspace`, the representatives
-of `CohomologyReducer` and every coordinate vector are therefore fixed by the
+a vector costs one dictionary lookup per XOR it actually needs.  Every
+elimination (`rank`, `nullspace`, `CohomologyReducer`) is a `Span.absorb` of
+a whole column list, which runs that walk inline.  Results do not depend on
+the order rows are met in: a generator is kept exactly when it lies outside
+the span of the ones before it, and coordinates over the kept generators are
+unique.  The kernel basis of `nullspace`, the representatives of
+`CohomologyReducer` and every coordinate vector are therefore fixed by the
 input columns alone (tests/test_gf2.py checks this against brute force).
 """
 
@@ -55,18 +57,35 @@ class Span:
             comb ^= row[1]
         return v, comb
 
-    def _absorb(self, v: int, comb: int) -> tuple[int, int]:
-        """Reduce (v, comb) and keep it as a new row unless v reduces to 0."""
-        v, comb = self._reduce(v, comb)
-        if v:
-            self.pivots[v.bit_length() - 1] = (v, comb)
-        return v, comb
+    def absorb(self, columns: list[int], tagged: bool = False, skip=()) -> list[int]:
+        """Reduce each column whose index is not in skip and keep it as a new
+        row unless it reduces to 0.  Tagged columns are generators, column j
+        with combination 1 << (n_gens + j); untagged ones carry 0.  Returns
+        the combinations of the columns that reduced to 0, in order."""
+        pivots = self.pivots
+        first = self.n_gens
+        kernel = []
+        for j, v in enumerate(columns):
+            if j in skip:
+                continue
+            comb = 1 << first + j if tagged else 0
+            while v:
+                top = v.bit_length() - 1
+                row = pivots.get(top)
+                if row is None:
+                    pivots[top] = (v, comb)
+                    break
+                v ^= row[0]
+                comb ^= row[1]
+            else:
+                kernel.append(comb)
+        if tagged:
+            self.n_gens += len(columns)
+        return kernel
 
     def add(self, v: int) -> bool:
         """Add a generator; returns True if it enlarged the span."""
-        gen_index = self.n_gens
-        self.n_gens += 1
-        return self._absorb(v, 1 << gen_index)[0] != 0
+        return not self.absorb([v], tagged=True)
 
     def contains(self, v: int) -> bool:
         return self._reduce(v, 0)[0] == 0
@@ -81,10 +100,9 @@ class Span:
         return len(self.pivots)
 
 
-def rank(vectors) -> int:
+def rank(vectors: list[int]) -> int:
     s = Span()
-    for v in vectors:
-        s._absorb(v, 0)  # no generator coordinates are needed
+    s.absorb(vectors)  # no generator coordinates are needed
     return s.dim
 
 
@@ -93,13 +111,7 @@ def nullspace(columns: list[int]) -> list[int]:
 
     Returns bitmasks over the column index space (vectors x with A x = 0).
     """
-    s = Span()
-    kernel = []
-    for j, col in enumerate(columns):
-        v, comb = s._absorb(col, 1 << j)
-        if v == 0:
-            kernel.append(comb)
-    return kernel
+    return Span().absorb(columns, tagged=True)
 
 
 class CohomologyReducer:
@@ -118,18 +130,9 @@ class CohomologyReducer:
             raise ValueError("d_out must have one column per basis vector (zeros allowed)")
         self.dim = dim
         self.span = Span()
-        for col in d_in_columns:
-            self.span._absorb(col, 0)
-        cleared = self.span.pivots  # representatives join only after the loop below
-        cocycles = Span()
-        self.reps: list[int] = []
-        for j, col in enumerate(d_out_columns):
-            if j not in cleared:
-                v, z = cocycles._absorb(col, 1 << j)
-                if not v:
-                    self.reps.append(z)
-        for i, z in enumerate(self.reps):
-            self.span._absorb(z, 1 << i)
+        self.span.absorb(d_in_columns)  # its pivots are the cleared set
+        self.reps = Span().absorb(d_out_columns, tagged=True, skip=self.span.pivots)
+        self.span.absorb(self.reps, tagged=True)
 
     @property
     def h_dim(self) -> int:

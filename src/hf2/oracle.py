@@ -25,10 +25,14 @@ every coordinate, and level j is the action of gamma^(2^(n-j)).  A
 differential is emitted column by column, in the column-major form `gf2`
 takes, as the image of each source orbit sum: the coefficient of a target
 orbit O' in d(sum O) is the number of cells of O' that d(rep O) hits, times
-|O| / |O'|, mod 2, so no bottom-level vector is formed.  res, tr, gamma and
-multiplication by a_alpha (the inclusion of the model into its smash with
-one dual alpha cell pair) act on orbit indices in closed form.  The budget
-bounds the widest slice an entry point builds.
+|O| / |O'|, mod 2, so no bottom-level vector is formed; a factor's move adds
+bit masks fixed by its differential's kind (nu and N hit the whole block,
+1 - gamma and its transpose two cells).  The levels of one model share one
+enumeration of factor-degree signatures (`_LevelSlice.at_level`); a degree s
+outside the interval of degrees with cells builds nothing.  res, tr, gamma
+and multiplication by a_alpha (the inclusion of the model into its smash
+with one dual alpha cell pair) act on orbit indices in closed form.  The
+budget bounds the widest slice an entry point builds.
 
 The bottom-level route, which stores the whole complex at the trivial-
 subgroup level with the generator's permutation action, lives in the test
@@ -84,22 +88,20 @@ def _factors(n: int, d: Degree) -> list[tuple[int, int, int]]:
     return out
 
 
-def _factor_d(block: int, u: int, x: int):
-    """Support of a minimal factor's differential from factor degree u to
-    u + 1, applied to the cell with coordinate x."""
-    if u % 2:  # 1 - gamma (on alpha's two points this is also the norm)
-        return (x, (x + 1) % block)
-    return range(block)  # nu at u = 0, the norm above
-
-
-def _factor_d_t(block: int, u: int, y: int):
-    """Support of the transpose of that differential, applied to the cell
-    with coordinate y in factor degree u + 1."""
-    if u == 0:
-        return (0,)
-    if u % 2:
-        return (y, (y - 1) % block)
-    return range(block)
+def _signatures(factors: list[tuple[int, int, int]], s: int) -> dict[int, list[tuple[int, ...]]]:
+    """Factor-degree signatures of cochain degrees s-1, s and s+1, in product
+    order.  Factor f contributes sign * u for u in 0..length, so the degrees
+    with cells form one interval; when it misses s, nothing is enumerated."""
+    by_degree: dict[int, list] = {deg: [] for deg in (s - 1, s, s + 1)}
+    lo = -sum(length for _, length, sign in factors if sign < 0)
+    if lo <= s <= lo + sum(length for _, length, _ in factors):
+        ranges = [range(length + 1) for _, length, _ in factors]
+        signed = [[sign * u for u in r] for r, (_, _, sign) in zip(ranges, factors)]
+        degrees = _outer_sums(0, signed)
+        for sig, deg in zip(product(*ranges), degrees):
+            if deg in by_degree:
+                by_degree[deg].append(sig)
+    return by_degree
 
 
 class _CellClass:
@@ -141,22 +143,24 @@ class _LevelSlice:
     """
 
     def __init__(self, n: int, factors: list[tuple[int, int, int]], s: int, j: int):
-        self.factors = factors
-        self.s = s
+        self._build(n, factors, s, _signatures(factors, s), j)
+
+    def at_level(self, j: int) -> _LevelSlice:
+        """The slice of the same model at level j: the signatures are shared,
+        only the class tables depend on the level."""
+        sl = type(self).__new__(type(self))
+        sl._build(self.n, self.factors, self.s, self.signatures, j)
+        return sl
+
+    def _build(self, n: int, factors, s: int, signatures, j: int) -> None:
+        self.n, self.factors, self.s, self.signatures = n, factors, s, signatures
         self.p = 1 << (n - j)
         self.classes: dict[int, dict[tuple[int, ...], _CellClass]] = {}
         self.dims: dict[int, int] = {}
-        ranges = [range(length + 1) for _, length, _ in self.factors]
-        signs = [sign for _, _, sign in self.factors]
-        sig_degrees = _outer_sums(0, [[sign * u for u in r] for r, sign in zip(ranges, signs)])
-        by_degree: dict[int, list] = {deg: [] for deg in (self.s - 1, self.s, self.s + 1)}
-        for sig, deg in zip(product(*ranges), sig_degrees):
-            if deg in by_degree:
-                by_degree[deg].append(sig)
-        for deg, sigs in by_degree.items():
+        for deg, sigs in signatures.items():
             table, offset = {}, 0
             for sig in sigs:
-                blocks = tuple(b if u else 1 for (b, _, _), u in zip(self.factors, sig))
+                blocks = tuple(b if u else 1 for (b, _, _), u in zip(factors, sig))
                 table[sig] = cls = _CellClass(sig, blocks, self.p, offset)
                 offset += cls.count
             self.classes[deg] = table
@@ -196,61 +200,76 @@ class _LevelSlice:
         out = []
         for sig, cls in self.classes[deg].items():
             cols = [0] * cls.count
-            for f, (block, length, sign) in enumerate(self.factors):
+            for f, (_, length, sign) in enumerate(self.factors):
                 u = sig[f]
                 if sign > 0 and u < length:
                     tgt = dst[sig[:f] + (u + 1,) + sig[f + 1:]]
-                    support, v = _factor_d, u
+                    turn = u % 2  # 1 - gamma: cells x and x + 1
                 elif sign < 0 and u > 0:
                     tgt = dst[sig[:f] + (u - 1,) + sig[f + 1:]]
-                    support, v = _factor_d_t, u - 1
+                    turn = u % 2 - 1  # its transpose: cells y and y - 1
                 else:
                     continue
-                if tgt.period < cls.period:
-                    continue
-                if tgt.period > cls.period:
-                    supports = [range(cls.period)]
-                else:
-                    supports = [support(block, v, x) for x in range(cls.radices[f])]
-                self._add_move(cols, cls, tgt, f, supports)
+                if tgt.period >= cls.period:
+                    self._add_move(cols, cls, tgt, f, turn)
             out.extend(cols)
         return out
 
-    def _add_move(self, cols, cls: _CellClass, tgt: _CellClass, f: int, supports) -> None:
+    def _add_move(self, cols, cls: _CellClass, tgt: _CellClass, f: int, turn: int) -> None:
         """XOR into cols (one per orbit of cls, in index order) the part of
         the differential that moves factor f into class tgt: source cell x
-        meets the cells of tgt that agree with x off f and carry a coordinate
-        c from supports[x[f]] at f.
+        meets the cells of tgt that agree with x off f and carry at f a c of
+        the move's support: x[f] and x[f] + turn for turn = +-1 (1 - gamma,
+        its transpose), every c below min(tgt block, cls period) for turn = 0
+        (nu, N, the transpose of nu onto block 1).
 
         index(tgt, .) first shifts every coordinate by k = (star coordinate)
         // p * p.  With the star off f, k is fixed by the coordinates z off f,
         so each k takes its own run of z; with the star on f, k = c // p * p,
         so each k takes its own cs.  Per k, column positions and base indices
         over z are outer sums of per-factor terms, and each x[f] adds a mask
-        of its cs at offsets from the base (the cs of one support are
-        distinct mod the block, so their bits add).
+        of its cs at offsets from the base, in closed form: one mask for
+        every x[f] and k for a full support (the block, or [k, k + p) with
+        the star on f), two bits for a pair.  With equal radices, hence
+        strides, and k = 0, the base is the position (the masks carry tgt's
+        offset).
         """
-        p, st = self.p, tgt.star
-        wf, bf, step = tgt.strides[f], tgt.blocks[f], cls.strides[f]
-        if st == f:
-            ks = sorted({c // p * p for cs in supports for c in cs})
+        p, st, o = self.p, tgt.star, tgt.offset
+        wf, step, rf = tgt.strides[f], cls.strides[f], cls.radices[f]
+        if turn:  # equal blocks at f, so tgt has cls's star and radices
+            bf = tgt.blocks[f]
+            if st == f:  # x[f] < p: every partner but end's lies under k = 0
+                end = p - 1 if turn > 0 else 0
+                c = (end + turn) % bf
+                moves = {
+                    0: [(y * step, (1 << y * wf | (y != end) << (y + turn) % bf * wf) << o)
+                        for y in range(p)],
+                    c // p * p: [(end * step, 1 << c % p * wf << o)],
+                }
+            else:
+                moves = {0: [(y * step, (1 << y * wf | 1 << (y + turn) % bf * wf) << o)
+                             for y in range(rf)]}
         else:
-            ks = range(0, cls.radices[st], p) if st >= 0 else (0,)
-        for k in ks:
-            masks = [
-                (y * step, sum(1 << (c - k) % bf * wf for c in cs if st != f or c // p * p == k))
-                for y, cs in enumerate(supports)
-            ]
-            masks = [(off, m) for off, m in masks if m]
-            targets, bases = [0], [tgt.offset]
+            width = min(tgt.blocks[f], cls.period)
+            cs = p if st == f else width  # m has bits 0, wf, ..., (cs - 1) wf
+            m = ((1 << cs * wf) - 1) // ((1 << wf) - 1) << o
+            if st == f:
+                ks = range(0, width, p)
+            else:
+                ks = range(0, cls.radices[st], p) if st >= 0 else (0,)
+            moves = dict.fromkeys(ks, [(y * step, m) for y in range(rf)])
+        same = tgt.radices == cls.radices
+        for k, masks in moves.items():
+            direct = same and not k
+            targets, bases = [0], [0]
             for g, (r, s, bg, w) in enumerate(zip(cls.radices, cls.strides, tgt.blocks, tgt.strides)):
-                if g != f:
-                    vals = range(k, k + p) if g == st else range(r)
-                    ts = [v * s for v in vals]
-                    bs = [(v - k) % bg * w for v in vals]
-                    targets = [o + a for o in targets for a in ts]
-                    bases = [o + a for o in bases for a in bs]
-            for t, b in zip(targets, bases):
+                if g != f and bg > 1:  # a block-1 factor adds 0 to both
+                    lo, hi = (k, k + p) if g == st else (0, r)
+                    targets = [a + t for a in targets for t in range(lo * s, hi * s, s)]
+                    if not direct:
+                        bs = [(v - k) % bg * w for v in range(lo, hi)]
+                        bases = [a + b for a in bases for b in bs]
+            for t, b in zip(targets, targets if direct else bases):
                 for off, m in masks:
                     cols[t + off] ^= m << b
 
@@ -375,7 +394,8 @@ class MackeyAnswer:
 
 def predict_cols(n: int, d: Degree) -> int:
     """Width of the widest slice `oracle_pi` builds: the largest level-0
-    orbit count, that is, bottom-level cell count, among degrees s-1..s+1."""
+    orbit count, that is, bottom-level cell count, among degrees s-1..s+1,
+    or 0 when degree s is empty."""
     return max(_LevelSlice(n, _factors(n, d), -d.t, 0).dims.values())
 
 
@@ -393,7 +413,7 @@ def _widest(slices) -> int:
 def top_slice(n: int, d: Degree, budget: int | None = None) -> _LevelSlice:
     """The level-n slice `oracle_top_dim` reads, checked against the budget:
     the widest of its three degrees counts, and a slice whose degree s is
-    empty is not checked (the answer is 0 and nothing is reduced)."""
+    empty is not checked (it has no classes and the answer is 0)."""
     sl = _LevelSlice(n, _factors(n, d), -d.t, n)
     if sl.dims[sl.s]:
         _check_budget(d, max(sl.dims.values()), budget)
@@ -414,10 +434,15 @@ def oracle_pi(n: int, d: Degree, budget: int | None = None) -> MackeyAnswer:
     """Full Mackey functor at degree d: levelwise dimensions with induced
     restriction, transfer and Weyl-generator matrices on cohomology.
 
-    The budget bounds the level-0 width, the widest level built."""
-    factors = _factors(n, d)
-    slices = [_LevelSlice(n, factors, -d.t, j) for j in range(n + 1)]
-    _check_budget(d, max(slices[0].dims.values()), budget)
+    The n + 1 level slices share one signature enumeration.  The budget
+    bounds the level-0 width, the widest level built; when degree s is empty
+    nothing is built or checked and every group is 0."""
+    bottom = _LevelSlice(n, _factors(n, d), -d.t, 0)
+    if not bottom.dims[bottom.s]:
+        return MackeyAnswer(n, d, [0] * (n + 1), [[] for _ in range(n)],
+                            [[] for _ in range(n)], [[] for _ in range(n + 1)])
+    _check_budget(d, max(bottom.dims.values()), budget)
+    slices = [bottom] + [bottom.at_level(j) for j in range(1, n + 1)]
     reducers = [sl.reducer() for sl in slices]
     res_mats, tr_mats, gamma_mats = [], [], []
     for j in range(1, n + 1):
@@ -457,7 +482,7 @@ def verify_lemma_kernel(n: int, d: Degree, budget: int | None = None) -> dict:
     pi_{d-alpha}, at the top level.  The budget bounds the widest of the
     four slices, the target's at level n-1."""
     src_top, tgt_top = _alpha_slices(n, d, n)
-    src_sub, tgt_sub = _alpha_slices(n, d, n - 1)
+    src_sub, tgt_sub = src_top.at_level(n - 1), tgt_top.at_level(n - 1)
     _check_budget(d, _widest([src_top, tgt_top, src_sub, tgt_sub]), budget)
     red_top_s, red_top_t = src_top.reducer(), tgt_top.reducer()
     red_sub_s, red_sub_t = src_sub.reducer(), tgt_sub.reducer()

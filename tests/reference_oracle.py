@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from hf2.gf2 import CohomologyReducer
-from hf2.oracle import _bits, _factor_d, _factor_d_t, _lemma_report
+from hf2.oracle import _bits, _lemma_report
 from hf2.reps import Degree, DegreeError, make_degree
 
 
@@ -428,10 +428,28 @@ def verify_lemma_kernel(n: int, d: Degree) -> dict:
 # -- the level-direct differential, cell by cell ------------------------------
 
 
+def _factor_d(block: int, u: int, x: int):
+    """Support of a minimal factor's differential from factor degree u to
+    u + 1, applied to the cell with coordinate x."""
+    if u % 2:  # 1 - gamma (on alpha's two points this is also the norm)
+        return (x, (x + 1) % block)
+    return range(block)  # nu at u = 0, the norm above
+
+
+def _factor_d_t(block: int, u: int, y: int):
+    """Support of the transpose of that differential, applied to the cell
+    with coordinate y in factor degree u + 1."""
+    if u == 0:
+        return (0,)
+    if u % 2:
+        return (y, (y - 1) % block)
+    return range(block)
+
+
 def level_cols(sl, deg: int) -> list[int]:
     """`_LevelSlice.cols(deg)` from the cells: for each degree-deg orbit
-    representative x, the bottom-level support of d(x) (the factor maps of
-    `hf2.oracle`, one factor moving at a time), its hits per target orbit,
+    representative x, the bottom-level support of d(x) (the factor maps
+    above, one factor moving at a time), its hits per target orbit,
     and the coefficient hits * |O| / |O'| mod 2 of each target orbit sum.
     Orbits and their sizes are listed by applying gamma^p to the slice's
     representatives, so no index arithmetic of the slice is reused."""

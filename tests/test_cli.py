@@ -196,6 +196,15 @@ class TestOtherCommands:
         assert [lv["dim"] for lv in payload["levels"]] == [0, 0, 1, 1]
         assert payload["res"][2] == ["1"] and payload["tr"][2] == ["0"]
 
+    def test_mackey_empty_degree(self, capsys):
+        # s = -11 is below every cell of this n = 5 model: every group is 0, and
+        # no slice is built, so the 32768-cell degree s+1 is never refused
+        code, out, _ = run_cli(capsys, "mackey", "--n", "5", "--deg", "11,-2,-1,-1,-1,-1")
+        payload = json.loads(out)
+        assert code == 0
+        assert [lv["dim"] for lv in payload["levels"]] == [0] * 6
+        assert payload["res"] == payload["tr"] == [[]] * 5 and payload["gamma"] == [[]] * 6
+
     def test_summands(self, capsys):
         code, out, _ = run_cli(capsys, "summands", "--n", "3")
         payload = json.loads(out)
