@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -58,16 +59,9 @@ class DegreeBox:
                 raise UsageError(f"empty range {lo}..{hi} in box")
 
     def __iter__(self):
-        def walk(slots, prefix):
-            if not slots:
-                yield prefix
-                return
-            (lo, hi), rest = slots[0], slots[1:]
-            for v in range(lo, hi + 1):
-                yield from walk(rest, prefix + [v])
-
-        for vals in walk([self.t, self.a, *self.lam], []):
-            yield reps.make_degree(self.n, vals[0], vals[1], vals[2:])
+        slots = (self.t, self.a, *self.lam)
+        for t, a, *lam in itertools.product(*(range(lo, hi + 1) for lo, hi in slots)):
+            yield reps.make_degree(self.n, t, a, lam)
 
     def size(self) -> int:
         out = 1
@@ -94,14 +88,16 @@ def parse_box(text: str, n: int) -> DegreeBox:
             raise UsageError(f"bad box item {item!r}; expected like t=-8..8")
         lo, hi = int(m.group(3)), int(m.group(4))
         if m.group(1) == "t":
-            t = (lo, hi)
+            repeated, t = t is not None, (lo, hi)
         elif m.group(1) == "a":
-            a = (lo, hi)
+            repeated, a = a is not None, (lo, hi)
         else:
             idx = int(m.group(2))
             if not 0 <= idx <= n - 2:
                 raise UsageError(f"lambda slot l{idx} out of range for n={n}")
-            lam[idx] = (lo, hi)
+            repeated, lam[idx] = idx in lam, (lo, hi)
+        if repeated:
+            raise UsageError(f"box item {item!r} repeats a coordinate")
     if t is None or a is None:
         raise UsageError("box must give t=lo..hi and a=lo..hi")
     full = tuple(lam.get(i, (0, 0)) for i in range(n - 1))
@@ -445,6 +441,17 @@ def cmd_oracle(args) -> int:
 # -- entry point --------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="hf2",
@@ -460,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         if box:
             p.add_argument("--box", required=True, help='box "t=-8..8,a=-2..2,l0=-2..2,..."')
         if budget:
-            p.add_argument("--budget", type=int, default=None,
+            p.add_argument("--budget", type=_int_at_least(0), default=None,
                            help=f"oracle column cap (default {oracle.DEFAULT_BUDGET})")
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
         p.add_argument("--cache-dir", default=None,
@@ -477,10 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="differential test: engine vs oracle over a box")
     common(p, box=True, budget=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--inject-fault", action="store_true",
                    help="corrupt the first engine value (harness self-test)")
-    p.add_argument("--cache-selftest", type=int, default=0,
+    p.add_argument("--cache-selftest", type=_int_at_least(0), default=0,
                    help="recompute the oracle values of this many cached degrees "
                    "and compare")
     p.set_defaults(func=cmd_verify)

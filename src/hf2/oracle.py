@@ -15,10 +15,10 @@ G/G, G/C_{2^{n-1}} with nu; further copies extend by 1 + gamma (which on a
 two-point orbit coincides with the norm).  Distinct representations are
 smashed, and the negative part of a virtual degree is dualized.
 
-Every entry point (`oracle_top_dim`, `oracle_pi`, `predict_cols`,
-`mult_a_alpha`, `verify_lemma_kernel`) is level-direct: `_LevelSlice`
-builds the level-j fixed subcomplex of a factor list in the three cochain
-degrees s-1, s, s+1 the answer reads, straight from orbit data.  A cell of
+Every entry point (`oracle_top_dim`, `oracle_pi`, `mult_a_alpha`,
+`verify_lemma_kernel`) is level-direct: `_LevelSlice` builds the level-j
+fixed subcomplex of a factor list in the three cochain degrees s-1, s, s+1
+the answer reads, straight from orbit data.  A cell of
 the tensor model is a tuple of factor degrees plus one coordinate in Z/B
 per factor (B the factor's block, 1 in factor degree 0); gamma adds 1 to
 every coordinate, and level j is the action of gamma^(2^(n-j)).  A
@@ -390,13 +390,6 @@ class MackeyAnswer:
                 for j, cols in enumerate(self.gamma)
             ],
         }
-
-
-def predict_cols(n: int, d: Degree) -> int:
-    """Width of the widest slice `oracle_pi` builds: the largest level-0
-    orbit count, that is, bottom-level cell count, among degrees s-1..s+1,
-    or 0 when degree s is empty."""
-    return max(_LevelSlice(n, _factors(n, d), -d.t, 0).dims.values())
 
 
 def _check_budget(d: Degree, width: int, budget: int | None) -> None:

@@ -135,7 +135,8 @@ def strip_lambda0(d: Degree) -> Degree:
     """Drop the lambda_0 slot and shift lambda indices down (n decreases by one)."""
     if d.n < 2:
         raise DegreeError("strip_lambda0 needs n >= 2")
-    return make_degree(d.n - 1, d.t, d.c_alpha, d.c_lambda[1:])
+    # d is already a valid degree, so its slice is one without re-checking
+    return Degree(d.n - 1, d.t, d.c_alpha, d.c_lambda[1:])
 
 
 def format_degree(d: Degree) -> str:

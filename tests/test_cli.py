@@ -103,6 +103,26 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--n", "2", "--box", "t=1..0,a=0..0")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "option",
+        [("--cache-selftest", "-1"), ("--jobs", "-3"), ("--jobs", "0"), ("--budget", "-1")],
+    )
+    def test_out_of_range_option_exit_2(self, capsys, tmp_path, option):
+        code, out, err = run_cli(
+            capsys, "verify", "--n", "2", "--box", "t=0..0,a=0..0",
+            "--cache-dir", str(tmp_path), *option,
+        )
+        assert code == 2 and out == "" and option[0] in err
+
+    def test_repeated_box_key_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "--box", "t=0..0,a=0..0,t=3..3")
+        assert code == 2 and out == "" and "repeats" in err
+
+    def test_box_order_is_lexicographic(self):
+        box = cli.parse_box("t=0..1,a=-1..0,l1=2..3", 3)
+        coords = [(d.t, d.c_alpha, *d.c_lambda) for d in box]
+        assert coords == sorted(coords) and len(coords) == box.size() == 8
+
 
 class TestCache:
     def test_roundtrip_and_selftest(self, capsys, tmp_path):

@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 
@@ -259,3 +262,18 @@ class TestInductionSlice:
         for d in box_degrees(2, (-6, 6), (-2, 2), (-2, 2)):
             renamed = {str(eps_rename(m)) for m in basis(2, d).monomials()}
             assert renamed == basis_strs(3, pullback_eps(d)), str(d)
+
+
+def test_basis_pinned():
+    """Engine output over 500 seeded degrees per n = 1..6, tags and depths
+    included, pinned by digest.  The closed-form fixtures stop at n = 3 and
+    part2_closed compares part (2) only; this catches any change to what
+    basis lists, under which tag and at which renaming depth."""
+    rng = random.Random(8)
+    h = hashlib.sha1()
+    for n in range(1, 7):
+        for _ in range(500):
+            t, a = rng.randint(-8, 8), rng.randint(-3, 3)
+            d = make_degree(n, t, a, [rng.randint(-2, 2) for _ in range(n - 1)])
+            h.update(json.dumps([e.to_json() for e in basis(n, d).sorted_elements()]).encode())
+    assert h.hexdigest() == "221dbf12f318e5ceb1237c01b6819e2d92a67b50"

@@ -11,7 +11,6 @@ from hf2.oracle import (
     mult_a_alpha,
     oracle_pi,
     oracle_top_dim,
-    predict_cols,
     verify_lemma_kernel,
 )
 from hf2.reps import (
@@ -443,10 +442,6 @@ class TestTopDim:
 
 
 class TestBudget:
-    def test_prediction_positive(self):
-        d = make_degree(3, -3, 0, [0, 2])
-        assert predict_cols(3, d) >= 1
-
     def test_budget_error(self):
         d = make_degree(3, -2, 2, [2, 2])  # level-3 widths 3, 11, 26
         with pytest.raises(BudgetExceededError) as err:
@@ -471,7 +466,8 @@ class TestBudget:
         monkeypatch.setattr(oracle, "_check_budget", recording_check)
         n = 3
         for d in box_degrees(n, (-5, 5), (-1, 1), (-1, 1)):
-            predicted = predict_cols(n, d)
+            bottom_slice = oracle._LevelSlice(n, oracle._factors(n, d), -d.t, 0)
+            predicted = max(bottom_slice.dims.values())
             built.clear()
             checked.clear()
             oracle_pi(n, d)
