@@ -245,6 +245,9 @@ def cmd_basis(args) -> int:
 def cmd_verify(args) -> int:
     box = parse_box(args.box, args.n)
     cache = _open_cache(args, args.n)
+    if args.cache_selftest and cache is None:
+        raise UsageError("--cache-selftest needs an open cache "
+                         "(--cache-dir or HF2_CACHE_DIR, without --no-cache)")
     t0 = time.time()
     records = []
     degrees = list(box)
@@ -300,7 +303,7 @@ def cmd_verify(args) -> int:
         out_records.append(rec)
 
     selftest_failures = 0
-    if cache and args.cache_selftest:
+    if args.cache_selftest:
         step = max(1, len(degrees) // args.cache_selftest)
         for d in degrees[::step][: args.cache_selftest]:
             cached = cache.get(_cache_key(args.n, d))

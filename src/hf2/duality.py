@@ -50,14 +50,10 @@ def dual_monomial(m: Monomial) -> Monomial:
     """
     if m.n < 2:
         raise DegreeError("duality needs n >= 2")
-    if _is_unit_shape(m):
-        return divide(lambda_class(m.n), m)
-    try:
-        candidate = divide(lambda_class(m.n), m)
-    except MonomialError:
-        candidate = None
-    if candidate is not None and _is_unit_shape(candidate):
-        return candidate
+    # Lambda has sigma 1 and m has sigma 0 or 1, so this division cannot fail
+    quotient = divide(lambda_class(m.n), m)
+    if _is_unit_shape(m) or _is_unit_shape(quotient):
+        return quotient
     raise MonomialError(f"no displayed dual for monomial {m}")
 
 

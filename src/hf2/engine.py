@@ -7,7 +7,10 @@ powers of a_{lambda_0}), three blocks of a_{lambda_0}-divisible families,
 and the explicit non-divisible families.  Blocks B1 and B3 are renamings of
 the quotient group too (its positive-cone classes containing a_alpha^2 or a
 rotation Euler class, and its part-(4) classes carrying a_lambda_0), so
-only B2 and part (4) are solved in place.  One assembly path serves every
+only B2 and part (4) are solved in place, and they are two sign windows of
+one slot system (`_slots`): B2 its suspended classes with negative
+a_lambda_0 and u powers, part (4) its unsuspended classes with a positive
+u tower against a negative exponent.  One assembly path serves every
 n: for the group of order 2 there are no blocks and part (2) is its
 negative cone, which renamed is the depth-0 base of the recursion at
 order 4.
@@ -68,10 +71,6 @@ class AnswerBasis:
         return frozenset(e.monomial for e in self.elements)
 
 
-def _mono(n, sigma, ea, eu, eal, eul):
-    return Monomial(n, sigma, ea, eu, tuple(eal), tuple(eul))
-
-
 def _is_positive_cone(m: Monomial) -> bool:
     if m.sigma != 0 or m.e_a_alpha < 0 or m.e_u_alpha < 0:
         return False
@@ -87,84 +86,53 @@ def part_pos(n: int, d: Degree) -> frozenset[Monomial]:
     return positive_cone_basis(n, d)
 
 
+def _slots(n: int, d: Degree, sigma: int, window) -> frozenset[Monomial]:
+    """The slot system of degree d: the classes
+    Sigma^-sigma a_alpha^eps u_alpha^s a_lambda_0^a u_r^u prod_{p>r} u_lambda_p^(-c_p)
+    with s = -c_alpha - eps, kept when window(a, u, s, upper) holds.
+
+    Slot r needs c_1 .. c_{r-1} = 0.  For r <= n-2, u_r is u_lambda_r: slot
+    0 carries both classes (a + u = -c_0), a later slot forces a = -c_0 and
+    u = -c_r.  Slot n-1 is u_alpha's own tower: u = s and no u_lambda.  The
+    t coordinate gives the degree equation.  C_2 has no a_lambda_0, so no
+    slot.
+    """
+    c, out = d.c_lambda, []
+    for r in range(n if c else 0):
+        if r >= 2 and c[r - 1]:
+            break
+        upper = tuple(-x for x in c[r + 1:])
+        room = d.t + sigma - 2 * sum(upper)  # what u_alpha and u_r must supply
+        for eps in (0, 1):
+            s = -d.c_alpha - eps
+            if r == n - 1:
+                a, u, rest = -c[0], s, room - s
+            elif r == 0:
+                u, rest = divmod(room - s, 2)
+                a = -c[0] - u
+            else:
+                a, u = -c[0], -c[r]
+                rest = room - s - 2 * u
+            if rest or not window(a, u, s, upper):  # rest: t off the equation
+                continue
+            eul = (0,) * (n - 1) if r == n - 1 else (0,) * r + (u,) + upper
+            out.append(Monomial(n, sigma, eps, s, (a,) + (0,) * (n - 2), eul))
+    return frozenset(out)
+
+
 def _b2(n: int, d: Degree) -> frozenset[Monomial]:
     """The suspension families with a negative a_lambda_0 power: one per
     inverted-orientation slot, ending with the bare u_alpha^(-j) family."""
-    out = []
-    c = d.c_lambda
-    for r in range(n - 1):
-        if any(c[m] != 0 for m in range(1, r)):
-            continue
-        upper = range(r + 1, n - 1)
-        for eps in (0, 1):
-            s = -d.c_alpha - eps
-            if r >= 1:
-                i, j = c[0], c[r]
-                if i < 1 or j < 1:
-                    continue
-                if d.t != -1 + s - 2 * c[r] + 2 * sum(-c[m] for m in upper):
-                    continue
-            else:
-                num = -1 + s + 2 * sum(-c[m] for m in upper) - d.t
-                if num % 2:
-                    continue
-                j = num // 2
-                i = c[0] - j
-                if i < 1 or j < 1:
-                    continue
-            eul = [0] * (n - 1)
-            eul[r] = -j
-            for m in upper:
-                eul[m] = -c[m]
-            eal = (-i,) + (0,) * (n - 2)
-            out.append(_mono(n, 1, eps, s, eal, eul))
-    # the final family: only u_alpha is inverted
-    if all(c[m] == 0 for m in range(1, n - 1)) and c[0] >= 1:
-        i, j = c[0], -1 - d.t
-        eps = j - d.c_alpha
-        if j >= 1 and eps in (0, 1):
-            eal = (-i,) + (0,) * (n - 2)
-            out.append(_mono(n, 1, eps, -j, eal, (0,) * (n - 1)))
-    return frozenset(out)
+    return _slots(n, d, 1, lambda a, u, s, upper: a <= -1 and u <= -1)
 
 
 def part4(n: int, d: Degree) -> frozenset[Monomial]:
     """Families outside the divisible part: a positive u tower against an
     inverted block with at least one genuinely negative exponent, times a
     polynomial a_lambda_0 and <1, a_alpha>."""
-    if n < 2:
-        return frozenset()
-    out = []
-    c = d.c_lambda
-    for q in range(n - 1):
-        if any(c[m] != 0 for m in range(1, q)):
-            continue
-        upper = list(range(q + 1, n - 1))
-        sp = {p: -c[p] for p in upper}
-        for eps in (0, 1):
-            s = -d.c_alpha - eps
-            if q == 0:
-                num = d.t - s - 2 * sum(sp.values())
-                if num % 2:
-                    continue
-                i = num // 2
-                k = -c[0] - i
-            else:
-                i, k = -c[q], -c[0]
-                if d.t != 2 * i + 2 * sum(sp.values()) + s:
-                    continue
-            if i < 1 or k < 0:
-                continue
-            if s >= 0 and all(v >= 0 for v in sp.values()):
-                continue
-            eal = [0] * (n - 1)
-            eal[0] = k
-            eul = [0] * (n - 1)
-            eul[q] = i
-            for p, v in sp.items():
-                eul[p] = v
-            out.append(_mono(n, 0, eps, s, eal, eul))
-    return frozenset(out)
+    return _slots(
+        n, d, 0, lambda a, u, s, upper: u >= 1 and a >= 0 and min((s,) + upper) < 0
+    )
 
 
 def _c2_family(d: Degree) -> frozenset[Monomial]:
@@ -173,7 +141,7 @@ def _c2_family(d: Degree) -> frozenset[Monomial]:
     j = -1 - d.t
     i = d.c_alpha + d.t + 1
     if i >= 1 and j >= 1:
-        return frozenset({_mono(1, 1, -i, -j, (), ())})
+        return frozenset({Monomial(1, 1, -i, -j, (), ())})
     return frozenset()
 
 

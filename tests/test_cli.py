@@ -188,6 +188,15 @@ class TestCache:
         assert code == 1
         assert summary["mismatches"] == 1 and summary["cache_selftest_failures"] == 1
 
+    def test_selftest_without_cache_exit_2(self, capsys, tmp_path, monkeypatch):
+        # a re-check that cannot run must not report a pass
+        monkeypatch.delenv("HF2_CACHE_DIR", raising=False)
+        args = ("verify", "--n", "2", "--box", "t=-1..1,a=0..0", "--cache-selftest", "3")
+        for extra in ((), ("--cache-dir", str(tmp_path), "--no-cache")):
+            code, out, err = run_cli(capsys, *args, *extra)
+            assert code == 2 and out == "" and "--cache-selftest" in err
+        assert not any(tmp_path.iterdir())
+
     def test_code_change_misses(self, capsys, tmp_path, monkeypatch):
         args = (
             "verify", "--n", "2", "--box", "t=-1..1,a=0..0,l0=0..0",

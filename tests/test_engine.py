@@ -176,9 +176,17 @@ class TestPartition:
             assert len({e.monomial for e in els}) == len(els)
 
     def test_all_degrees_match(self):
-        for d in box_degrees(3, (-5, 5), (-2, 2), (-2, 2)):
-            for e in basis(3, d).elements:
-                assert degree_of(e.monomial) == d
+        # the n = 3 box, then 300 seeded degrees for each of n = 2, 4, 5, 6:
+        # slot walks that go past a nonzero c_lambda need n >= 4 to show
+        rng = random.Random(9)
+        degrees = [(3, d) for d in box_degrees(3, (-5, 5), (-2, 2), (-2, 2))]
+        for n in (2, 4, 5, 6):
+            for _ in range(300):
+                t, a = rng.randint(-8, 8), rng.randint(-3, 3)
+                degrees.append((n, make_degree(n, t, a, [rng.randint(-2, 2) for _ in range(n - 1)])))
+        for n, d in degrees:
+            for e in basis(n, d).elements:
+                assert degree_of(e.monomial) == d, str(d)
 
 
 class TestClosedForms:
