@@ -2,11 +2,17 @@
 verification against the oracle, duality and induction-slice scans, Mackey
 functor output, and summand bookkeeping.
 
+Every `cmd_*` computes and returns one `Report`: the JSON payload, the CSV
+rows and table lines that render it, and the exit code.  `main` alone reads
+`--format`, prints the report (`_emit`) and turns an exception into an exit
+code.  JSON reports indent unless they are one flat record (`dim`, `oracle`).
+
 Exit codes: 0 pass, 1 verified mismatch, 2 usage or IO error, 3 budget
 exceeded for a required computation, 4 internal fault (an invariant of the
-engine or oracle failed: a defect in hf2, not in the input).  Reports are
-deterministic: record ordering follows box iteration order and timestamps
-only appear in the "meta" sidecar, which comparison tooling must ignore.
+engine or oracle failed, or any other unexpected exception: a defect in
+hf2, not in the input).  Reports are deterministic: record ordering follows
+box iteration order and timestamps only appear in the "meta" sidecar, which
+comparison tooling must ignore.
 """
 
 from __future__ import annotations
@@ -135,15 +141,17 @@ class JsonlCache:
     def get(self, key: str):
         return self.data.get(key)
 
-    def put(self, key: str, value: int) -> None:
-        if key in self.data:
+    def put(self, values: dict[str, int]) -> None:
+        """Append the values not held yet, all with one write."""
+        new = {k: v for k, v in values.items() if k not in self.data}
+        if not new:
             return
-        self.data[key] = value
+        self.data.update(new)
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(
-                json.dumps({"k": key, "v": value, "h": _line_hash(key, value)}) + "\n"
-            )
+            fh.write("".join(
+                json.dumps({"k": k, "v": v, "h": _line_hash(k, v)}) + "\n" for k, v in new.items()
+            ))
 
 
 def _line_hash(key: str, value) -> str:
@@ -170,137 +178,107 @@ def _cache_key(n: int, d: Degree) -> str:
     return f"{SCHEMA_VERSION}|oracle|{_fingerprint()}|{n}|{reps.format_degree(d)}"
 
 
-def _open_cache(args, n: int):
-    directory = args.cache_dir or os.environ.get("HF2_CACHE_DIR")
-    if not directory or getattr(args, "no_cache", False):
-        return None
-    return JsonlCache(directory, n)
-
-
 # -- workers ------------------------------------------------------------------
 
 
-def _refusal(exc: oracle.BudgetExceededError) -> str:
-    return f"predicted {exc.predicted} columns > budget {exc.cap}"
-
-
-def _verify_one(task):
-    n, deg_str, budget = task
-    d = reps.parse_degree(deg_str, n)
-    eng = engine.dimension(n, d)
+def _oracle_value(task):
+    """(value, None), or (None, refusal) when the budget refuses the degree.
+    A cached value faces this run's budget, like a fresh one."""
+    n, d, budget, cached = task
     try:
-        orc = oracle.oracle_top_dim(n, d, budget)
-        return deg_str, eng, orc, None
+        if cached is None:
+            return oracle.oracle_top_dim(n, d, budget), None
+        oracle.top_slice(n, d, budget)
+        return cached, None
     except oracle.BudgetExceededError as exc:
-        return deg_str, eng, None, _refusal(exc)
+        return None, f"predicted {exc.predicted} columns > budget {exc.cap}"
 
 
 # -- output -------------------------------------------------------------------
 
 
-def _emit(payload: dict, args, csv_rows=None, table_lines=None) -> None:
-    fmt = getattr(args, "format", "json")
+@dataclass
+class Report:
+    """What a command computed, in every output format, and its exit code.
+    CSV rows start with the header, if the format has one."""
+
+    payload: dict | list
+    csv: list[tuple]
+    table: list
+    code: int = EXIT_PASS
+
+
+def _emit(report: Report, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        # a flat record (dim, oracle) fits on one line; nested reports indent
+        payload = report.payload
+        values = payload.values() if isinstance(payload, dict) else payload
+        nested = any(isinstance(v, (dict, list)) for v in values)
+        print(json.dumps(payload, indent=2 if nested else None))
     elif fmt == "csv":
-        for row in csv_rows or []:
+        for row in report.csv:
             print(",".join(str(x) for x in row))
     else:
-        for line in table_lines or [json.dumps(payload, indent=2)]:
+        for line in report.table:
             print(line)
 
 
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_dim(args) -> int:
+def cmd_dim(args) -> Report:
     val = engine.dimension(args.n, reps.parse_degree(args.deg, args.n))
-    if args.format == "json":
-        print(json.dumps({"n": args.n, "degree": args.deg, "dimension": val}))
-    elif args.format == "csv":
-        print("dimension")
-        print(val)
-    else:
-        print(val)
-    return EXIT_PASS
+    return Report({"n": args.n, "degree": args.deg, "dimension": val},
+                  csv=[("dimension",), (val,)], table=[val])
 
 
-def cmd_basis(args) -> int:
+def cmd_basis(args) -> Report:
     d = reps.parse_degree(args.deg, args.n)
     elements = engine.basis(args.n, d).sorted_elements()
-    payload = [e.to_json() for e in elements]
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        print("monomial,part,depth")
-        for e in elements:
-            print(f"{e.monomial},{e.part},{e.depth}")
-    else:
-        for e in elements:
-            print(f"{str(e.monomial):40s} {e.part:6s} depth={e.depth}")
-        print(f"dimension {len(elements)}")
-    return EXIT_PASS
+    return Report(
+        [e.to_json() for e in elements],
+        csv=[("monomial", "part", "depth")] + [(e.monomial, e.part, e.depth) for e in elements],
+        table=[f"{str(e.monomial):40s} {e.part:6s} depth={e.depth}" for e in elements]
+        + [f"dimension {len(elements)}"],
+    )
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Report:
     box = parse_box(args.box, args.n)
-    cache = _open_cache(args, args.n)
+    directory = None if args.no_cache else args.cache_dir or os.environ.get("HF2_CACHE_DIR")
+    cache = JsonlCache(directory, args.n) if directory else None
     if args.cache_selftest and cache is None:
         raise UsageError("--cache-selftest needs an open cache "
                          "(--cache-dir or HF2_CACHE_DIR, without --no-cache)")
     t0 = time.time()
-    records = []
     degrees = list(box)
-    todo = []
-    for d in degrees:
-        deg_str = reps.format_degree(d)
-        orc = cache.get(_cache_key(args.n, d)) if cache else None
-        if orc is None:
-            todo.append((args.n, deg_str, args.budget))
-            records.append(None)
-            continue
-        eng = engine.dimension(args.n, d)
-        try:  # cached values face this run's budget, like fresh ones
-            oracle.top_slice(args.n, d, args.budget)
-        except oracle.BudgetExceededError as exc:
-            records.append((deg_str, eng, None, _refusal(exc)))
+    cached = [cache.get(_cache_key(args.n, d)) if cache else None for d in degrees]
+    tasks = [(args.n, d, args.budget, c) for d, c in zip(degrees, cached)]
+    if args.jobs > 1 and None in cached:
+        from multiprocessing import Pool  # only here: it slows every start-up
+
+        with Pool(args.jobs) as pool:
+            answers = pool.map(_oracle_value, tasks, chunksize=16)
+    else:
+        answers = map(_oracle_value, tasks)
+
+    records, new_values = [], {}
+    rows, table = [("degree", "engine", "oracle", "status")], []
+    for d, c, (orc, skip) in zip(degrees, cached, answers):
+        rec = {"degree": reps.format_degree(d), "engine": engine.dimension(args.n, d)}
+        if skip is None:
+            rec["oracle"], rec["match"] = orc, rec["engine"] == orc
+            status = "ok" if rec["match"] else "MISMATCH"
+            detail = f"oracle={orc} {status}"
+            if cache and c is None:
+                new_values[_cache_key(args.n, d)] = orc
         else:
-            records.append((deg_str, eng, orc, None))
-
-    if todo:
-        if args.jobs > 1:
-            from multiprocessing import Pool  # only here: it slows every start-up
-
-            with Pool(args.jobs) as pool:
-                results = pool.map(_verify_one, todo, chunksize=16)
-        else:
-            results = [_verify_one(t) for t in todo]
-        it = iter(results)
-        for i, rec in enumerate(records):
-            if rec is None:
-                records[i] = next(it)
-        if cache:
-            for deg_str, _, orc, skip in results:
-                if skip is None:
-                    cache.put(_cache_key(args.n, reps.parse_degree(deg_str, args.n)), orc)
-
-    if args.inject_fault:
-        deg_str, eng, orc, skip = records[0]
-        records[0] = (deg_str, eng + 1, orc, skip)
-
-    out_records = []
-    mismatches = skipped = 0
-    for deg_str, eng, orc, skip in records:
-        rec = {"degree": deg_str, "engine": eng}
-        if skip is not None:
-            rec["skipped"] = skip
-            skipped += 1
-        else:
-            rec["oracle"] = orc
-            rec["match"] = eng == orc
-            if eng != orc:
-                mismatches += 1
-        out_records.append(rec)
+            rec["skipped"], status, detail = skip, "skipped", f"skipped: {skip}"
+        records.append(rec)
+        rows.append((rec["degree"], rec["engine"], rec.get("oracle", ""), status))
+        table.append(f"{rec['degree']:24s} engine={rec['engine']} {detail}")
+    if new_values:
+        cache.put(new_values)
 
     selftest_failures = 0
     if args.cache_selftest:
@@ -315,44 +293,29 @@ def cmd_verify(args) -> int:
             except oracle.BudgetExceededError:
                 pass  # this run's budget refuses the degree, so it cannot be re-checked
 
+    mismatches = sum(rec.get("match") is False for rec in records)
+    skipped = sum("skipped" in rec for rec in records)
+    summary = {
+        "total": len(records),
+        "mismatches": mismatches,
+        "skipped": skipped,
+        "cache_selftest_failures": selftest_failures,
+    }
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "verify",
         "n": args.n,
         "box": box.describe(),
-        "records": out_records,
-        "summary": {
-            "total": len(out_records),
-            "mismatches": mismatches,
-            "skipped": skipped,
-            "cache_selftest_failures": selftest_failures,
-        },
+        "records": records,
+        "summary": summary,
         "pass": mismatches == 0 and skipped == 0 and selftest_failures == 0,
         "meta": {"elapsed_s": round(time.time() - t0, 3)},
     }
-    rows = [("degree", "engine", "oracle", "status")]
-    for r in out_records:
-        rows.append(
-            (
-                r["degree"],
-                r["engine"],
-                r.get("oracle", ""),
-                "skipped" if "skipped" in r else ("ok" if r["match"] else "MISMATCH"),
-            )
-        )
-    _emit(payload, args, csv_rows=rows, table_lines=[
-        f"{r['degree']:24s} engine={r['engine']} "
-        + (f"oracle={r['oracle']} {'ok' if r['match'] else 'MISMATCH'}" if "oracle" in r else f"skipped: {r['skipped']}")
-        for r in out_records
-    ] + [f"summary: {payload['summary']}"])
-    if mismatches or selftest_failures:
-        return EXIT_MISMATCH
-    if skipped:
-        return EXIT_BUDGET
-    return EXIT_PASS
+    code = EXIT_MISMATCH if mismatches or selftest_failures else EXIT_BUDGET if skipped else EXIT_PASS
+    return Report(payload, csv=rows, table=table + [f"summary: {summary}"], code=code)
 
 
-def cmd_duality_scan(args) -> int:
+def cmd_duality_scan(args) -> Report:
     box = parse_box(args.box, args.n)
     t0 = time.time()
     report = duality.duality_scan(args.n, box)
@@ -360,13 +323,17 @@ def cmd_duality_scan(args) -> int:
     report["command"] = "duality-scan"
     report["box"] = box.describe()
     report["meta"] = {"elapsed_s": round(time.time() - t0, 3)}
-    _emit(report, args, csv_rows=[("degree", "dual", "dim", "dual_dim")] + [
-        (m["degree"], m["dual"], m["dim"], m["dual_dim"]) for m in report["mismatches"]
-    ], table_lines=[f"checked {report['checked']} degrees, mismatches {len(report['mismatches'])}"])
-    return EXIT_PASS if report["pass"] else EXIT_MISMATCH
+    mismatches = report["mismatches"]
+    return Report(
+        report,
+        csv=[("degree", "dual", "dim", "dual_dim")]
+        + [(m["degree"], m["dual"], m["dim"], m["dual_dim"]) for m in mismatches],
+        table=[f"checked {report['checked']} degrees, mismatches {len(mismatches)}"],
+        code=EXIT_PASS if report["pass"] else EXIT_MISMATCH,
+    )
 
 
-def cmd_slice_check(args) -> int:
+def cmd_slice_check(args) -> Report:
     if args.n < 2:
         raise UsageError("slice-check needs n >= 2")
     box = parse_box(args.box, args.n - 1)
@@ -396,49 +363,36 @@ def cmd_slice_check(args) -> int:
         "pass": not mismatches,
         "meta": {"elapsed_s": round(time.time() - t0, 3)},
     }
-    _emit(payload, args, csv_rows=[("low_degree",)] + [(m["low_degree"],) for m in mismatches],
-          table_lines=[f"checked {total} slice degrees, mismatches {len(mismatches)}"])
-    return EXIT_PASS if not mismatches else EXIT_MISMATCH
+    return Report(
+        payload,
+        csv=[("low_degree",)] + [(m["low_degree"],) for m in mismatches],
+        table=[f"checked {total} slice degrees, mismatches {len(mismatches)}"],
+        code=EXIT_MISMATCH if mismatches else EXIT_PASS,
+    )
 
 
-def cmd_mackey(args) -> int:
+def cmd_mackey(args) -> Report:
     d = reps.parse_degree(args.deg, args.n)
-    try:
-        answer = oracle.oracle_pi(args.n, d, args.budget)
-    except oracle.BudgetExceededError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_BUDGET
-    payload = answer.to_json()
+    payload = oracle.oracle_pi(args.n, d, args.budget).to_json()
     payload["schema"] = SCHEMA_VERSION
-    _emit(payload, args, csv_rows=[("level", "dim")] + [
-        (lv["k"], lv["dim"]) for lv in payload["levels"]
-    ], table_lines=[f"level {lv['k']}: dim {lv['dim']}" for lv in payload["levels"]])
-    return EXIT_PASS
+    levels = payload["levels"]
+    return Report(payload, csv=[("level", "dim")] + [(lv["k"], lv["dim"]) for lv in levels],
+                  table=[f"level {lv['k']}: dim {lv['dim']}" for lv in levels])
 
 
-def cmd_summands(args) -> int:
+def cmd_summands(args) -> Report:
     audit = engine.summand_audit(args.n)
     audit["schema"] = SCHEMA_VERSION
     lines = [f"n={args.n}: {audit['total']} summands ({audit['families']})"]
     for step in audit.get("p2_recurrence", []):
         lines.append(f"  part2 families at n={step['n']}: {step['p2_families']} ({step['rule']})")
-    _emit(audit, args, csv_rows=[("n", "total"), (args.n, audit["total"])],
-          table_lines=lines)
-    return EXIT_PASS
+    return Report(audit, csv=[("n", "total"), (args.n, audit["total"])], table=lines)
 
 
-def cmd_oracle(args) -> int:
-    d = reps.parse_degree(args.deg, args.n)
-    try:
-        dim = oracle.oracle_top_dim(args.n, d, args.budget)
-    except oracle.BudgetExceededError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_BUDGET
-    if args.format == "json":
-        print(json.dumps({"n": args.n, "degree": args.deg, "oracle_dimension": dim}))
-    else:
-        print(dim)
-    return EXIT_PASS
+def cmd_oracle(args) -> Report:
+    dim = oracle.oracle_top_dim(args.n, reps.parse_degree(args.deg, args.n), args.budget)
+    return Report({"n": args.n, "degree": args.deg, "oracle_dimension": dim},
+                  csv=[(dim,)], table=[dim])
 
 
 # -- entry point --------------------------------------------------------------
@@ -462,60 +416,35 @@ def build_parser() -> argparse.ArgumentParser:
         "Bredon cohomology oracle.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, deg=False, box=False, budget=False):
+    for name, func, help_text, needs in (
+        ("dim", cmd_dim, "engine dimension in one degree", {"deg"}),
+        ("basis", cmd_basis, "engine basis in one degree", {"deg"}),
+        ("verify", cmd_verify, "differential test: engine vs oracle over a box", {"box", "budget"}),
+        ("duality-scan", cmd_duality_scan, "dimension symmetry scan over a box", {"box"}),
+        ("slice-check", cmd_slice_check, "induction-slice bijection over a box of degrees "
+         "for the quotient group (n-1 coordinates)", {"box"}),
+        ("mackey", cmd_mackey, "full Mackey functor at one degree (oracle)", {"deg", "budget"}),
+        ("summands", cmd_summands, "summand family count with audit trail", set()),
+        ("oracle", cmd_oracle, "oracle top-level dimension at one degree", {"deg", "budget"}),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
         p.add_argument("--n", type=int, required=True, help="group exponent: the group is C_{2^n}")
-        if deg:
+        if "deg" in needs:
             p.add_argument("--deg", required=True, help='degree "t,cA,cL0,..."')
-        if box:
+        if "box" in needs:
             p.add_argument("--box", required=True, help='box "t=-8..8,a=-2..2,l0=-2..2,..."')
-        if budget:
+        if "budget" in needs:
             p.add_argument("--budget", type=_int_at_least(0), default=None,
                            help=f"oracle column cap (default {oracle.DEFAULT_BUDGET})")
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
-        p.add_argument("--cache-dir", default=None,
-                       help="cache directory (or HF2_CACHE_DIR)")
+        p.add_argument("--cache-dir", default=None, help="cache directory (or HF2_CACHE_DIR)")
         p.add_argument("--no-cache", action="store_true")
-
-    p = sub.add_parser("dim", help="engine dimension in one degree")
-    common(p, deg=True)
-    p.set_defaults(func=cmd_dim)
-
-    p = sub.add_parser("basis", help="engine basis in one degree")
-    common(p, deg=True)
-    p.set_defaults(func=cmd_basis)
-
-    p = sub.add_parser("verify", help="differential test: engine vs oracle over a box")
-    common(p, box=True, budget=True)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
-    p.add_argument("--inject-fault", action="store_true",
-                   help="corrupt the first engine value (harness self-test)")
-    p.add_argument("--cache-selftest", type=_int_at_least(0), default=0,
-                   help="recompute the oracle values of this many cached degrees "
-                   "and compare")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("duality-scan", help="dimension symmetry scan over a box")
-    common(p, box=True)
-    p.set_defaults(func=cmd_duality_scan)
-
-    p = sub.add_parser("slice-check", help="induction-slice bijection over a box "
-                       "of degrees for the quotient group (n-1 coordinates)")
-    common(p, box=True)
-    p.set_defaults(func=cmd_slice_check)
-
-    p = sub.add_parser("mackey", help="full Mackey functor at one degree (oracle)")
-    common(p, deg=True, budget=True)
-    p.set_defaults(func=cmd_mackey)
-
-    p = sub.add_parser("summands", help="summand family count with audit trail")
-    common(p)
-    p.set_defaults(func=cmd_summands)
-
-    p = sub.add_parser("oracle", help="oracle top-level dimension at one degree")
-    common(p, deg=True, budget=True)
-    p.set_defaults(func=cmd_oracle)
-
+        if func is cmd_verify:
+            p.add_argument("--jobs", type=_int_at_least(1), default=1)
+            p.add_argument("--cache-selftest", type=_int_at_least(0), default=0,
+                           help="recompute the oracle values of this many cached degrees "
+                           "and compare")
     return top
 
 
@@ -534,21 +463,30 @@ def _join_dash_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_join_dash_values(list(argv)))
+        args = build_parser().parse_args(_join_dash_values(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        report = args.func(args)
+    except oracle.BudgetExceededError as exc:  # a one-degree query cannot skip its degree
+        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        return EXIT_BUDGET
+    except (UsageError, DegreeError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (InternalInvariantError, engine.PartOverlapError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (UsageError, DegreeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:  # anything else is a defect too, never a mismatch
+        import traceback
+
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
+    _emit(report, args.format)
+    return report.code
 
 
 if __name__ == "__main__":

@@ -127,7 +127,7 @@ class CohomologyReducer:
 
     def __init__(self, dim: int, d_in_columns: list[int], d_out_columns: list[int]):
         if len(d_out_columns) != dim:
-            raise ValueError("d_out must have one column per basis vector (zeros allowed)")
+            raise InternalInvariantError("d_out must have one column per basis vector (zeros allowed)")
         self.dim = dim
         self.span = Span()
         self.span.absorb(d_in_columns)  # its pivots are the cleared set

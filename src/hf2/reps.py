@@ -145,6 +145,8 @@ def format_degree(d: Degree) -> str:
 
 
 def parse_degree(s: str, n: int) -> Degree:
+    if n < 1:
+        raise DegreeError(f"n: group exponent must be >= 1, got {n}")
     parts = [p.strip() for p in s.split(",")]
     if len(parts) != n + 1:
         raise DegreeError(f"degree string needs {n + 1} entries for n={n}, got {len(parts)}")

@@ -1,17 +1,47 @@
 import functools
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from hf2 import cli, engine, gf2, oracle
+from hf2 import cli, engine, gf2, oracle, reps
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def fault_at(monkeypatch, degree: str) -> None:
+    """Make `engine.dimension` answer one too many at one degree."""
+    real = engine.dimension
+    monkeypatch.setattr(
+        engine, "dimension", lambda n, d: real(n, d) + (reps.format_degree(d) == degree)
+    )
+
+
+# Every subcommand in every format, with the budget refusals and usage errors:
+# argv, exit code, stdout lines ("elapsed_s" masked) and the last stderr line
+# (argparse prints its usage block above it).  `fault` names a degree where
+# the engine is made to answer wrong.  Recorded before the commands returned
+# reports for `main` to print; any difference is a change of a report.
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["argv"] for case in GOLDEN])
+def test_golden_output(capsys, monkeypatch, case):
+    monkeypatch.delenv("HF2_CACHE_DIR", raising=False)
+    if case["fault"]:
+        fault_at(monkeypatch, case["fault"])
+    code, out, err = run_cli(capsys, *case["argv"].split())
+    out = re.sub(r'"elapsed_s": [0-9.e-]+', '"elapsed_s": 0', out)
+    assert code == case["code"]
+    assert out.splitlines() == case["out"]
+    assert "\n".join(err.splitlines()[-1:]) == case["err"]
 
 
 class TestDim:
@@ -27,6 +57,11 @@ class TestDim:
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "dim", "--n", "2", "--deg", "1,2")
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("command", ["dim", "basis", "oracle", "mackey"])
+    def test_n_below_1_exit_2(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--n", "0", "--deg", "0")
+        assert code == 2 and out == "" and err.startswith("error: n: group exponent")
 
 
 class TestBasis:
@@ -66,10 +101,9 @@ class TestVerify:
             "cache_selftest_failures": 0,
         }
 
-    def test_inject_fault(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--n", "2", "--box", self.BOX, "--inject-fault"
-        )
+    def test_inject_fault(self, capsys, monkeypatch):
+        fault_at(monkeypatch, "0,0,0")
+        code, out, _ = run_cli(capsys, "verify", "--n", "2", "--box", self.BOX)
         payload = json.loads(out)
         assert code == 1 and not payload["pass"]
         assert payload["summary"]["mismatches"] == 1
@@ -197,6 +231,29 @@ class TestCache:
             assert code == 2 and out == "" and "--cache-selftest" in err
         assert not any(tmp_path.iterdir())
 
+    def test_one_write_per_run(self, capsys, tmp_path, monkeypatch):
+        puts = []
+        real = cli.JsonlCache.put
+
+        def put(self, values):
+            puts.append(len(values))
+            real(self, values)
+
+        monkeypatch.setattr(cli.JsonlCache, "put", put)
+        args = ("verify", "--n", "2", "--box", "t=-1..1,a=0..0,l0=-1..1",
+                "--cache-dir", str(tmp_path))
+        run_cli(capsys, *args)
+        cache_file = tmp_path / "hf2-cache-n2.jsonl"
+        assert puts == [9] and len(cache_file.read_text().splitlines()) == 9
+        run_cli(capsys, *args)
+        assert puts == [9]  # warm: nothing new, no write
+
+    def test_unwritable_cache_exit_2(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run_cli(capsys, *self.ONE_DEGREE, "--cache-dir", str(blocker / "sub"))
+        assert code == 2 and out == "" and err.startswith("error: ")
+
     def test_code_change_misses(self, capsys, tmp_path, monkeypatch):
         args = (
             "verify", "--n", "2", "--box", "t=-1..1,a=0..0,l0=0..0",
@@ -274,6 +331,30 @@ class TestInternalFault:
         code, out, err = run_cli(capsys, "basis", "--n", "3", "--deg", "0,0,0,0")
         assert code == 4 and out == ""
         assert "internal error" in err
+
+    def test_reducer_shape_exit_4(self, capsys, monkeypatch):
+        # the oracle builds both differentials itself, so a wrong shape is
+        # its own defect, not a usage error
+        real = oracle._LevelSlice.cols
+        monkeypatch.setattr(oracle._LevelSlice, "cols", lambda self, deg: (
+            real(self, deg)[:-1] if deg == self.s else real(self, deg)))
+        code, out, err = run_cli(capsys, "mackey", "--n", "3", "--deg", "-3,0,0,2")
+        assert code == 4 and out == ""
+        assert "internal error" in err and "one column per basis vector" in err
+
+    def test_unexpected_exception_exit_4(self, capsys, monkeypatch):
+        def broken(n, d):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(engine, "dimension", broken)
+        code, out, err = run_cli(capsys, "dim", "--n", "2", "--deg", "0,0,0")
+        assert code == 4 and out == ""
+        assert err.startswith("internal error: ") and "boom" in err and "Traceback" in err
+
+    def test_deep_recursion_is_not_a_mismatch(self, capsys):
+        # exit 1 is reserved for a verified mismatch
+        code, _, _ = run_cli(capsys, "dim", "--n", "400", "--deg", ",".join(["0"] * 401))
+        assert code in (0, 4)
 
 
 def test_console_script():
