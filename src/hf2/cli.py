@@ -285,13 +285,10 @@ def cmd_verify(args) -> Report:
         step = max(1, len(degrees) // args.cache_selftest)
         for d in degrees[::step][: args.cache_selftest]:
             cached = cache.get(_cache_key(args.n, d))
-            if cached is None:
-                continue
-            try:
-                if oracle.oracle_top_dim(args.n, d, args.budget) != cached:
-                    selftest_failures += 1
-            except oracle.BudgetExceededError:
-                pass  # this run's budget refuses the degree, so it cannot be re-checked
+            if cached is not None:
+                # a degree this run's budget refuses cannot be re-checked
+                fresh, refusal = _oracle_value((args.n, d, args.budget, None))
+                selftest_failures += refusal is None and fresh != cached
 
     mismatches = sum(rec.get("match") is False for rec in records)
     skipped = sum("skipped" in rec for rec in records)
@@ -392,7 +389,7 @@ def cmd_summands(args) -> Report:
 def cmd_oracle(args) -> Report:
     dim = oracle.oracle_top_dim(args.n, reps.parse_degree(args.deg, args.n), args.budget)
     return Report({"n": args.n, "degree": args.deg, "oracle_dimension": dim},
-                  csv=[(dim,)], table=[dim])
+                  csv=[("oracle_dimension",), (dim,)], table=[dim])
 
 
 # -- entry point --------------------------------------------------------------

@@ -43,6 +43,11 @@ from .monomial import (
 
 PARTS = ("POS", "P2", "P3.B1", "P3.B2", "P3.B3", "P4")
 
+# The a_lambda_0/a_lambda_1 recursion descends one group order per frame
+# pair, so its depth grows with n; this bound keeps it well inside Python's
+# default recursion limit.
+MAX_N = 256
+
 
 class PartOverlapError(RuntimeError):
     """Two parts that must be disjoint produced the same monomial."""
@@ -213,7 +218,9 @@ def _d_lambda1(n: int, d: Degree) -> frozenset[tuple[Monomial, int]]:
     """Classes infinitely divisible by a_lambda_1: rename the divisible set
     of the quotient group and restore the forced a_lambda_0 power.  For
     n = 2, the base of the recursion, the renamed set is the negative cone
-    of C_2, at depth 0."""
+    of C_2, at depth 0.  Every entry to the recursion passes here first."""
+    if n > MAX_N:
+        raise DegreeError(f"the engine's recursion needs n <= {MAX_N}, got n={n}")
     k, q = -d.c_lambda[0], strip_lambda0(d)
     if n == 2:
         return frozenset((_up(m, k), 0) for m in _c2_family(q))
@@ -336,6 +343,3 @@ def summand_audit(n: int) -> dict:
 def summand_count(n: int) -> int:
     return summand_audit(n)["total"]
 
-
-def clear_caches() -> None:
-    _d_lambda0.cache_clear()

@@ -16,23 +16,25 @@ two-point orbit coincides with the norm).  Distinct representations are
 smashed, and the negative part of a virtual degree is dualized.
 
 Every entry point (`oracle_top_dim`, `oracle_pi`, `mult_a_alpha`,
-`verify_lemma_kernel`) is level-direct: `_LevelSlice` builds the level-j
-fixed subcomplex of a factor list in the three cochain degrees s-1, s, s+1
-the answer reads, straight from orbit data.  A cell of
-the tensor model is a tuple of factor degrees plus one coordinate in Z/B
-per factor (B the factor's block, 1 in factor degree 0); gamma adds 1 to
-every coordinate, and level j is the action of gamma^(2^(n-j)).  A
-differential is emitted column by column, in the column-major form `gf2`
-takes, as the image of each source orbit sum: the coefficient of a target
-orbit O' in d(sum O) is the number of cells of O' that d(rep O) hits, times
-|O| / |O'|, mod 2, so no bottom-level vector is formed; a factor's move adds
-bit masks fixed by its differential's kind (nu and N hit the whole block,
-1 - gamma and its transpose two cells).  The levels of one model share one
-enumeration of factor-degree signatures (`_LevelSlice.at_level`); a degree s
-outside the interval of degrees with cells builds nothing.  res, tr, gamma
-and multiplication by a_alpha (the inclusion of the model into its smash
-with one dual alpha cell pair) act on orbit indices in closed form.  The
-budget bounds the widest slice an entry point builds.
+`verify_lemma_kernel`) reads the same way: it builds level slices, checks
+them against the budget once, and reads groups (`_LevelSlice.reducer`) and
+maps (`_orbit_induced`) off them.  `_LevelSlice` builds the level-j fixed
+subcomplex of a factor list in the three cochain degrees s-1, s, s+1 the
+answer reads, straight from orbit data.  A cell of the tensor model is a
+tuple of factor degrees plus one coordinate in Z/B per factor (B the
+factor's block, 1 in factor degree 0); gamma adds 1 to every coordinate, and
+level j is the action of gamma^(2^(n-j)).  A differential is emitted column
+by column, in the column-major form `gf2` takes, as the image of each source
+orbit sum: the coefficient of a target orbit O' in d(sum O) is the number of
+cells of O' that d(rep O) hits, times |O| / |O'|, mod 2, so no bottom-level
+vector is formed; a factor's move adds bit masks fixed by its differential's
+kind (nu and N hit the whole block, 1 - gamma and its transpose two cells).
+The levels of one model share one enumeration of factor-degree signatures
+(`_LevelSlice.at_level`).  A degree s outside the interval of degrees with
+cells has group 0 and builds nothing, so the budget, the widest degree of
+the slices a query builds, skips it.  res, tr, gamma and multiplication by
+a_alpha (the inclusion of the model into its smash with one dual alpha cell
+pair) act on orbit indices in closed form.
 
 The bottom-level route, which stores the whole complex at the trivial-
 subgroup level with the generator's permutation action, lives in the test
@@ -43,15 +45,17 @@ builder is compared against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
-from operator import mul
+from operator import mul, xor
 
 from .gf2 import CohomologyReducer, columns_to_bitstrings, nullspace, rank
 from .reps import Degree
 from . import reps
 
 DEFAULT_BUDGET = 20000
+# the group of every empty slice, shared: a reducer is not changed once built
+_ZERO_GROUP = CohomologyReducer(0, [], [])
 
 
 class BudgetExceededError(RuntimeError):
@@ -273,8 +277,13 @@ class _LevelSlice:
                 for off, m in masks:
                     cols[t + off] ^= m << b
 
+    @cached_property
     def reducer(self) -> CohomologyReducer:
+        """Cohomology at degree s.  The one empty-degree rule: when degree s
+        has no cells the group is 0 and no differential is built."""
         s = self.s
+        if not self.dims[s]:
+            return _ZERO_GROUP
         return CohomologyReducer(self.dims[s], self.cols(s - 1), self.cols(s))
 
 
@@ -291,43 +300,42 @@ def _shift(cls: _CellClass, x, m: int) -> list[int]:
     return [(v + m) % b for v, b in zip(x, cls.blocks)]
 
 
-# Chain maps on degree-s orbits, each given as image(b): the target vector of
-# source orbit b.  hi and lo are the slices of one model at levels j and j-1.
+# Chain maps on degree-s orbits, each called as chain_map(source slice, target
+# slice) and giving image(b): the target vector of source orbit b.  hi and lo
+# are the slices of one model at levels j and j-1.
 
 
 def _res(hi: _LevelSlice, lo: _LevelSlice):
     """Restriction from level j to j-1: O_j(x) -> O_{j-1}(x) + O_{j-1}(x + p_j),
     one term if they coincide."""
-    s = hi.s
 
     def image(b: int) -> int:
         cls, x = hi.orbits[b]
-        lo_cls = lo.classes[s][cls.sig]
+        lo_cls = lo.classes[lo.s][cls.sig]
         return (1 << lo.index(lo_cls, x)) | (1 << lo.index(lo_cls, _shift(cls, x, hi.p)))
 
     return image
 
 
-def _tr(hi: _LevelSlice, lo: _LevelSlice):
+def _tr(lo: _LevelSlice, hi: _LevelSlice):
     """Transfer from level j-1 to j: O_{j-1}(x) -> O_j(x), or 0 when
     O_{j-1}(x + p_j) is the same orbit."""
-    s = hi.s
 
     def image(b: int) -> int:
         cls, x = lo.orbits[b]
         if lo.index(cls, _shift(cls, x, hi.p)) == b:
             return 0
-        return 1 << hi.index(hi.classes[s][cls.sig], x)
+        return 1 << hi.index(hi.classes[hi.s][cls.sig], x)
 
     return image
 
 
-def _gamma(sl: _LevelSlice):
-    """The Weyl generator: O(x) -> O(x + 1)."""
+def _gamma(src: _LevelSlice, tgt: _LevelSlice):
+    """The Weyl generator, src and tgt one slice: O(x) -> O(x + 1)."""
 
     def image(b: int) -> int:
-        cls, x = sl.orbits[b]
-        return 1 << sl.index(cls, _shift(cls, x, 1))
+        cls, x = src.orbits[b]
+        return 1 << tgt.index(cls, _shift(cls, x, 1))
 
     return image
 
@@ -336,25 +344,19 @@ def _include(src: _LevelSlice, tgt: _LevelSlice):
     """Multiplication by a_alpha, for tgt the slice of src's factors plus one
     dual alpha pair (2, 1, -1) at the same level: the inclusion of the model
     as the pair's factor-degree-0 cell, O(sig, x) -> O(sig + (0,), x + (0,))."""
-    s = src.s
 
     def image(b: int) -> int:
         cls, x = src.orbits[b]
-        return 1 << tgt.index(tgt.classes[s][cls.sig + (0,)], (*x, 0))
+        return 1 << tgt.index(tgt.classes[tgt.s][cls.sig + (0,)], (*x, 0))
 
     return image
 
 
-def _orbit_induced(red_src: CohomologyReducer, red_tgt: CohomologyReducer, image) -> list[int]:
-    """Matrix on cohomology of a chain map given by image(b), the target
-    vector of source orbit b."""
-    cols = []
-    for rep in red_src.reps:
-        v = 0
-        for b in _bits(rep):
-            v ^= image(b)
-        cols.append(red_tgt.express(v))
-    return cols
+def _orbit_induced(src: _LevelSlice, tgt: _LevelSlice, chain_map) -> list[int]:
+    """Matrix on cohomology of chain_map from slice src to slice tgt.  Both
+    reducers are built, even when src's group is 0."""
+    image, red = chain_map(src, tgt), tgt.reducer
+    return [red.express(reduce(xor, map(image, _bits(rep)), 0)) for rep in src.reducer.reps]
 
 
 # -- the oracle ---------------------------------------------------------------
@@ -399,52 +401,42 @@ def _check_budget(d: Degree, width: int, budget: int | None) -> None:
         raise BudgetExceededError(d, width, cap)
 
 
-def _widest(slices) -> int:
-    return max(w for sl in slices for w in sl.dims.values())
+def _check_slices(d: Degree, slices, budget: int | None) -> None:
+    """The one budget rule: the widest of the degrees s-1..s+1 of the slices
+    a query builds counts.  A slice whose degree s is empty builds nothing,
+    so it is left out, and a query with no other slice is not checked."""
+    widths = [max(sl.dims.values()) for sl in slices if sl.dims[sl.s]]
+    if widths:
+        _check_budget(d, max(widths), budget)
 
 
 def top_slice(n: int, d: Degree, budget: int | None = None) -> _LevelSlice:
-    """The level-n slice `oracle_top_dim` reads, checked against the budget:
-    the widest of its three degrees counts, and a slice whose degree s is
-    empty is not checked (it has no classes and the answer is 0)."""
+    """The level-n slice `oracle_top_dim` reads, checked against the budget."""
     sl = _LevelSlice(n, _factors(n, d), -d.t, n)
-    if sl.dims[sl.s]:
-        _check_budget(d, max(sl.dims.values()), budget)
+    _check_slices(d, [sl], budget)
     return sl
 
 
 def oracle_top_dim(n: int, d: Degree, budget: int | None = None) -> int:
-    """Top-level dimension of the graded Mackey functor at degree d: h_dim of
-    the one-pass reducer of the budget-checked `top_slice`, or 0 when its
-    degree s is empty (no differential can be built into it)."""
-    sl = top_slice(n, d, budget)
-    if not sl.dims[sl.s]:
-        return 0
-    return sl.reducer().h_dim
+    """Top-level dimension of the graded Mackey functor at degree d."""
+    return top_slice(n, d, budget).reducer.h_dim
 
 
 def oracle_pi(n: int, d: Degree, budget: int | None = None) -> MackeyAnswer:
     """Full Mackey functor at degree d: levelwise dimensions with induced
     restriction, transfer and Weyl-generator matrices on cohomology.
 
-    The n + 1 level slices share one signature enumeration.  The budget
-    bounds the level-0 width, the widest level built; when degree s is empty
-    nothing is built or checked and every group is 0."""
+    The n + 1 level slices share one signature enumeration; the widest is
+    level 0's, so that one bounds the budget."""
     bottom = _LevelSlice(n, _factors(n, d), -d.t, 0)
-    if not bottom.dims[bottom.s]:
-        return MackeyAnswer(n, d, [0] * (n + 1), [[] for _ in range(n)],
-                            [[] for _ in range(n)], [[] for _ in range(n + 1)])
-    _check_budget(d, max(bottom.dims.values()), budget)
     slices = [bottom] + [bottom.at_level(j) for j in range(1, n + 1)]
-    reducers = [sl.reducer() for sl in slices]
-    res_mats, tr_mats, gamma_mats = [], [], []
-    for j in range(1, n + 1):
-        hi, lo = slices[j], slices[j - 1]
-        res_mats.append(_orbit_induced(reducers[j], reducers[j - 1], _res(hi, lo)))
-        tr_mats.append(_orbit_induced(reducers[j - 1], reducers[j], _tr(hi, lo)))
-    for sl, red in zip(slices, reducers):
-        gamma_mats.append(_orbit_induced(red, red, _gamma(sl)))
-    return MackeyAnswer(n, d, [r.h_dim for r in reducers], res_mats, tr_mats, gamma_mats)
+    _check_slices(d, slices, budget)
+    return MackeyAnswer(
+        n, d, [sl.reducer.h_dim for sl in slices],
+        [_orbit_induced(hi, lo, _res) for lo, hi in zip(slices, slices[1:])],
+        [_orbit_induced(lo, hi, _tr) for lo, hi in zip(slices, slices[1:])],
+        [_orbit_induced(sl, sl, _gamma) for sl in slices],
+    )
 
 
 # -- multiplication by the alpha Euler class ----------------------------------
@@ -459,30 +451,25 @@ def _alpha_slices(n: int, d: Degree, j: int) -> tuple[_LevelSlice, _LevelSlice]:
 
 
 def mult_a_alpha(n: int, d: Degree, j: int, budget: int | None = None):
-    """Induced map on level-j cohomology: pi_d -> pi_{d-alpha}.
-
-    Returns (columns, source reducer, target reducer).  The budget bounds
-    the widest of the two slices, the target's.
-    """
+    """Induced map on level-j cohomology, pi_d -> pi_{d-alpha}, as
+    (columns, source reducer, target reducer)."""
     src, tgt = _alpha_slices(n, d, j)
-    _check_budget(d, _widest([src, tgt]), budget)
-    red_s, red_t = src.reducer(), tgt.reducer()
-    return _orbit_induced(red_s, red_t, _include(src, tgt)), red_s, red_t
+    _check_slices(d, [src, tgt], budget)
+    return _orbit_induced(src, tgt, _include), src.reducer, tgt.reducer
 
 
 def verify_lemma_kernel(n: int, d: Degree, budget: int | None = None) -> dict:
     """Check ker(a_alpha) = im(tr) on pi_d and im(a_alpha) = ker(res) on
-    pi_{d-alpha}, at the top level.  The budget bounds the widest of the
-    four slices, the target's at level n-1."""
-    src_top, tgt_top = _alpha_slices(n, d, n)
-    src_sub, tgt_sub = src_top.at_level(n - 1), tgt_top.at_level(n - 1)
-    _check_budget(d, _widest([src_top, tgt_top, src_sub, tgt_sub]), budget)
-    red_top_s, red_top_t = src_top.reducer(), tgt_top.reducer()
-    red_sub_s, red_sub_t = src_sub.reducer(), tgt_sub.reducer()
-    a_cols = _orbit_induced(red_top_s, red_top_t, _include(src_top, tgt_top))
-    tr_cols = _orbit_induced(red_sub_s, red_top_s, _tr(src_top, src_sub))
-    res_cols = _orbit_induced(red_top_t, red_sub_t, _res(tgt_top, tgt_sub))
-    return _lemma_report(d, red_top_s.h_dim, red_top_t.h_dim, a_cols, tr_cols, res_cols)
+    pi_{d-alpha}, at the top level."""
+    src, tgt = _alpha_slices(n, d, n)
+    src_sub, tgt_sub = src.at_level(n - 1), tgt.at_level(n - 1)
+    _check_slices(d, [src, tgt, src_sub, tgt_sub], budget)
+    return _lemma_report(
+        d, src.reducer.h_dim, tgt.reducer.h_dim,
+        _orbit_induced(src, tgt, _include),
+        _orbit_induced(src_sub, src, _tr),
+        _orbit_induced(tgt, tgt_sub, _res),
+    )
 
 
 def _lemma_report(d: Degree, dim_s: int, dim_t: int, a_cols, tr_cols, res_cols) -> dict:

@@ -58,6 +58,19 @@ class TestDim:
         code, _, err = run_cli(capsys, "dim", "--n", "2", "--deg", "1,2")
         assert code == 2 and "error" in err
 
+    def test_largest_n(self, capsys):
+        n = engine.MAX_N
+        code, out, _ = run_cli(capsys, "dim", "--n", str(n), "--deg", ",".join(["0"] * (n + 1)),
+                               "--format", "table")
+        assert n == 256 and code == 0 and out.strip() == "1"
+
+    def test_oracle_and_summands_unbounded(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle", "--n", "400", "--deg", ",".join(["0"] * 401),
+                               "--format", "table")
+        assert code == 0 and out.strip() == "1"
+        code, out, _ = run_cli(capsys, "summands", "--n", "400")
+        assert code == 0 and json.loads(out)["total"] == 160798
+
     @pytest.mark.parametrize("command", ["dim", "basis", "oracle", "mackey"])
     def test_n_below_1_exit_2(self, capsys, command):
         code, out, err = run_cli(capsys, command, "--n", "0", "--deg", "0")
@@ -352,9 +365,11 @@ class TestInternalFault:
         assert err.startswith("internal error: ") and "boom" in err and "Traceback" in err
 
     def test_deep_recursion_is_not_a_mismatch(self, capsys):
-        # exit 1 is reserved for a verified mismatch
-        code, _, _ = run_cli(capsys, "dim", "--n", "400", "--deg", ",".join(["0"] * 401))
-        assert code in (0, 4)
+        # exit 1 is reserved for a verified mismatch; past engine.MAX_N the
+        # engine refuses n before its recursion can overflow the stack
+        code, out, err = run_cli(capsys, "dim", "--n", "400", "--deg", ",".join(["0"] * 401))
+        assert code == 2 and out == ""
+        assert f"n <= {engine.MAX_N}" in err and "Traceback" not in err
 
 
 def test_console_script():

@@ -160,6 +160,14 @@ class TestDivisible:
         with pytest.raises(Exception):
             d_divisible(3, "uA", zero_degree(3))
 
+    def test_recursion_bound(self):
+        # every entry to the divisibility recursion refuses n past MAX_N
+        d = zero_degree(engine.MAX_N + 1)
+        for query in (lambda: basis(d.n, d), lambda: part2(d.n, d),
+                      lambda: d_divisible(d.n, "aL0", d), lambda: d_divisible(d.n, "aL1", d)):
+            with pytest.raises(DegreeError, match=f"n <= {engine.MAX_N}"):
+                query()
+
 
 class TestPartition:
     def test_parts_disjoint_and_exhaustive(self):

@@ -486,7 +486,32 @@ class TestBudget:
                 checked.clear()
                 built.clear()
                 run(2, d)
-                assert checked == [max(w for _, *ws in built for w in ws)], str(d)
+                assert checked == ([max(w for _, *ws in built for w in ws)] if built else []), str(d)
+
+
+def test_empty_degree_builds_nothing(monkeypatch):
+    """Degree s = -12 has no cells in the model of 12,1,1 over C_4 (degrees
+    0..3) nor in its a_alpha target model (-1..3): every entry point answers
+    zeros without building a differential or checking the budget."""
+
+    def refuse(self, deg):
+        raise AssertionError(f"cols({deg}) built at an empty degree")
+
+    monkeypatch.setattr(oracle._LevelSlice, "cols", refuse)
+    n, d = 2, make_degree(2, 12, 1, [1])
+    assert oracle_top_dim(n, d, budget=0) == 0
+    assert oracle_pi(n, d, budget=0).to_json() == {
+        "degree": "12,1,1",
+        "levels": [{"k": j, "dim": 0} for j in range(n + 1)],
+        "res": [[]] * n,
+        "tr": [[]] * n,
+        "gamma": [[]] * (n + 1),
+    }
+    for j in range(n + 1):
+        cols, red_s, red_t = mult_a_alpha(n, d, j, budget=0)
+        assert (cols, red_s.h_dim, red_t.h_dim) == ([], 0, 0), j
+    rep = verify_lemma_kernel(n, d, budget=0)
+    assert rep["pass"] and rep["dim_pi_d"] == rep["dim_pi_d_minus_alpha"] == 0
 
 
 @pytest.mark.slow
