@@ -467,10 +467,14 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         report = args.func(args)
+        _emit(report, args.format)
+        sys.stdout.flush()  # a closed pipe fails here, inside the mapping
     except oracle.BudgetExceededError as exc:  # a one-degree query cannot skip its degree
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_BUDGET
     except (UsageError, DegreeError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):  # the flush at shutdown must not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (InternalInvariantError, engine.PartOverlapError) as exc:
@@ -482,7 +486,6 @@ def main(argv=None) -> int:
         print(f"internal error: {exc!r}", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL
-    _emit(report, args.format)
     return report.code
 
 

@@ -10,10 +10,13 @@ rotation Euler class, and its part-(4) classes carrying a_lambda_0), so
 only B2 and part (4) are solved in place, and they are two sign windows of
 one slot system (`_slots`): B2 its suspended classes with negative
 a_lambda_0 and u powers, part (4) its unsuspended classes with a positive
-u tower against a negative exponent.  One assembly path serves every
-n: for the group of order 2 there are no blocks and part (2) is its
-negative cone, which renamed is the depth-0 base of the recursion at
-order 4.
+u tower against a negative exponent.  Every renaming is one call of
+`eps_rename(m, k)`, which moves a class of the quotient group one group up
+and multiplies it by the a_lambda_0^k its degree forces.  One assembly
+path serves every n: for the group of order 2 there are no blocks and
+part (2) is its negative cone, the u_alpha-negative part of its orbit row
+(`hf2.tate.hb_basis`), which renamed is the depth-0 base of the recursion
+at order 4.
 
 Every family is solved degreewise: given a target degree, the lambda slots
 and the alpha slot force all but finitely many exponents, so each query
@@ -34,12 +37,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .reps import Degree, DegreeError, strip_lambda0
-from .monomial import (
-    Monomial,
-    MonomialError,
-    is_gold_zero,
-    positive_cone_basis,
-)
+from .monomial import Monomial, MonomialError, eps_rename, positive_cone_basis
+from .tate import hb_basis
 
 PARTS = ("POS", "P2", "P3.B1", "P3.B2", "P3.B3", "P4")
 
@@ -74,14 +73,6 @@ class AnswerBasis:
 
     def monomials(self) -> frozenset[Monomial]:
         return frozenset(e.monomial for e in self.elements)
-
-
-def _is_positive_cone(m: Monomial) -> bool:
-    if m.sigma != 0 or m.e_a_alpha < 0 or m.e_u_alpha < 0:
-        return False
-    if min(m.e_a_lambda + m.e_u_lambda, default=0) < 0:
-        return False
-    return not is_gold_zero(m)
 
 
 # -- explicit families ------------------------------------------------------
@@ -141,50 +132,33 @@ def part4(n: int, d: Degree) -> frozenset[Monomial]:
 
 
 def _c2_family(d: Degree) -> frozenset[Monomial]:
-    """The negative cone of C_2: desuspended negative powers of a_alpha
-    and u_alpha."""
-    j = -1 - d.t
-    i = d.c_alpha + d.t + 1
-    if i >= 1 and j >= 1:
-        return frozenset({Monomial(1, 1, -i, -j, (), ())})
-    return frozenset()
-
-
-def _up(m: Monomial, k: int) -> Monomial:
-    """Rename a class of the quotient group one group up and multiply it by
-    a_lambda_0^k: eps_rename(m) * a_lambda_0^k, built in one step."""
-    return Monomial(
-        m.n + 1,
-        m.sigma,
-        m.e_a_alpha,
-        m.e_u_alpha,
-        (k,) + m.e_a_lambda,
-        (0,) + m.e_u_lambda,
-    )
+    """The negative cone of C_2, S a_alpha^-i u_alpha^-j with i, j >= 1:
+    the u_alpha-negative part of its orbit row."""
+    return frozenset(m for m in hb_basis(1, d) if m.e_u_alpha <= -1)
 
 
 def _blocks(n: int, d: Degree, pos: bool = False) -> tuple:
     """The explicit a_lambda_0-divisible blocks of degree d (n >= 2), as
     (tag, monomials) pairs.
 
-    B2 is solved in place.  B1 and B3 are renamings of the quotient group,
-    multiplied by the a_lambda_0 power the degree forces: B1 comes from the
-    quotient's positive-cone classes containing a_alpha^2 or a rotation
-    Euler class, B3 from its part-(4) classes carrying a_lambda_0.  The
-    renamed cone is B1 when c_lambda_0 >= 1.  Otherwise it is the set of
-    positive-cone classes of d containing a_alpha^2 or a_lambda_i (i >= 1),
-    which gold keeps free of u_lambda_0, and it is listed only if `pos`
-    asks for it.
+    B2 is solved in place.  B1 and B3 are renamings eps_rename(m, k) of
+    quotient-group classes m, with k the a_lambda_0 power the degree
+    forces: B1 comes from the quotient's positive-cone classes containing
+    a_alpha^2 or a rotation Euler class, B3 from its part-(4) classes
+    carrying a_lambda_0.  The renamed cone is B1 when c_lambda_0 >= 1.
+    Otherwise it is the set of positive-cone classes of d containing
+    a_alpha^2 or a_lambda_i (i >= 1), which gold keeps free of u_lambda_0,
+    and it is listed only if `pos` asks for it.
     """
     k, q = -d.c_lambda[0], strip_lambda0(d)
     cone = frozenset()
     if k < 0 or pos:
         cone = frozenset(
-            _up(m, k)
+            eps_rename(m, k)
             for m in positive_cone_basis(n - 1, q)
             if m.e_a_alpha >= 2 or any(a >= 1 for a in m.e_a_lambda)
         )
-    b3 = frozenset(_up(m, k) for m in part4(n - 1, q) if m.e_a_lambda[0] >= 1)
+    b3 = frozenset(eps_rename(m, k) for m in part4(n - 1, q) if m.e_a_lambda[0] >= 1)
     return (("P3.B1", cone), ("P3.B2", _b2(n, d)), ("P3.B3", b3))
 
 
@@ -223,8 +197,8 @@ def _d_lambda1(n: int, d: Degree) -> frozenset[tuple[Monomial, int]]:
         raise DegreeError(f"the engine's recursion needs n <= {MAX_N}, got n={n}")
     k, q = -d.c_lambda[0], strip_lambda0(d)
     if n == 2:
-        return frozenset((_up(m, k), 0) for m in _c2_family(q))
-    return frozenset((_up(m, k), dep + 1) for m, dep in _d_lambda0(n - 1, q))
+        return frozenset((eps_rename(m, k), 0) for m in _c2_family(q))
+    return frozenset((eps_rename(m, k), dep + 1) for m, dep in _d_lambda0(n - 1, q))
 
 
 def d_divisible(n: int, generator: str, d: Degree) -> frozenset[Monomial]:
@@ -243,10 +217,8 @@ def part2(n: int, d: Degree) -> frozenset[Monomial]:
     the positive cone or in the explicit blocks."""
     if n < 3:
         raise DegreeError("part2 needs n >= 3")
-    blocks = part3(n, d)
-    return frozenset(
-        m for m, _ in _d_lambda1(n, d) if not _is_positive_cone(m) and m not in blocks
-    )
+    listed = positive_cone_basis(n, d) | part3(n, d)
+    return frozenset(m for m, _ in _d_lambda1(n, d) if m not in listed)
 
 
 def part2_closed(n: int, d: Degree) -> frozenset[Monomial]:
@@ -262,7 +234,7 @@ def part2_closed(n: int, d: Degree) -> frozenset[Monomial]:
     if n < 4:
         raise DegreeError("the closed route needs n >= 4")
     out: set[Monomial] = set()
-    blocks = part3(n, d)
+    listed = positive_cone_basis(n, d) | part3(n, d)
     base_deg = d
     for renames in range(1, n):
         base_deg = strip_lambda0(base_deg)
@@ -273,8 +245,8 @@ def part2_closed(n: int, d: Degree) -> frozenset[Monomial]:
             fams = _union(_blocks(m_group, base_deg, pos=True))
         for y in fams:
             for j in reversed(range(renames)):
-                y = _up(y, -d.c_lambda[j])
-            if not _is_positive_cone(y) and y not in blocks:
+                y = eps_rename(y, -d.c_lambda[j])
+            if y not in listed:
                 out.add(y)
     return frozenset(out)
 

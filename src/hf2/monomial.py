@@ -52,27 +52,6 @@ def unit(n: int) -> Monomial:
     return Monomial(n, 0, 0, 0, z, z)
 
 
-def generator(n: int, name: str) -> Monomial:
-    """One of "S", "aA", "uA", "aL<k>", "uL<k>" as a Monomial."""
-    z = (0,) * (n - 1)
-    if name == "S":
-        return Monomial(n, 1, 0, 0, z, z)
-    if name == "aA":
-        return Monomial(n, 0, 1, 0, z, z)
-    if name == "uA":
-        return Monomial(n, 0, 0, 1, z, z)
-    m = re.fullmatch(r"([au])L(\d+)", name)
-    if not m:
-        raise MonomialError(f"unknown generator {name!r}")
-    k = int(m.group(2))
-    if not 0 <= k <= n - 2:
-        raise MonomialError(f"lambda index {k} out of range for n={n}")
-    vec = tuple(1 if j == k else 0 for j in range(n - 1))
-    if m.group(1) == "a":
-        return Monomial(n, 0, 0, 0, vec, z)
-    return Monomial(n, 0, 0, 0, z, vec)
-
-
 def degree_of(m: Monomial) -> Degree:
     t = m.e_u_alpha + 2 * sum(m.e_u_lambda) - m.sigma
     c_alpha = -m.e_a_alpha - m.e_u_alpha
@@ -163,14 +142,15 @@ def positive_cone_basis(n: int, d: Degree) -> frozenset[Monomial]:
     return frozenset(out)
 
 
-def eps_rename(m: Monomial) -> Monomial:
-    """Rename along the quotient pullback: lambda_i classes become lambda_{i+1}."""
+def eps_rename(m: Monomial, k: int = 0) -> Monomial:
+    """Rename along the quotient pullback (lambda_i classes become
+    lambda_{i+1}) and multiply by a_lambda_0^k, built in one step."""
     return Monomial(
         m.n + 1,
         m.sigma,
         m.e_a_alpha,
         m.e_u_alpha,
-        (0,) + m.e_a_lambda,
+        (k,) + m.e_a_lambda,
         (0,) + m.e_u_lambda,
     )
 

@@ -1,9 +1,15 @@
 """Closed-form bases for the Borel, Tate and homotopy-orbit rows.
 
-All four queries solve small integer constraint systems per degree instead
-of enumerating families: the lambda slots pin most exponents, the alpha
-slot pins u_alpha once the a_alpha choice is made, and the trivial slot
-fixes one parity.  Dimensions are always 0 or 1 here.
+There is one row, the Tate row, with the localized Euler class (a_alpha
+for n = 1, a_lambda_0 otherwise) and every orientation class inverted.
+The lambda slots pin all exponents but u_lambda_0 and the localized
+power, the alpha slot pins u_alpha once the a_alpha choice is made, and
+the trivial slot fixes one parity, so each degree is one small linear
+system with exactly one solution.  The norm cofibre sequence
+Sigma X_hG -> X^hG -> X^tG makes the other two rows windows of it: the
+Borel row is its classes with a nonnegative localized power, and the
+orbit row its once-desuspended classes with a negative one, so their
+dimensions are 0 or 1.
 """
 
 from __future__ import annotations
@@ -19,63 +25,49 @@ def group_cohomology_dim(n: int, s: int) -> int:
     return 1 if s >= 0 else 0
 
 
-def _mono(n, sigma, ea, eu, eal, eul):
-    return Monomial(n, sigma, ea, eu, tuple(eal), tuple(eul))
+def _row(n: int, d: Degree, sigma: int) -> list[Monomial]:
+    """The Tate classes of degree d + sigma, desuspended sigma times: for
+    n = 1 a_alpha^(-c_alpha - s) u_alpha^s with s = t + sigma, otherwise
+    a_alpha^eps u_alpha^s a_lambda_0^k u_lambda_0^s0 prod_{p>0} u_lambda_p^(-c_p)
+    with s = -c_alpha - eps, s0 forced by t + sigma and k = -c_lambda_0 - s0."""
+    t = d.t + sigma
+    if n == 1:
+        return [Monomial(1, sigma, -d.c_alpha - t, t, (), ())]
+    out = []
+    for eps in (0, 1):
+        s = -d.c_alpha - eps
+        rem = t - s
+        if rem % 2:
+            continue
+        s0 = rem // 2 + sum(d.c_lambda[1:])
+        eul = (s0,) + tuple(-c for c in d.c_lambda[1:])
+        eal = (-d.c_lambda[0] - s0,) + (0,) * (n - 2)
+        out.append(Monomial(n, sigma, eps, s, eal, eul))
+    return out
+
+
+def _euler_power(m: Monomial) -> int:
+    """The exponent of the localized Euler class."""
+    return m.e_a_alpha if m.n == 1 else m.e_a_lambda[0]
 
 
 def hh_basis(n: int, d: Degree) -> frozenset[Monomial]:
     """Homotopy fixed points: the Tate classes with a nonnegative power of
-    the localized Euler class (a_alpha for n = 1, a_lambda_0 otherwise)."""
-    return frozenset(
-        m for m in ht_basis(n, d) if (m.e_a_alpha if n == 1 else m.e_a_lambda[0]) >= 0
-    )
+    the localized Euler class."""
+    return frozenset(m for m in _row(n, d, 0) if _euler_power(m) >= 0)
 
 
 def ht_basis(n: int, d: Degree) -> frozenset[Monomial]:
     """Tate: one class per degree.  All orientation classes and the
     localized Euler class are inverted; a_alpha is square-zero for n >= 2
     and a_lambda_0 is Laurent."""
-    out = []
-    if n == 1:
-        s = d.t
-        k = -d.c_alpha - s
-        out.append(_mono(1, 0, k, s, (), ()))
-        return frozenset(out)
-    for eps in (0, 1):
-        s = -d.c_alpha - eps
-        rem = d.t - s
-        if rem % 2:
-            continue
-        s0 = rem // 2 + sum(d.c_lambda[1:])
-        k = -d.c_lambda[0] - s0
-        eul = (s0,) + tuple(-c for c in d.c_lambda[1:])
-        eal = (k,) + (0,) * (n - 2)
-        out.append(_mono(n, 0, eps, s, eal, eul))
-    return frozenset(out)
+    return frozenset(_row(n, d, 0))
 
 
 def hb_basis(n: int, d: Degree) -> frozenset[Monomial]:
-    """Homotopy orbits: one desuspension, negative powers of the localized
-    Euler class, orientation classes inverted, and <1, a_alpha> for n >= 2."""
-    out = []
-    if n == 1:
-        s = d.t + 1
-        i = d.c_alpha + d.t + 1
-        if i >= 1:
-            out.append(_mono(1, 1, -i, s, (), ()))
-        return frozenset(out)
-    for eps in (0, 1):
-        s = -d.c_alpha - eps
-        rem = d.t + 1 - s
-        if rem % 2:
-            continue
-        s0 = rem // 2 + sum(d.c_lambda[1:])
-        i = s0 + d.c_lambda[0]
-        if i >= 1:
-            eul = (s0,) + tuple(-c for c in d.c_lambda[1:])
-            eal = (-i,) + (0,) * (n - 2)
-            out.append(_mono(n, 1, eps, s, eal, eul))
-    return frozenset(out)
+    """Homotopy orbits: the Tate classes of degree d + 1 with a negative
+    power of the localized Euler class, desuspended once."""
+    return frozenset(m for m in _row(n, d, 1) if _euler_power(m) <= -1)
 
 
 def perp_hb_basis(n: int, d: Degree) -> frozenset[Monomial]:

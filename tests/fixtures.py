@@ -105,6 +105,38 @@ def c4_closed_form(d: Degree) -> set[str]:
     return out
 
 
+def brute_tate_rows(n: int, d: Degree) -> dict[str, set[str]]:
+    """The Borel (hh), Tate (ht) and orbit (hb) rows by search.
+
+    A Tate class is a_alpha^ea u_alpha^eu a_l0^k u_l0^j prod_{p>0} u_lp^(-c_p)
+    (for n = 1 just a_alpha^ea u_alpha^eu), with ea in {0, 1} for n >= 2.
+    The u_lambda_0 exponent (u_alpha for n = 1) runs over a window, the
+    lambda and alpha coefficients pin the rest, and degree_of keeps the
+    hits.  hh is the unsuspended hits with a nonnegative localized Euler
+    power (a_alpha for n = 1, a_lambda_0 otherwise); hb is the
+    desuspended hits with a negative one.
+    """
+    rows: dict[str, set[str]] = {"hh": set(), "ht": set(), "hb": set()}
+    bound = abs(d.t) + abs(d.c_alpha) + 2 * sum(abs(c) for c in d.c_lambda) + 4
+    for j in range(-bound, bound + 1):
+        if n == 1:
+            shapes = [(-d.c_alpha - j, j, [], [])]
+        else:
+            upper = [-c for c in d.c_lambda[1:]]
+            shapes = [
+                (ea, -d.c_alpha - ea, [-d.c_lambda[0] - j] + [0] * (n - 2), [j] + upper)
+                for ea in (0, 1)
+            ]
+        for ea, eu, eal, eul in shapes:
+            power = ea if n == 1 else eal[0]
+            _emit(n, 0, ea, eu, eal, eul, d, rows["ht"])
+            if power >= 0:
+                _emit(n, 0, ea, eu, eal, eul, d, rows["hh"])
+            else:
+                _emit(n, 1, ea, eu, eal, eul, d, rows["hb"])
+    return rows
+
+
 def c8_lines(d: Degree, literal_display: bool = False) -> dict[str, set[str]]:
     """The thirteen order-8 families, one entry per displayed line."""
     t, ca, c0, c1 = d.t, d.c_alpha, d.c_lambda[0], d.c_lambda[1]

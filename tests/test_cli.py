@@ -1,5 +1,6 @@
 import functools
 import json
+import os
 import re
 import subprocess
 import sys
@@ -379,6 +380,30 @@ def test_console_script():
         text=True,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "1"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_pipe_exit_2(unbuffered):
+    # `hf2 ... | head`: stdout's reader is gone before the report is written;
+    # unbuffered, print fails, buffered, the flush does
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hf2.cli", "dim", "--n", "1", "--deg", "0,0"],
+            stdout=w,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert "Broken pipe" in proc.stderr
 
 
 def test_import_leaves_out_multiprocessing():

@@ -8,7 +8,6 @@ from hf2.monomial import (
     divide,
     eps_rename,
     format_monomial,
-    generator,
     is_gold_zero,
     multiply,
     parse_monomial,
@@ -45,17 +44,17 @@ class TestDegree:
         assert degree_of(unit(3)) == zero_degree(3)
 
     def test_mixed(self):
-        m = multiply(generator(2, "aA"), generator(2, "uL0"))
+        m = multiply(parse_monomial("aA", 2), parse_monomial("uL0", 2))
         assert degree_of(m) == make_degree(2, 2, -1, [-1])
 
 
 class TestMultiply:
     def test_squares(self):
-        m = multiply(generator(2, "aA"), generator(2, "aA"))
+        m = multiply(parse_monomial("aA", 2), parse_monomial("aA", 2))
         assert m.e_a_alpha == 2
 
     def test_lambda_cancel(self):
-        m = multiply(LAMBDA_C4, generator(2, "aL0"))
+        m = multiply(LAMBDA_C4, parse_monomial("aL0", 2))
         assert (m.sigma, m.e_a_alpha, m.e_u_alpha, m.e_a_lambda) == (1, 1, -1, (0,))
 
     def test_sigma_overflow(self):
@@ -132,6 +131,8 @@ class TestRenaming:
         m = Monomial(2, 1, 1, -2, (3,), (-1,))
         up = eps_rename(m)
         assert up == Monomial(3, 1, 1, -2, (0, 3), (0, -1))
+        for k in (-2, 3):
+            assert eps_rename(m, k) == times_a_lambda(up, 0, k)
 
     def test_times_a_lambda(self):
         m = times_a_lambda(unit(3), 1, -4)

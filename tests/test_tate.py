@@ -4,7 +4,7 @@ from hf2.monomial import degree_of
 from hf2.reps import DegreeError, make_degree, trivial_degree, zero_degree
 from hf2.tate import group_cohomology_dim, hb_basis, hh_basis, ht_basis, perp_hb_basis
 
-from fixtures import box_degrees
+from fixtures import box_degrees, brute_tate_rows
 
 
 def strs(ms):
@@ -123,3 +123,21 @@ class TestRowIdentities:
                 for m in hh_basis(n, d) | ht_basis(n, d) | hb_basis(n, d):
                     assert all(a <= 0 for a in m.e_a_lambda[1:])
                     assert m.e_a_alpha <= 1
+
+
+def test_rows_match_search():
+    # criterion 7's boxes plus n = 1, symbol for symbol
+    boxes = {
+        1: ((-10, 10), (-4, 4), (0, 0)),
+        2: ((-10, 10), (-3, 3), (-3, 3)),
+        3: ((-8, 8), (-2, 2), (-2, 2)),
+    }
+    rows = {"hh": hh_basis, "ht": ht_basis, "hb": hb_basis}
+    total = 0
+    for n, box in boxes.items():
+        for d in box_degrees(n, *box):
+            total += 1
+            want = brute_tate_rows(n, d)
+            for name, row in rows.items():
+                assert strs(row(n, d)) == want[name], (name, str(d))
+    assert total == 189 + 1029 + 2125
