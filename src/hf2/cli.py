@@ -22,6 +22,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -51,63 +52,49 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class DegreeBox:
-    """Inclusive per-coordinate ranges; iteration is lexicographic in
-    (t, c_alpha, c_lambda[0], ...)."""
+    """Inclusive ranges (lo, hi) of t, c_alpha, c_lambda[0], ..., in that
+    order; iteration is lexicographic in them."""
 
     n: int
-    t: tuple[int, int]
-    a: tuple[int, int]
-    lam: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        for lo, hi in (self.t, self.a) + self.lam:
-            if lo > hi:
-                raise UsageError(f"empty range {lo}..{hi} in box")
+    ranges: tuple[tuple[int, int], ...]
 
     def __iter__(self):
-        slots = (self.t, self.a, *self.lam)
-        for t, a, *lam in itertools.product(*(range(lo, hi + 1) for lo, hi in slots)):
+        for t, a, *lam in itertools.product(*(range(lo, hi + 1) for lo, hi in self.ranges)):
             yield reps.make_degree(self.n, t, a, lam)
 
-    def size(self) -> int:
-        out = 1
-        for lo, hi in (self.t, self.a) + self.lam:
-            out *= hi - lo + 1
-        return out
-
     def describe(self) -> str:
-        items = [f"t={self.t[0]}..{self.t[1]}", f"a={self.a[0]}..{self.a[1]}"]
-        items += [f"l{i}={lo}..{hi}" for i, (lo, hi) in enumerate(self.lam)]
-        return ",".join(items)
+        names = ["t", "a"] + [f"l{i}" for i in range(len(self.ranges) - 2)]
+        return ",".join(f"{name}={lo}..{hi}" for name, (lo, hi) in zip(names, self.ranges))
 
 
 _RANGE_RE = re.compile(r"(t|a|l(\d+))=(-?\d+)\.\.(-?\d+)\Z")
 
 
 def parse_box(text: str, n: int) -> DegreeBox:
-    t = a = None
-    lam: dict[int, tuple[int, int]] = {}
+    """Slot t is 0, a is 1 and l<i> is 2 + i; a slot left out is 0..0."""
+    slots: dict[int, tuple[int, int]] = {}
     for item in text.split(","):
         item = item.strip()
         m = _RANGE_RE.fullmatch(item)
         if not m:
             raise UsageError(f"bad box item {item!r}; expected like t=-8..8")
-        lo, hi = int(m.group(3)), int(m.group(4))
-        if m.group(1) == "t":
-            repeated, t = t is not None, (lo, hi)
-        elif m.group(1) == "a":
-            repeated, a = a is not None, (lo, hi)
+        if m.group(2) is None:
+            slot = "ta".index(m.group(1))
         else:
             idx = int(m.group(2))
             if not 0 <= idx <= n - 2:
                 raise UsageError(f"lambda slot l{idx} out of range for n={n}")
-            repeated, lam[idx] = idx in lam, (lo, hi)
-        if repeated:
+            slot = 2 + idx
+        if slot in slots:
             raise UsageError(f"box item {item!r} repeats a coordinate")
-    if t is None or a is None:
+        slots[slot] = int(m.group(3)), int(m.group(4))
+    if 0 not in slots or 1 not in slots:
         raise UsageError("box must give t=lo..hi and a=lo..hi")
-    full = tuple(lam.get(i, (0, 0)) for i in range(n - 1))
-    return DegreeBox(n, t, a, full)
+    ranges = (slots[0], slots[1]) + tuple(slots.get(2 + i, (0, 0)) for i in range(n - 1))
+    for lo, hi in ranges:
+        if lo > hi:
+            raise UsageError(f"empty range {lo}..{hi} in box")
+    return DegreeBox(n, ranges)
 
 
 # -- cache --------------------------------------------------------------------
@@ -179,6 +166,8 @@ def _cache_key(n: int, d: Degree) -> str:
 
 
 # -- workers ------------------------------------------------------------------
+
+_CHUNK = 16  # degrees per task handed to a `verify --jobs` worker
 
 
 def _oracle_value(task):
@@ -254,11 +243,13 @@ def cmd_verify(args) -> Report:
     degrees = list(box)
     cached = [cache.get(_cache_key(args.n, d)) if cache else None for d in degrees]
     tasks = [(args.n, d, args.budget, c) for d, c in zip(degrees, cached)]
-    if args.jobs > 1 and None in cached:
+    # a pool starts all its workers at once: no more than there are chunks
+    workers = min(args.jobs, math.ceil(len(tasks) / _CHUNK))
+    if workers > 1 and None in cached:
         from multiprocessing import Pool  # only here: it slows every start-up
 
-        with Pool(args.jobs) as pool:
-            answers = pool.map(_oracle_value, tasks, chunksize=16)
+        with Pool(workers) as pool:
+            answers = pool.map(_oracle_value, tasks, chunksize=_CHUNK)
     else:
         answers = map(_oracle_value, tasks)
 

@@ -9,7 +9,7 @@ quotients.
 
 from __future__ import annotations
 
-from .reps import Degree, DegreeError, lambda_degree, trivial_degree
+from .reps import Degree, DegreeError, check_group, lambda_degree, trivial_degree
 from .monomial import Monomial, MonomialError, divide
 from .engine import dimension
 
@@ -25,8 +25,7 @@ def dual_degree(n: int, d: Degree) -> Degree:
     """The degree paired with d: lambda_0 - 2 - d."""
     if n < 2:
         raise DegreeError("duality needs n >= 2")
-    if d.n != n:
-        raise DegreeError(f"degree is over n={d.n}, expected {n}")
+    check_group(n, d)
     return lambda_degree(n, 0) - trivial_degree(n, 2) - d
 
 

@@ -36,11 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .reps import Degree, DegreeError, strip_lambda0
+from .reps import Degree, DegreeError, check_group, strip_lambda0
 from .monomial import Monomial, MonomialError, eps_rename, positive_cone_basis
 from .tate import hb_basis
-
-PARTS = ("POS", "P2", "P3.B1", "P3.B2", "P3.B3", "P4")
 
 # The a_lambda_0/a_lambda_1 recursion descends one group order per frame
 # pair, so its depth grows with n; this bound keeps it well inside Python's
@@ -258,8 +256,7 @@ def basis(n: int, d: Degree) -> AnswerBasis:
     """The positive cone, the explicit blocks and part (4), then part (2)
     less what the first three already list.  For n = 1 there are no blocks
     and part (2) is the negative cone of C_2."""
-    if d.n != n:
-        raise DegreeError(f"degree is over n={d.n}, expected {n}")
+    check_group(n, d)
     found = {m: BasisElement(m, "POS", 0) for m in positive_cone_basis(n, d)}
     if n == 1:
         blocks, p2 = (), ((m, 0) for m in _c2_family(d))

@@ -46,17 +46,6 @@ class Span:
         self.pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (vector, combination)
         self.n_gens = 0
 
-    def _reduce(self, v: int, comb: int) -> tuple[int, int]:
-        """(v, comb) minus span rows until v is 0 or its top bit is no pivot."""
-        pivots = self.pivots
-        while v:
-            row = pivots.get(v.bit_length() - 1)
-            if row is None:
-                break
-            v ^= row[0]
-            comb ^= row[1]
-        return v, comb
-
     def absorb(self, columns: list[int], tagged: bool = False, skip=()) -> list[int]:
         """Reduce each column whose index is not in skip and keep it as a new
         row unless it reduces to 0.  Tagged columns are generators, column j
@@ -83,17 +72,16 @@ class Span:
             self.n_gens += len(columns)
         return kernel
 
-    def add(self, v: int) -> bool:
-        """Add a generator; returns True if it enlarged the span."""
-        return not self.absorb([v], tagged=True)
-
-    def contains(self, v: int) -> bool:
-        return self._reduce(v, 0)[0] == 0
-
     def express(self, v: int):
         """Coordinates of v over the added generators (bitmask), or None."""
-        v, comb = self._reduce(v, 0)
-        return comb if v == 0 else None
+        pivots, comb = self.pivots, 0
+        while v:
+            row = pivots.get(v.bit_length() - 1)
+            if row is None:
+                return None
+            v ^= row[0]
+            comb ^= row[1]
+        return comb
 
     @property
     def dim(self) -> int:

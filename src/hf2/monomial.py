@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from itertools import product
 
-from .reps import Degree, DegreeError, make_degree
+from .reps import Degree, check_group, make_degree
 
 
 class MonomialError(ValueError):
@@ -118,8 +118,7 @@ def positive_cone_basis(n: int, d: Degree) -> frozenset[Monomial]:
     the alpha slot fixes e_a_alpha + e_u_alpha = -c_alpha, and the trivial
     part pins the total u-weight.
     """
-    if d.n != n:
-        raise DegreeError(f"degree is over n={d.n}, expected {n}")
+    check_group(n, d)
     a_tot = -d.c_alpha
     lam_tot = [-c for c in d.c_lambda]
     if a_tot < 0 or any(v < 0 for v in lam_tot):

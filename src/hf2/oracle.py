@@ -30,11 +30,11 @@ cells of O' that d(rep O) hits, times |O| / |O'|, mod 2, so no bottom-level
 vector is formed; a factor's move adds bit masks fixed by its differential's
 kind (nu and N hit the whole block, 1 - gamma and its transpose two cells).
 The levels of one model share one enumeration of factor-degree signatures
-(`_LevelSlice.at_level`).  A degree s outside the interval of degrees with
-cells has group 0 and builds nothing, so the budget, the widest degree of
-the slices a query builds, skips it.  res, tr, gamma and multiplication by
-a_alpha (the inclusion of the model into its smash with one dual alpha cell
-pair) act on orbit indices in closed form.
+(`_signatures`), handed to each level's `_LevelSlice`.  A degree s outside
+the interval of degrees with cells has group 0 and builds nothing, so the
+budget, the widest degree of the slices a query builds, skips it.  res, tr,
+gamma and multiplication by a_alpha (the inclusion of the model into its
+smash with one dual alpha cell pair) act on orbit indices in closed form.
 
 The bottom-level route, which stores the whole complex at the trivial-
 subgroup level with the generator's permutation action, lives in the test
@@ -50,7 +50,7 @@ from itertools import product
 from operator import mul, xor
 
 from .gf2 import CohomologyReducer, columns_to_bitstrings, nullspace, rank
-from .reps import Degree
+from .reps import Degree, check_group
 from . import reps
 
 DEFAULT_BUDGET = 20000
@@ -82,6 +82,7 @@ def _factors(n: int, d: Degree) -> list[tuple[int, int, int]]:
     """(block, length, sign) of the minimal model of each nonzero coefficient:
     lambda_i in increasing i, then alpha.  sign -1 marks a factor of the
     negative part, which enters dualized."""
+    check_group(n, d)
     out = [
         (1 << (n - i), 2 * abs(c), 1 if c > 0 else -1)
         for i, c in enumerate(d.c_lambda)
@@ -146,18 +147,11 @@ class _LevelSlice:
     docstring applied per pair of classes.
     """
 
-    def __init__(self, n: int, factors: list[tuple[int, int, int]], s: int, j: int):
-        self._build(n, factors, s, _signatures(factors, s), j)
-
-    def at_level(self, j: int) -> _LevelSlice:
-        """The slice of the same model at level j: the signatures are shared,
-        only the class tables depend on the level."""
-        sl = type(self).__new__(type(self))
-        sl._build(self.n, self.factors, self.s, self.signatures, j)
-        return sl
-
-    def _build(self, n: int, factors, s: int, signatures, j: int) -> None:
-        self.n, self.factors, self.s, self.signatures = n, factors, s, signatures
+    def __init__(self, n: int, factors: list[tuple[int, int, int]], s: int, j: int,
+                 signatures=None):
+        if signatures is None:  # the levels of one model share them
+            signatures = _signatures(factors, s)
+        self.factors, self.s, self.signatures = factors, s, signatures
         self.p = 1 << (n - j)
         self.classes: dict[int, dict[tuple[int, ...], _CellClass]] = {}
         self.dims: dict[int, int] = {}
@@ -371,10 +365,6 @@ class MackeyAnswer:
     tr: list[list[int]]
     gamma: list[list[int]]
 
-    @property
-    def top_dim(self) -> int:
-        return self.level_dims[self.n]
-
     def to_json(self) -> dict:
         return {
             "degree": reps.format_degree(self.degree),
@@ -428,8 +418,9 @@ def oracle_pi(n: int, d: Degree, budget: int | None = None) -> MackeyAnswer:
 
     The n + 1 level slices share one signature enumeration; the widest is
     level 0's, so that one bounds the budget."""
-    bottom = _LevelSlice(n, _factors(n, d), -d.t, 0)
-    slices = [bottom] + [bottom.at_level(j) for j in range(1, n + 1)]
+    factors, s = _factors(n, d), -d.t
+    signatures = _signatures(factors, s)
+    slices = [_LevelSlice(n, factors, s, j, signatures) for j in range(n + 1)]
     _check_slices(d, slices, budget)
     return MackeyAnswer(
         n, d, [sl.reducer.h_dim for sl in slices],
@@ -462,7 +453,8 @@ def verify_lemma_kernel(n: int, d: Degree, budget: int | None = None) -> dict:
     """Check ker(a_alpha) = im(tr) on pi_d and im(a_alpha) = ker(res) on
     pi_{d-alpha}, at the top level."""
     src, tgt = _alpha_slices(n, d, n)
-    src_sub, tgt_sub = src.at_level(n - 1), tgt.at_level(n - 1)
+    src_sub, tgt_sub = (_LevelSlice(n, sl.factors, sl.s, n - 1, sl.signatures)
+                        for sl in (src, tgt))
     _check_slices(d, [src, tgt, src_sub, tgt_sub], budget)
     return _lemma_report(
         d, src.reducer.h_dim, tgt.reducer.h_dim,

@@ -29,7 +29,7 @@ class Degree:
     c_lambda: tuple[int, ...]
 
     def __add__(self, other: "Degree") -> "Degree":
-        self._check_same_group(other)
+        check_group(self.n, other)
         return Degree(
             self.n,
             self.t + other.t,
@@ -42,10 +42,6 @@ class Degree:
 
     def __neg__(self) -> "Degree":
         return Degree(self.n, -self.t, -self.c_alpha, tuple(-c for c in self.c_lambda))
-
-    def _check_same_group(self, other: "Degree") -> None:
-        if self.n != other.n:
-            raise DegreeError(f"degree group mismatch: n={self.n} vs n={other.n}")
 
     def __str__(self) -> str:
         return format_degree(self)
@@ -60,6 +56,12 @@ def make_degree(n: int, t: int, c_alpha: int, c_lambda) -> Degree:
             f"c_lambda: expected {n - 1} lambda coefficients for n={n}, got {len(c_lambda)}"
         )
     return Degree(n, int(t), int(c_alpha), c_lambda)
+
+
+def check_group(n: int, d: Degree) -> None:
+    """Refuse a degree that is not over C_{2^n}, the group asked about."""
+    if d.n != n:
+        raise DegreeError(f"degree is over n={d.n}, expected {n}")
 
 
 def zero_degree(n: int) -> Degree:

@@ -14,7 +14,7 @@ dimensions are 0 or 1.
 
 from __future__ import annotations
 
-from .reps import Degree, DegreeError
+from .reps import Degree, DegreeError, check_group
 from .monomial import Monomial
 
 
@@ -30,6 +30,7 @@ def _row(n: int, d: Degree, sigma: int) -> list[Monomial]:
     n = 1 a_alpha^(-c_alpha - s) u_alpha^s with s = t + sigma, otherwise
     a_alpha^eps u_alpha^s a_lambda_0^k u_lambda_0^s0 prod_{p>0} u_lambda_p^(-c_p)
     with s = -c_alpha - eps, s0 forced by t + sigma and k = -c_lambda_0 - s0."""
+    check_group(n, d)
     t = d.t + sigma
     if n == 1:
         return [Monomial(1, sigma, -d.c_alpha - t, t, (), ())]
@@ -77,10 +78,11 @@ def perp_hb_basis(n: int, d: Degree) -> frozenset[Monomial]:
     exactly those with matched u_lambda_0 / a_lambda_0 powers.  For n = 1
     the same statement holds with alpha in place of lambda_0.
     """
+    row = hb_basis(n, d)  # first, so that a degree over another group is refused
     if n >= 2:
         if d.c_lambda[0] != 0:
             raise DegreeError("perp slice needs c_lambda[0] = 0")
-        return frozenset(m for m in hb_basis(n, d) if m.e_u_lambda[0] == -m.e_a_lambda[0])
+        return frozenset(m for m in row if m.e_u_lambda[0] == -m.e_a_lambda[0])
     if d.c_alpha != 0:
         raise DegreeError("perp slice needs c_alpha = 0 for n = 1")
-    return frozenset(m for m in hb_basis(1, d) if m.e_u_alpha == -m.e_a_alpha)
+    return frozenset(m for m in row if m.e_u_alpha == -m.e_a_alpha)

@@ -1,5 +1,6 @@
 import functools
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -103,6 +104,7 @@ class TestBasis:
 
 class TestVerify:
     BOX = "t=-3..3,a=-1..1,l0=-1..1"
+    WIDE = "t=-2..2,a=-1..1,l0=-1..1"
 
     def test_pass(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--n", "2", "--box", self.BOX)
@@ -133,11 +135,37 @@ class TestVerify:
         assert "budget" in payload["records"][0]["skipped"]
 
     def test_jobs(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--n", "2", "--box", "t=-1..1,a=0..0,l0=-1..1",
-            "--jobs", "2",
-        )
-        assert code == 0 and json.loads(out)["pass"]
+        # 45 degrees are three chunks, so --jobs 2 runs a real 2-worker pool
+        reports = []
+        for jobs in ("2", "1"):
+            code, out, _ = run_cli(capsys, "verify", "--n", "2", "--box", self.WIDE,
+                                   "--no-cache", "--jobs", jobs)
+            assert code == 0
+            reports.append(json.loads(out))
+            reports[-1].pop("meta")
+        assert reports[0] == reports[1] and reports[0]["pass"]
+
+    @pytest.mark.parametrize("box, pools", [("t=-1..1,a=0..0,l0=-1..1", []), (WIDE, [3])])
+    def test_jobs_sizes_pool_from_box(self, capsys, monkeypatch, box, pools):
+        made = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                made.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, tasks, chunksize):
+                return list(map(func, tasks))
+
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        code, _, _ = run_cli(capsys, "verify", "--n", "2", "--box", box, "--no-cache",
+                             "--jobs", "64")
+        assert code == 0 and made == pools
 
     def test_determinism_modulo_meta(self, capsys):
         args = ("verify", "--n", "2", "--box", "t=-2..2,a=-1..1,l0=0..0")
@@ -169,7 +197,26 @@ class TestVerify:
     def test_box_order_is_lexicographic(self):
         box = cli.parse_box("t=0..1,a=-1..0,l1=2..3", 3)
         coords = [(d.t, d.c_alpha, *d.c_lambda) for d in box]
-        assert coords == sorted(coords) and len(coords) == box.size() == 8
+        assert coords == sorted(coords) and len(coords) == 8
+
+    @pytest.mark.parametrize("n, text, described, first", [
+        (1, "t=0..1,a=0..0", "t=0..1,a=0..0", ["0,0", "1,0"]),
+        (4, "a=-1..0,t=2..2,l2=1..2", "t=2..2,a=-1..0,l0=0..0,l1=0..0,l2=1..2",
+         ["2,-1,0,0,1", "2,-1,0,0,2"]),
+    ])
+    def test_box_slots(self, n, text, described, first):
+        box = cli.parse_box(text, n)
+        assert box.describe() == described
+        assert [reps.format_degree(d) for d in box][:2] == first
+
+    @pytest.mark.parametrize("n, text, message", [
+        (1, "t=0..1,a=0..0,l0=0..0", "lambda slot l0 out of range for n=1"),
+        (3, "t=0..0,a=0..0,l01=0..1,l1=0..0", "box item 'l1=0..0' repeats a coordinate"),
+    ])
+    def test_box_refused(self, n, text, message):
+        with pytest.raises(cli.UsageError) as err:
+            cli.parse_box(text, n)
+        assert str(err.value) == message
 
 
 class TestCache:

@@ -17,6 +17,8 @@ from hf2.reps import (
     underlying_dim,
     zero_degree,
 )
+from hf2.oracle import mult_a_alpha, oracle_pi, oracle_top_dim, top_slice, verify_lemma_kernel
+from hf2.tate import hb_basis, hh_basis, ht_basis, perp_hb_basis
 
 
 def degrees(n, lo=-6, hi=6):
@@ -142,3 +144,20 @@ class TestTextForm:
             parse_degree("1,2,3", 3)
         with pytest.raises(DegreeError):
             parse_degree("1,x,3", 2)
+
+
+@pytest.mark.parametrize("query", [
+    lambda d: hh_basis(1, d),
+    lambda d: ht_basis(1, d),
+    lambda d: hb_basis(1, d),
+    lambda d: perp_hb_basis(3, d),
+    lambda d: oracle_top_dim(3, d),
+    lambda d: oracle_pi(1, d),
+    lambda d: mult_a_alpha(3, d, 3),
+    lambda d: verify_lemma_kernel(3, d),
+    lambda d: top_slice(1, d),
+], ids=["hh_basis", "ht_basis", "hb_basis", "perp_hb_basis", "oracle_top_dim", "oracle_pi",
+        "mult_a_alpha", "verify_lemma_kernel", "top_slice"])
+def test_degree_over_another_group_refused(query):
+    with pytest.raises(DegreeError, match=r"^degree is over n=2, expected [13]$"):
+        query(make_degree(2, 0, 0, [5]))
