@@ -18,6 +18,7 @@ comparison tooling must ignore.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import hashlib
 import itertools
@@ -204,9 +205,8 @@ def _emit(report: Report, fmt: str) -> None:
         values = payload.values() if isinstance(payload, dict) else payload
         nested = any(isinstance(v, (dict, list)) for v in values)
         print(json.dumps(payload, indent=2 if nested else None))
-    elif fmt == "csv":
-        for row in report.csv:
-            print(",".join(str(x) for x in row))
+    elif fmt == "csv":  # quoted where a field holds a comma, as a degree does
+        csv.writer(sys.stdout, lineterminator="\n").writerows(report.csv)
     else:
         for line in report.table:
             print(line)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
 
 from .reps import Degree, check_group, make_degree
 
@@ -59,37 +58,28 @@ def degree_of(m: Monomial) -> Degree:
     return make_degree(m.n, t, c_alpha, c_lam)
 
 
-def multiply(m1: Monomial, m2: Monomial) -> Monomial:
+def _combine(m1: Monomial, m2: Monomial, sign: int) -> Monomial:
+    """m1 * m2^sign exponent by exponent: sign 1 multiplies, -1 divides.
+    The sigma of the result must stay in {0, 1}, which Monomial checks."""
     if m1.n != m2.n:
         raise MonomialError(f"group mismatch: n={m1.n} vs n={m2.n}")
-    sigma = m1.sigma + m2.sigma
-    if sigma > 1:
-        raise MonomialError("sigma overflow: at most one desuspension per monomial")
     return Monomial(
         m1.n,
-        sigma,
-        m1.e_a_alpha + m2.e_a_alpha,
-        m1.e_u_alpha + m2.e_u_alpha,
-        tuple(a + b for a, b in zip(m1.e_a_lambda, m2.e_a_lambda)),
-        tuple(a + b for a, b in zip(m1.e_u_lambda, m2.e_u_lambda)),
+        m1.sigma + sign * m2.sigma,
+        m1.e_a_alpha + sign * m2.e_a_alpha,
+        m1.e_u_alpha + sign * m2.e_u_alpha,
+        tuple(a + sign * b for a, b in zip(m1.e_a_lambda, m2.e_a_lambda)),
+        tuple(a + sign * b for a, b in zip(m1.e_u_lambda, m2.e_u_lambda)),
     )
+
+
+def multiply(m1: Monomial, m2: Monomial) -> Monomial:
+    return _combine(m1, m2, 1)
 
 
 def divide(m1: Monomial, m2: Monomial) -> Monomial:
-    """Exponentwise difference m1 / m2; the sigma difference must stay in {0,1}."""
-    if m1.n != m2.n:
-        raise MonomialError(f"group mismatch: n={m1.n} vs n={m2.n}")
-    sigma = m1.sigma - m2.sigma
-    if sigma not in (0, 1):
-        raise MonomialError("sigma underflow in monomial division")
-    return Monomial(
-        m1.n,
-        sigma,
-        m1.e_a_alpha - m2.e_a_alpha,
-        m1.e_u_alpha - m2.e_u_alpha,
-        tuple(a - b for a, b in zip(m1.e_a_lambda, m2.e_a_lambda)),
-        tuple(a - b for a, b in zip(m1.e_u_lambda, m2.e_u_lambda)),
-    )
+    """Exponentwise difference m1 / m2."""
+    return _combine(m1, m2, -1)
 
 
 def is_gold_zero(m: Monomial) -> bool:
@@ -114,30 +104,33 @@ def is_gold_zero(m: Monomial) -> bool:
 def positive_cone_basis(n: int, d: Degree) -> frozenset[Monomial]:
     """All gold-surviving nonnegative monomials of degree d (no suspension).
 
-    Enumeration is finite: each lambda slot fixes e_a + e_u = -c_lambda[i],
-    the alpha slot fixes e_a_alpha + e_u_alpha = -c_alpha, and the trivial
-    part pins the total u-weight.
+    Each lambda slot fixes e_a + e_u = -c_lambda[i] and the alpha slot fixes
+    e_a_alpha + e_u_alpha = -c_alpha.  A survivor with a u_lambda has a
+    lowest one, at slot r; the gold relations leave it no a_lambda above r
+    and no a_alpha^2, so every slot above r is all u, e_u_alpha is -c_alpha
+    or -c_alpha - 1 (the one of t's parity), and t fixes u_r, which must lie
+    in 1..-c_r.  The one survivor without a u_lambda has e_u_alpha = t.  So
+    a degree has at most n classes, and each is solved, not searched for.
     """
     check_group(n, d)
     a_tot = -d.c_alpha
-    lam_tot = [-c for c in d.c_lambda]
-    if a_tot < 0 or any(v < 0 for v in lam_tot):
+    lam = tuple(-c for c in d.c_lambda)
+    if a_tot < 0 or min(lam, default=0) < 0:
         return frozenset()
     out = []
-    for us in product(*(range(v + 1) for v in lam_tot)):
-        e_u_alpha = d.t - 2 * sum(us)
-        if not 0 <= e_u_alpha <= a_tot:
-            continue
-        m = Monomial(
-            n,
-            0,
-            a_tot - e_u_alpha,
-            e_u_alpha,
-            tuple(v - u for v, u in zip(lam_tot, us)),
-            tuple(us),
-        )
-        if not is_gold_zero(m):
-            out.append(m)
+    if 0 <= d.t <= a_tot:
+        out.append(Monomial(n, 0, a_tot - d.t, d.t, lam, (0,) * (n - 1)))
+    e_u = a_tot - (d.t - a_tot) % 2
+    above = 0  # the u-weight of the slots above r
+    for r in reversed(range(n - 1)):
+        u = (d.t - e_u) // 2 - above
+        if e_u >= 0 and 1 <= u <= lam[r]:
+            out.append(Monomial(
+                n, 0, a_tot - e_u, e_u,
+                lam[:r] + (lam[r] - u,) + (0,) * (n - 2 - r),
+                (0,) * r + (u,) + lam[r + 1:],
+            ))
+        above += lam[r]
     return frozenset(out)
 
 

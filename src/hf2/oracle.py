@@ -29,12 +29,14 @@ orbit sum: the coefficient of a target orbit O' in d(sum O) is the number of
 cells of O' that d(rep O) hits, times |O| / |O'|, mod 2, so no bottom-level
 vector is formed; a factor's move adds bit masks fixed by its differential's
 kind (nu and N hit the whole block, 1 - gamma and its transpose two cells).
-The levels of one model share one enumeration of factor-degree signatures
-(`_signatures`), handed to each level's `_LevelSlice`.  A degree s outside
-the interval of degrees with cells has group 0 and builds nothing, so the
-budget, the widest degree of the slices a query builds, skips it.  res, tr,
-gamma and multiplication by a_alpha (the inclusion of the model into its
-smash with one dual alpha cell pair) act on orbit indices in closed form.
+The levels of one model share one list of factor-degree signatures
+(`_signatures`), grown factor by factor so that it holds only those of
+degrees s-1..s+1, and handed to each level's `_LevelSlice`.  A degree s
+outside the interval of degrees with cells has group 0 and builds nothing,
+so the budget, the widest degree of the slices a query builds, skips it.
+res, tr, gamma and multiplication by a_alpha (the inclusion of the model
+into its smash with one dual alpha cell pair) act on orbit indices in closed
+form.
 
 The bottom-level route, which stores the whole complex at the trivial-
 subgroup level with the generator's permutation action, lives in the test
@@ -95,17 +97,22 @@ def _factors(n: int, d: Degree) -> list[tuple[int, int, int]]:
 
 def _signatures(factors: list[tuple[int, int, int]], s: int) -> dict[int, list[tuple[int, ...]]]:
     """Factor-degree signatures of cochain degrees s-1, s and s+1, in product
-    order.  Factor f contributes sign * u for u in 0..length, so the degrees
-    with cells form one interval; when it misses s, nothing is enumerated."""
+    order.  Factor f adds sign * u for u in 0..length, so the factors after a
+    prefix add every degree between their least and most sums; grown one
+    factor at a time, a prefix stays while those can bring it into s-1..s+1.
+    When s is outside the degrees with cells, nothing is listed."""
     by_degree: dict[int, list] = {deg: [] for deg in (s - 1, s, s + 1)}
-    lo = -sum(length for _, length, sign in factors if sign < 0)
-    if lo <= s <= lo + sum(length for _, length, _ in factors):
-        ranges = [range(length + 1) for _, length, _ in factors]
-        signed = [[sign * u for u in r] for r, (_, _, sign) in zip(ranges, factors)]
-        degrees = _outer_sums(0, signed)
-        for sig, deg in zip(product(*ranges), degrees):
-            if deg in by_degree:
-                by_degree[deg].append(sig)
+    least, most = [0], [0]  # over the last k factors, k = 0, 1, ...
+    for _, length, sign in reversed(factors):
+        least.append(least[-1] + min(0, sign * length))
+        most.append(most[-1] + max(0, sign * length))
+    if least[-1] <= s <= most[-1]:
+        prefixes = [((), 0)]
+        for (_, length, sign), lo, hi in zip(factors, least[-2::-1], most[-2::-1]):
+            prefixes = [(sig + (u,), deg + sign * u) for sig, deg in prefixes
+                        for u in range(length + 1) if s - 1 - hi <= deg + sign * u <= s + 1 - lo]
+        for sig, deg in prefixes:
+            by_degree[deg].append(sig)
     return by_degree
 
 
@@ -279,14 +286,6 @@ class _LevelSlice:
         if not self.dims[s]:
             return _ZERO_GROUP
         return CohomologyReducer(self.dims[s], self.cols(s - 1), self.cols(s))
-
-
-def _outer_sums(start: int, arrays) -> list[int]:
-    """start + a_1[z_1] + ... + a_m[z_m] for every z, in product order."""
-    out = [start]
-    for arr in arrays:
-        out = [o + a for o in out for a in arr]
-    return out
 
 
 def _shift(cls: _CellClass, x, m: int) -> list[int]:

@@ -21,9 +21,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 
-from hf2.gf2 import CohomologyReducer
-from hf2.oracle import _bits, _lemma_report
-from hf2.reps import Degree, DegreeError, make_degree
+from hf2.gf2 import CohomologyReducer, rank
+from hf2.oracle import _bits
+from hf2.reps import Degree, DegreeError, format_degree, make_degree
 
 
 # -- orbit Mackey data (one permutation module) ------------------------------
@@ -423,6 +423,35 @@ def verify_lemma_kernel(n: int, d: Degree) -> dict:
         else []
     )
     return _lemma_report(d, red_top_s.h_dim, red_top_t.h_dim, a_cols, tr_cols, res_cols)
+
+
+def _apply(cols: list[int], v: int) -> int:
+    out = 0
+    for b in _bits(v):
+        out ^= cols[b]
+    return out
+
+
+def _lemma_report(d: Degree, dim_s: int, dim_t: int, a_cols, tr_cols, res_cols) -> dict:
+    """The kernel lemma by exactness at the middle, not by comparing spans:
+    im(f) = ker(g) exactly when g f = 0 and rank f + rank g is the middle
+    dimension.  The middles are pi_d (tr, then a_alpha) and pi_{d-alpha}
+    (a_alpha, then res)."""
+    rk_a, rk_tr, rk_res = rank(a_cols), rank(tr_cols), rank(res_cols)
+    ker_eq = not any(_apply(a_cols, c) for c in tr_cols) and rk_tr + rk_a == dim_s
+    im_eq = not any(_apply(res_cols, c) for c in a_cols) and rk_a + rk_res == dim_t
+    return {
+        "degree": format_degree(d),
+        "dim_pi_d": dim_s,
+        "dim_pi_d_minus_alpha": dim_t,
+        "ker_a_alpha_dim": dim_s - rk_a,
+        "im_tr_dim": rk_tr,
+        "im_a_alpha_dim": rk_a,
+        "ker_res_dim": dim_t - rk_res,
+        "ker_eq_im_tr": ker_eq,
+        "im_eq_ker_res": im_eq,
+        "pass": ker_eq and im_eq,
+    }
 
 
 # -- the level-direct differential, cell by cell ------------------------------

@@ -1,3 +1,4 @@
+import csv
 import functools
 import json
 import multiprocessing
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hf2 import cli, engine, gf2, oracle, reps
+from hf2 import cli, duality, engine, gf2, oracle, reps
 
 
 def run_cli(capsys, *argv):
@@ -23,6 +24,23 @@ def fault_at(monkeypatch, degree: str) -> None:
     real = engine.dimension
     monkeypatch.setattr(
         engine, "dimension", lambda n, d: real(n, d) + (reps.format_degree(d) == degree)
+    )
+
+
+def duality_fault(monkeypatch) -> None:
+    """Make duality-scan's dimensions answer one too many at 0,0,0 over C_4,
+    whose dual degree is -2,0,1."""
+    real = duality.dimension
+    monkeypatch.setattr(
+        duality, "dimension", lambda n, d: real(n, d) + (reps.format_degree(d) == "0,0,0")
+    )
+
+
+def slice_fault(monkeypatch) -> None:
+    """Make the engine over C_8 answer as if every degree were 1,-1,0,0 ({uA})."""
+    real = engine.basis
+    monkeypatch.setattr(
+        engine, "basis", lambda n, d: real(n, d if n < 3 else reps.make_degree(3, 1, -1, [0, 0]))
     )
 
 
@@ -44,6 +62,34 @@ def test_golden_output(capsys, monkeypatch, case):
     assert code == case["code"]
     assert out.splitlines() == case["out"]
     assert "\n".join(err.splitlines()[-1:]) == case["err"]
+
+
+# Every CSV report, with mismatch rows where a command has them: each row
+# must parse back as wide as its header, although degrees hold commas.
+CSV_REPORTS = [
+    ("dim --n 2 --deg -2,2,-1", None),
+    ("basis --n 3 --deg 0,-3,-3,2", None),
+    ("oracle --n 2 --deg -2,0,1", None),
+    ("mackey --n 3 --deg -3,0,0,2", None),
+    ("summands --n 3", None),
+    ("verify --n 2 --box t=-1..1,a=0..0,l0=-1..1", None),
+    ("verify --n 2 --box t=-1..1,a=0..0,l0=-1..1", lambda mp: fault_at(mp, "-1,0,-1")),
+    ("verify --n 2 --box t=-2..-2,a=1..1,l0=1..2 --budget 2", None),
+    ("duality-scan --n 2 --box t=-1..1,a=0..0", duality_fault),
+    ("slice-check --n 3 --box t=0..0,a=0..0", slice_fault),
+]
+
+
+@pytest.mark.parametrize("argv, fault", CSV_REPORTS, ids=[
+    f"{argv}{' fault' if fault else ''}" for argv, fault in CSV_REPORTS])
+def test_csv_rows_as_wide_as_header(capsys, monkeypatch, argv, fault):
+    monkeypatch.delenv("HF2_CACHE_DIR", raising=False)
+    if fault:
+        fault(monkeypatch)
+    code, out, _ = run_cli(capsys, *argv.split(), "--format", "csv")
+    rows = list(csv.reader(out.splitlines()))
+    assert code in (0, 1, 3) and len(rows) >= 2
+    assert [len(row) for row in rows] == [len(rows[0])] * len(rows), rows
 
 
 class TestDim:
@@ -212,6 +258,7 @@ class TestVerify:
     @pytest.mark.parametrize("n, text, message", [
         (1, "t=0..1,a=0..0,l0=0..0", "lambda slot l0 out of range for n=1"),
         (3, "t=0..0,a=0..0,l01=0..1,l1=0..0", "box item 'l1=0..0' repeats a coordinate"),
+        (2, "t=0..1,l0=0..0", "box must give t=lo..hi and a=lo..hi"),
     ])
     def test_box_refused(self, n, text, message):
         with pytest.raises(cli.UsageError) as err:
@@ -262,6 +309,23 @@ class TestCache:
         code, out, _ = run_cli(capsys, *args)
         # the checksum rejects the tampered line, so the value is recomputed
         assert code == 0 and json.loads(out)["records"][0]["oracle"] == 1
+
+    def test_blank_lines_are_skipped(self, capsys, tmp_path, monkeypatch):
+        args = ("verify", "--n", "2", "--box", "t=-1..1,a=0..0", "--cache-dir", str(tmp_path))
+        _, cold, _ = run_cli(capsys, *args)
+        cache_file = tmp_path / "hf2-cache-n2.jsonl"
+        spaced = "\n\n".join(cache_file.read_text().splitlines()) + "\n  \n"
+        cache_file.write_text(spaced)
+
+        def refuse(*_):
+            raise AssertionError("a cached value was recomputed")
+
+        monkeypatch.setattr(oracle, "oracle_top_dim", refuse)
+        code, warm, _ = run_cli(capsys, *args)
+        assert code == 0 and cache_file.read_text() == spaced  # every value hit
+        cold, warm = json.loads(cold), json.loads(warm)
+        cold.pop("meta"), warm.pop("meta")
+        assert warm == cold
 
     def test_selftest_rechecks_oracle(self, capsys, tmp_path):
         args = (
@@ -375,6 +439,24 @@ class TestOtherCommands:
         )
         assert code == 0 and json.loads(out)["pass"]
 
+    def test_duality_scan_mismatch_exit_1(self, capsys, monkeypatch):
+        duality_fault(monkeypatch)
+        code, out, _ = run_cli(capsys, "duality-scan", "--n", "2", "--box", "t=-1..1,a=0..0")
+        payload = json.loads(out)
+        assert code == 1 and not payload["pass"] and payload["checked"] == 3
+        assert payload["mismatches"] == [
+            {"degree": "0,0,0", "dual": "-2,0,1", "dim": 2, "dual_dim": 1}
+        ]
+
+    def test_slice_check_mismatch_exit_1(self, capsys, monkeypatch):
+        slice_fault(monkeypatch)
+        code, out, _ = run_cli(capsys, "slice-check", "--n", "3", "--box", "t=0..0,a=0..0")
+        payload = json.loads(out)
+        assert code == 1 and not payload["pass"] and payload["checked"] == 1
+        assert payload["mismatches"] == [
+            {"low_degree": "0,0,0", "missing_above": ["1"], "extra_above": ["uA"]}
+        ]
+
     def test_slice_check_needs_n2(self, capsys):
         code, _, _ = run_cli(capsys, "slice-check", "--n", "1", "--box", "t=0..0,a=0..0")
         assert code == 2
@@ -392,6 +474,15 @@ class TestInternalFault:
         code, out, err = run_cli(capsys, "basis", "--n", "3", "--deg", "0,0,0,0")
         assert code == 4 and out == ""
         assert "internal error" in err
+
+    def test_divisible_class_in_part2_exit_4(self, capsys, monkeypatch):
+        # part (2) offering a part-(4) class trips the second overlap check
+        monkeypatch.setattr(
+            engine, "_d_lambda1", lambda n, d: ((m, 1) for m in engine.part4(n, d))
+        )
+        code, out, err = run_cli(capsys, "basis", "--n", "3", "--deg", "0,-3,-3,2")
+        assert code == 4 and out == ""
+        assert "is divisible yet tagged P4" in err
 
     def test_reducer_shape_exit_4(self, capsys, monkeypatch):
         # the oracle builds both differentials itself, so a wrong shape is

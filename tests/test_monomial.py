@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -119,6 +121,29 @@ class TestPositiveCone:
         for d in box_degrees(3, (-6, 6), (-3, 1), (-3, 1)):
             got = {str(m) for m in positive_cone_basis(3, d)}
             assert got == brute_positive_cone(3, d), str(d)
+
+    def test_against_brute_seeded(self):
+        """15000 seeded degrees over n = 1..5, t in -3..14 and every other
+        coefficient in -4..1, about a quarter of them with a nonzero cone."""
+        rng = random.Random(1402)
+        nonempty = 0
+        for _ in range(15000):
+            n = rng.randint(1, 5)
+            d = make_degree(n, rng.randint(-3, 14), rng.randint(-4, 1),
+                            [rng.randint(-4, 1) for _ in range(n - 1)])
+            expected = brute_positive_cone(n, d)
+            assert {str(m) for m in positive_cone_basis(n, d)} == expected, str(d)
+            nonempty += bool(expected)
+        assert nonempty >= 3000
+
+    def test_work_follows_the_answer(self):
+        # one class, although the exponent box has 51^7 points
+        from hf2.engine import dimension
+
+        d = make_degree(8, 0, 0, [-50] * 7)
+        expected = " * ".join(f"aL{i}^50" for i in range(7))
+        assert {str(m) for m in positive_cone_basis(8, d)} == {expected}
+        assert dimension(8, d) == 1
 
     def test_degrees_match(self):
         for d in box_degrees(2, (-4, 6), (-3, 0), (-3, 0)):

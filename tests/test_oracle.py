@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from itertools import product
 
 import pytest
 
@@ -439,6 +440,56 @@ class TestTopDim:
             s = sl.s
             expected = sl.dims[s] - rank(sl.cols(s)) - rank(sl.cols(s - 1)) if sl.dims[s] else 0
             assert oracle_top_dim(n, d) == expected, str(d)
+
+
+def _product_signatures(factors, s):
+    """The signatures of degrees s-1..s+1 by filtering the whole product of
+    factor-degree ranges, when degree s has cells: the reference for
+    `oracle._signatures`, order included."""
+    by_degree = {deg: [] for deg in (s - 1, s, s + 1)}
+    lo = -sum(length for _, length, sign in factors if sign < 0)
+    if lo <= s <= lo + sum(length for _, length, _ in factors):
+        degrees = [0]  # of every signature, in product order
+        for _, length, sign in factors:
+            degrees = [deg + sign * u for deg in degrees for u in range(length + 1)]
+        for sig, deg in zip(product(*(range(length + 1) for _, length, _ in factors)), degrees):
+            if deg in by_degree:
+                by_degree[deg].append(sig)
+    return by_degree
+
+
+def test_signatures_in_product_order():
+    rng = random.Random(1403)
+    nonempty = 0
+    for _ in range(20000):
+        factors = [(rng.choice((1, 2, 4, 8)), rng.randint(1, 4), rng.choice((1, -1)))
+                   for _ in range(rng.randint(0, 5))]
+        lo = -sum(length for _, length, sign in factors if sign < 0)
+        hi = sum(length for _, length, sign in factors if sign > 0)
+        s = rng.randint(lo - 2, hi + 2)
+        expected = _product_signatures(factors, s)
+        assert oracle._signatures(factors, s) == expected, (factors, s)
+        nonempty += any(expected.values())
+    assert nonempty >= 11000
+
+
+class TestWorkFollowsTheAnswer:
+    """Large coefficients give exponent boxes of millions of signatures (41^4
+    * 21 for n = 5 at 20, 121^3 * 61 for n = 4 at 60), yet these degrees, at
+    the ends of the model, read a handful of them."""
+
+    @pytest.mark.parametrize("t", [0, -1, -180, -179])
+    def test_top_dim(self, t):
+        d = make_degree(5, t, 20, [20] * 4)
+        assert oracle_top_dim(5, d) == engine.dimension(5, d)
+
+    # s = -t at both ends of the model's degrees 0..7c
+    @pytest.mark.parametrize("c, t", [(c, t) for c in (20, 60) for t in (0, -1, -7 * c, 1 - 7 * c)])
+    def test_level_dims(self, c, t):
+        d = make_degree(4, t, c, [c] * 3)
+        expected = [1 if underlying_dim(d) == 0 else 0]
+        expected += [engine.dimension(j, restrict(d, j)) for j in range(1, 5)]
+        assert oracle_pi(4, d).level_dims == expected
 
 
 class TestBudget:
