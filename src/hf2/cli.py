@@ -112,17 +112,18 @@ class JsonlCache:
     def _load(self) -> None:
         if not os.path.exists(self.path):
             return
-        with open(self.path, "r", encoding="utf-8") as fh:
+        with open(self.path, "rb") as fh:  # decoded line by line
             for line in fh:
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    rec = json.loads(line)
+                    rec = json.loads(line.decode("utf-8"))
                     key, val, h = rec["k"], rec["v"], rec["h"]
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    continue  # corrupted line: recompute later
-                if _line_hash(key, val) != h:
+                except (ValueError, KeyError, TypeError):
+                    continue  # undecodable or corrupted line: recompute later
+                # the checksum reads "1" and 1 alike, so only an int is trusted
+                if (type(key), type(val)) != (str, int) or _line_hash(key, val) != h:
                     continue
                 self.data[key] = val
 
@@ -178,7 +179,7 @@ def _oracle_value(task):
     try:
         if cached is None:
             return oracle.oracle_top_dim(n, d, budget), None
-        oracle.top_slice(n, d, budget)
+        oracle.check_budget(n, d, budget)
         return cached, None
     except oracle.BudgetExceededError as exc:
         return None, f"predicted {exc.predicted} columns > budget {exc.cap}"

@@ -16,24 +16,25 @@ two-point orbit coincides with the norm).  Distinct representations are
 smashed, and the negative part of a virtual degree is dualized.
 
 Every entry point (`oracle_top_dim`, `oracle_pi`, `mult_a_alpha`,
-`verify_lemma_kernel`) reads the same way: it builds level slices, checks
-them against the budget once, and reads groups (`_LevelSlice.reducer`) and
-maps (`_orbit_induced`) off them.  `_LevelSlice` builds the level-j fixed
-subcomplex of a factor list in the three cochain degrees s-1, s, s+1 the
-answer reads, straight from orbit data.  A cell of the tensor model is a
-tuple of factor degrees plus one coordinate in Z/B per factor (B the
-factor's block, 1 in factor degree 0); gamma adds 1 to every coordinate, and
-level j is the action of gamma^(2^(n-j)).  A differential is emitted column
-by column, in the column-major form `gf2` takes, as the image of each source
+`verify_lemma_kernel`) reads the same way: it asks `_slices` for the level
+slices of one model, or of a model and its smash with one extra factor, and
+reads groups (`_LevelSlice.reducer`) and maps (`_orbit_induced`) off them.
+`_slices` checks the budget first, in closed form (`_widths`), so a refused
+degree builds nothing.  `_LevelSlice` builds the level-j fixed subcomplex
+of a factor list in the three cochain degrees s-1, s, s+1 the answer
+reads, straight from orbit data.  A cell of the tensor model is a tuple of
+factor degrees plus one coordinate in Z/B per factor (B the factor's
+block, 1 in factor degree 0); gamma adds 1 to every coordinate, and level j
+is the action of gamma^(2^(n-j)).  A differential is emitted column by
+column, in the column-major form `gf2` takes, as the image of each source
 orbit sum: the coefficient of a target orbit O' in d(sum O) is the number of
 cells of O' that d(rep O) hits, times |O| / |O'|, mod 2, so no bottom-level
 vector is formed; a factor's move adds bit masks fixed by its differential's
 kind (nu and N hit the whole block, 1 - gamma and its transpose two cells).
 The levels of one model share one list of factor-degree signatures
 (`_signatures`), grown factor by factor so that it holds only those of
-degrees s-1..s+1, and handed to each level's `_LevelSlice`.  A degree s
-outside the interval of degrees with cells has group 0 and builds nothing,
-so the budget, the widest degree of the slices a query builds, skips it.
+degrees s-1..s+1.  A degree s outside the interval of degrees with cells
+has group 0, lists no signature and is never refused by the budget.
 res, tr, gamma and multiplication by a_alpha (the inclusion of the model
 into its smash with one dual alpha cell pair) act on orbit indices in closed
 form.
@@ -158,7 +159,7 @@ class _LevelSlice:
                  signatures=None):
         if signatures is None:  # the levels of one model share them
             signatures = _signatures(factors, s)
-        self.factors, self.s, self.signatures = factors, s, signatures
+        self.factors, self.s = factors, s
         self.p = 1 << (n - j)
         self.classes: dict[int, dict[tuple[int, ...], _CellClass]] = {}
         self.dims: dict[int, int] = {}
@@ -334,9 +335,10 @@ def _gamma(src: _LevelSlice, tgt: _LevelSlice):
 
 
 def _include(src: _LevelSlice, tgt: _LevelSlice):
-    """Multiplication by a_alpha, for tgt the slice of src's factors plus one
-    dual alpha pair (2, 1, -1) at the same level: the inclusion of the model
-    as the pair's factor-degree-0 cell, O(sig, x) -> O(sig + (0,), x + (0,))."""
+    """Multiplication by a_alpha, for tgt the slice of src's factors plus the
+    dual alpha pair `_DUAL_ALPHA` at the same level: the inclusion of the
+    model as the pair's factor-degree-0 cell,
+    O(sig, x) -> O(sig + (0,), x + (0,))."""
 
     def image(b: int) -> int:
         cls, x = src.orbits[b]
@@ -383,44 +385,86 @@ class MackeyAnswer:
         }
 
 
-def _check_budget(d: Degree, width: int, budget: int | None) -> None:
-    """Refuse a computation whose widest matrix would have `width` columns."""
+def _widths(factors: list[tuple[int, int, int]], s: int, p: int, cap: int) -> int:
+    """The widest of cochain degrees s-1..s+1, in orbits, of the model of
+    `factors` at the level whose orbits have at most p cells: 0 when degree
+    s has no cells.  When the whole model's orbit count, which bounds every
+    width, fits under cap, that count is returned instead.
+
+    A signature's orbit count is the product of the blocks of its nonzero
+    factors, the first capped at p.  The first is the largest: `_factors`
+    lists blocks in non-increasing order, and `_DUAL_ALPHA`'s 2 is the least.
+    Over the signatures whose first nonzero factor is f, by degree, that is
+    min(b_f, p) A_f(z) prod_{g > f} (1 + b_g A_g(z)) with A_f = sum_{u =
+    1..L_f} z^(sign u): one right-to-left pass, first at z = 1 for the whole
+    model."""
+    whole, rest = 1, 1
+    for b, length, _ in reversed(factors):
+        whole += min(b, p) * length * rest
+        rest *= 1 + b * length
+    if whole <= cap:
+        return whole
+    widths = {deg: int(deg == 0) for deg in (s - 1, s, s + 1)}  # 1: the all-zero signature
+    tail = {0: 1}  # orbit counts by degree of the signatures of the factors after f
+    for b, length, sign in reversed(factors):
+        moved = {}
+        for deg, count in tail.items():
+            for e in range(deg + sign, deg + sign * (length + 1), sign):
+                moved[e] = moved.get(e, 0) + count
+        for e, count in moved.items():
+            if e in widths:
+                widths[e] += min(b, p) * count
+            tail[e] = tail.get(e, 0) + b * count
+    return max(widths.values()) if widths[s] else 0
+
+
+def _check(n: int, d: Degree, models, level: int, budget: int | None) -> None:
+    """The one budget rule, decided before any signature is listed: refuse d
+    when the widest of degrees s-1..s+1 over the models at `level`, the
+    lowest a query reads, exceeds the budget.  Orbit counts only grow as the
+    level drops, and a degree s with no cells is 0 wide at every level."""
     cap = DEFAULT_BUDGET if budget is None else budget
-    if width > cap:
-        raise BudgetExceededError(d, width, cap)
+    widest = 0
+    for factors in models:
+        widest = max(widest, _widths(factors, -d.t, 1 << (n - level), cap))
+    if widest > max(cap, 0):  # a query that builds nothing is never refused
+        raise BudgetExceededError(d, widest, cap)
 
 
-def _check_slices(d: Degree, slices, budget: int | None) -> None:
-    """The one budget rule: the widest of the degrees s-1..s+1 of the slices
-    a query builds counts.  A slice whose degree s is empty builds nothing,
-    so it is left out, and a query with no other slice is not checked."""
-    widths = [max(sl.dims.values()) for sl in slices if sl.dims[sl.s]]
-    if widths:
-        _check_budget(d, max(widths), budget)
+def check_budget(n: int, d: Degree, budget: int | None = None) -> None:
+    """Refuse d where `oracle_top_dim` would, building nothing."""
+    _check(n, d, [_factors(n, d)], n, budget)
 
 
-def top_slice(n: int, d: Degree, budget: int | None = None) -> _LevelSlice:
-    """The level-n slice `oracle_top_dim` reads, checked against the budget."""
-    sl = _LevelSlice(n, _factors(n, d), -d.t, n)
-    _check_slices(d, [sl], budget)
-    return sl
+# The dual alpha cell pair: smashed on, it takes the model of d to that of d - alpha.
+_DUAL_ALPHA = (2, 1, -1)
+
+
+def _slices(n: int, d: Degree, levels, budget: int | None, extra=None) -> list[list[_LevelSlice]]:
+    """The one way slices are made: per model, one `_LevelSlice` per level
+    in `levels`.  The models are that of d and, given an `extra` factor, its
+    smash with that factor.  The budget is checked before anything is built;
+    each model lists its signatures once for all its levels."""
+    factors = _factors(n, d)
+    models = [factors] if extra is None else [factors, factors + [extra]]
+    _check(n, d, models, min(levels), budget)
+    out = []
+    for model in models:
+        signatures = _signatures(model, -d.t)
+        out.append([_LevelSlice(n, model, -d.t, j, signatures) for j in levels])
+    return out
 
 
 def oracle_top_dim(n: int, d: Degree, budget: int | None = None) -> int:
     """Top-level dimension of the graded Mackey functor at degree d."""
-    return top_slice(n, d, budget).reducer.h_dim
+    [[top]] = _slices(n, d, [n], budget)
+    return top.reducer.h_dim
 
 
 def oracle_pi(n: int, d: Degree, budget: int | None = None) -> MackeyAnswer:
     """Full Mackey functor at degree d: levelwise dimensions with induced
-    restriction, transfer and Weyl-generator matrices on cohomology.
-
-    The n + 1 level slices share one signature enumeration; the widest is
-    level 0's, so that one bounds the budget."""
-    factors, s = _factors(n, d), -d.t
-    signatures = _signatures(factors, s)
-    slices = [_LevelSlice(n, factors, s, j, signatures) for j in range(n + 1)]
-    _check_slices(d, slices, budget)
+    restriction, transfer and Weyl-generator matrices on cohomology."""
+    [slices] = _slices(n, d, range(n + 1), budget)
     return MackeyAnswer(
         n, d, [sl.reducer.h_dim for sl in slices],
         [_orbit_induced(hi, lo, _res) for lo, hi in zip(slices, slices[1:])],
@@ -432,29 +476,17 @@ def oracle_pi(n: int, d: Degree, budget: int | None = None) -> MackeyAnswer:
 # -- multiplication by the alpha Euler class ----------------------------------
 
 
-def _alpha_slices(n: int, d: Degree, j: int) -> tuple[_LevelSlice, _LevelSlice]:
-    """Level-j (source, target) slices of multiplication by a_alpha from
-    degree d to d - alpha: the target model is the source smashed with one
-    dual alpha cell pair, factor (2, 1, -1)."""
-    factors = _factors(n, d)
-    return _LevelSlice(n, factors, -d.t, j), _LevelSlice(n, factors + [(2, 1, -1)], -d.t, j)
-
-
 def mult_a_alpha(n: int, d: Degree, j: int, budget: int | None = None):
     """Induced map on level-j cohomology, pi_d -> pi_{d-alpha}, as
     (columns, source reducer, target reducer)."""
-    src, tgt = _alpha_slices(n, d, j)
-    _check_slices(d, [src, tgt], budget)
+    [src], [tgt] = _slices(n, d, [j], budget, _DUAL_ALPHA)
     return _orbit_induced(src, tgt, _include), src.reducer, tgt.reducer
 
 
 def verify_lemma_kernel(n: int, d: Degree, budget: int | None = None) -> dict:
     """Check ker(a_alpha) = im(tr) on pi_d and im(a_alpha) = ker(res) on
     pi_{d-alpha}, at the top level."""
-    src, tgt = _alpha_slices(n, d, n)
-    src_sub, tgt_sub = (_LevelSlice(n, sl.factors, sl.s, n - 1, sl.signatures)
-                        for sl in (src, tgt))
-    _check_slices(d, [src, tgt, src_sub, tgt_sub], budget)
+    [src, src_sub], [tgt, tgt_sub] = _slices(n, d, [n, n - 1], budget, _DUAL_ALPHA)
     return _lemma_report(
         d, src.reducer.h_dim, tgt.reducer.h_dim,
         _orbit_induced(src, tgt, _include),

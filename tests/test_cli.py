@@ -310,6 +310,29 @@ class TestCache:
         # the checksum rejects the tampered line, so the value is recomputed
         assert code == 0 and json.loads(out)["records"][0]["oracle"] == 1
 
+    def test_undecodable_line_recomputed(self, capsys, tmp_path):
+        args = (*self.ONE_DEGREE, "--cache-dir", str(tmp_path))
+        run_cli(capsys, *args)
+        cache_file = tmp_path / "hf2-cache-n2.jsonl"
+        cache_file.write_bytes(b"\xff\xfe garbage\n" + cache_file.read_bytes() + b"\xff\n")
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0 and json.loads(out)["records"][0]["oracle"] == 1
+
+    def test_non_integer_value_recomputed(self, capsys, tmp_path):
+        args = (*self.ONE_DEGREE, "--cache-dir", str(tmp_path))
+        run_cli(capsys, *args)
+        cache_file = tmp_path / "hf2-cache-n2.jsonl"
+        [key] = [json.loads(line)["k"] for line in cache_file.read_text().splitlines()]
+        # each line's checksum is valid; "1" even has the checksum of the int 1
+        for value in ("1", True, 1.0, [1]):
+            line = {"k": key, "v": value, "h": cli._line_hash(key, value)}
+            cache_file.write_text(json.dumps(line) + "\n")
+            code, out, _ = run_cli(capsys, *args)
+            payload = json.loads(out)
+            oracle_value = payload["records"][0]["oracle"]
+            assert code == 0 and payload["pass"], value
+            assert oracle_value == 1 and type(oracle_value) is int, value
+
     def test_blank_lines_are_skipped(self, capsys, tmp_path, monkeypatch):
         args = ("verify", "--n", "2", "--box", "t=-1..1,a=0..0", "--cache-dir", str(tmp_path))
         _, cold, _ = run_cli(capsys, *args)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from itertools import product
 
 import pytest
@@ -436,7 +437,7 @@ class TestTopDim:
         same top slice, with the two ranks taken independently."""
         n = 3
         for d in box_degrees(n, (-5, 5), (-1, 1), (-1, 1)):
-            sl = oracle.top_slice(n, d)
+            [[sl]] = oracle._slices(n, d, [n], None)
             s = sl.s
             expected = sl.dims[s] - rank(sl.cols(s)) - rank(sl.cols(s - 1)) if sl.dims[s] else 0
             assert oracle_top_dim(n, d) == expected, str(d)
@@ -501,49 +502,78 @@ class TestBudget:
         assert "budget" in str(err.value)
 
     def test_predicted_equals_built(self, monkeypatch):
-        built, checked = [], []
+        """Each entry point is refused exactly when the widest degree among
+        the slices it builds exceeds the budget, with that width predicted;
+        a call whose slices are all empty is never refused."""
+        built = []
 
         class Recording(oracle._LevelSlice):
-            def cols(self, deg):
-                built.append((self.p, self.dims[deg], self.dims[deg + 1]))
-                return super().cols(deg)
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(max(self.dims.values()))
 
-        def recording_check(d, width, budget):
-            checked.append(width)
-            check(d, width, budget)
-
-        check = oracle._check_budget
         monkeypatch.setattr(oracle, "_LevelSlice", Recording)
-        monkeypatch.setattr(oracle, "_check_budget", recording_check)
         n = 3
+        calls = {
+            "top": oracle_top_dim, "pi": oracle_pi, "lemma": verify_lemma_kernel,
+            **{f"mult{j}": lambda n, d, budget=None, j=j: mult_a_alpha(n, d, j, budget)
+               for j in range(n + 1)},
+        }
+        refusable = 0
         for d in box_degrees(n, (-5, 5), (-1, 1), (-1, 1)):
-            bottom_slice = oracle._LevelSlice(n, oracle._factors(n, d), -d.t, 0)
-            predicted = max(bottom_slice.dims.values())
-            built.clear()
-            checked.clear()
-            oracle_pi(n, d)
-            bottom = [w for p, *ws in built if p == 1 << n for w in ws]
-            assert predicted == max(bottom, default=0), str(d)
-            assert checked == ([max(bottom)] if bottom else []), str(d)
-            built.clear()
-            checked.clear()
-            oracle_top_dim(n, d)
-            top = [w for p, *ws in built if p == 1 for w in ws]
-            assert predicted >= max(top, default=0), str(d)
-            # nothing is built, so nothing is checked, when degree s is empty
-            assert checked == ([max(top)] if top else []), str(d)
-        for d in box_degrees(2, (-3, 3), (-1, 1), (-1, 1)):
-            for run in (verify_lemma_kernel, lambda n, d: mult_a_alpha(n, d, 1)):
-                checked.clear()
+            for name, call in calls.items():
                 built.clear()
-                run(2, d)
-                assert checked == ([max(w for _, *ws in built for w in ws)] if built else []), str(d)
+                call(n, d)
+                widest = max(built)
+                call(n, d, budget=widest)
+                built.clear()
+                if widest:
+                    refusable += 1
+                    with pytest.raises(BudgetExceededError) as err:
+                        call(n, d, budget=widest - 1)
+                    assert (err.value.predicted, err.value.cap) == (widest, widest - 1), (name, str(d))
+                    assert not built, (name, str(d))  # refused before any slice is built
+                else:
+                    call(n, d, budget=-1)
+        assert refusable == 949  # of 297 degrees x 7 calls
+
+
+def test_widths_closed_form():
+    """`oracle._widths` against the built tables: the closed form (forced by
+    a cap below every count) equals the widest built degree, and the
+    whole-model count (returned under a cap above it) bounds it."""
+    rng = random.Random(1501)
+    slices = nonempty = 0
+    for n in range(1, 5):
+        for _ in range(400):
+            d = make_degree(n, rng.randint(-12, 4), rng.randint(-3, 3),
+                            [rng.randint(-2, 2) for _ in range(n - 1)])
+            for extra in (None, oracle._DUAL_ALPHA):
+                *_, model = oracle._slices(n, d, range(n + 1), 10 ** 9, extra)
+                for sl in model:
+                    built = max(sl.dims.values())
+                    assert oracle._widths(sl.factors, sl.s, sl.p, -1) == built, (str(d), extra)
+                    assert oracle._widths(sl.factors, sl.s, sl.p, 10 ** 9) >= built
+                    slices += 1
+                    nonempty += built > 0
+    assert (slices, nonempty) == (11200, 4535)
+
+
+@pytest.mark.parametrize("call, predicted", [(oracle_top_dim, 798892080), (oracle_pi, 25541764480)])
+def test_refusal_builds_nothing(call, predicted):
+    """Degree s = 80 lies in the middle of the model's degrees 0..180, where
+    millions of signatures meet: the budget refuses it before listing any."""
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as err:
+        call(5, make_degree(5, -80, 20, [20] * 4))
+    assert time.perf_counter() - start < 1
+    assert (err.value.predicted, err.value.cap) == (predicted, oracle.DEFAULT_BUDGET)
 
 
 def test_empty_degree_builds_nothing(monkeypatch):
     """Degree s = -12 has no cells in the model of 12,1,1 over C_4 (degrees
     0..3) nor in its a_alpha target model (-1..3): every entry point answers
-    zeros without building a differential or checking the budget."""
+    zeros without building a differential, and budget 0 refuses none."""
 
     def refuse(self, deg):
         raise AssertionError(f"cols({deg}) built at an empty degree")

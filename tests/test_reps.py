@@ -17,7 +17,7 @@ from hf2.reps import (
     underlying_dim,
     zero_degree,
 )
-from hf2.oracle import mult_a_alpha, oracle_pi, oracle_top_dim, top_slice, verify_lemma_kernel
+from hf2.oracle import check_budget, mult_a_alpha, oracle_pi, oracle_top_dim, verify_lemma_kernel
 from hf2.tate import hb_basis, hh_basis, ht_basis, perp_hb_basis
 
 
@@ -155,9 +155,9 @@ class TestTextForm:
     lambda d: oracle_pi(1, d),
     lambda d: mult_a_alpha(3, d, 3),
     lambda d: verify_lemma_kernel(3, d),
-    lambda d: top_slice(1, d),
+    lambda d: check_budget(1, d),
 ], ids=["hh_basis", "ht_basis", "hb_basis", "perp_hb_basis", "oracle_top_dim", "oracle_pi",
-        "mult_a_alpha", "verify_lemma_kernel", "top_slice"])
+        "mult_a_alpha", "verify_lemma_kernel", "check_budget"])
 def test_degree_over_another_group_refused(query):
     with pytest.raises(DegreeError, match=r"^degree is over n=2, expected [13]$"):
         query(make_degree(2, 0, 0, [5]))
