@@ -451,32 +451,49 @@ def _join_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _devnull(stream) -> None:
+    """Point the file descriptor of a stream whose reader has gone at
+    /dev/null, so that no later write or flush at shutdown fails again."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _warn(*lines: str) -> None:
+    """Print diagnostics to stderr and flush it (with no lines, only the
+    flush).  A closed stderr must not change the exit code `main` chose."""
+    try:
+        for line in lines:
+            print(line, file=sys.stderr)
+        sys.stderr.flush()
+    except OSError:
+        _devnull(sys.stderr)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(_join_dash_values(argv))
     except SystemExit as exc:
+        _warn()  # argparse's usage message
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         report = args.func(args)
         _emit(report, args.format)
         sys.stdout.flush()  # a closed pipe fails here, inside the mapping
     except oracle.BudgetExceededError as exc:  # a one-degree query cannot skip its degree
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        _warn(json.dumps({"error": str(exc)}))
         return EXIT_BUDGET
     except (UsageError, DegreeError, OSError) as exc:
-        if isinstance(exc, BrokenPipeError):  # the flush at shutdown must not fail again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            _devnull(sys.stdout)
+        _warn(f"error: {exc}")
         return EXIT_USAGE
     except (InternalInvariantError, engine.PartOverlapError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        _warn(f"internal error: {exc}")
         return EXIT_INTERNAL
     except Exception as exc:  # anything else is a defect too, never a mismatch
         import traceback
 
-        print(f"internal error: {exc!r}", file=sys.stderr)
-        traceback.print_exc()
+        _warn(f"internal error: {exc!r}", traceback.format_exc().rstrip("\n"))
         return EXIT_INTERNAL
     return report.code
 

@@ -7,20 +7,22 @@ powers of a_{lambda_0}), three blocks of a_{lambda_0}-divisible families,
 and the explicit non-divisible families.  Blocks B1 and B3 are renamings of
 the quotient group too (its positive-cone classes containing a_alpha^2 or a
 rotation Euler class, and its part-(4) classes carrying a_lambda_0), so
-only B2 and part (4) are solved in place, and they are two sign windows of
-one slot system (`_slots`): B2 its suspended classes with negative
-a_lambda_0 and u powers, part (4) its unsuspended classes with a positive
-u tower against a negative exponent.  Every renaming is one call of
-`eps_rename(m, k)`, which moves a class of the quotient group one group up
-and multiplies it by the a_lambda_0^k its degree forces.  One assembly
-path serves every n: for the group of order 2 there are no blocks and
-part (2) is its negative cone, the u_alpha-negative part of its orbit row
-(`hf2.tate.hb_basis`), which renamed is the depth-0 base of the recursion
-at order 4.
+B2 and part (4) are the only families not renamed, and they are windows of
+the rows of `hf2.tate`, read at the class's first nonzero orientation
+power (over u_lambda_0, ..., u_lambda_{n-2}, then u_alpha): B2 is the
+orbit row's class when that power is negative, part (4) the Borel row's
+class when it is positive and u_alpha or a u_lambda above it is negative.
+Every renaming is one call of `eps_rename(m, k)`, which moves a class of
+the quotient group one group up and multiplies it by the a_lambda_0^k its
+degree forces.  One assembly path serves every n: for the group of order
+2 there are no blocks and part (2) is its negative cone, the B2 window of
+its orbit row, which renamed is the depth-0 base of the recursion at
+order 4.
 
-Every family is solved degreewise: given a target degree, the lambda slots
-and the alpha slot force all but finitely many exponents, so each query
-inspects a handful of small linear systems.
+Every family is solved degreewise: given a target degree, the lambda
+slots and the alpha slot force all but finitely many exponents.  The
+positive cone is solved in place; every other family is a renaming or a
+window of a row, which has one class per degree.
 
 Overlap bookkeeping: some explicit divisible families (notably the
 u_alpha-a_alpha^2 tower of the first block) are themselves infinitely
@@ -38,7 +40,7 @@ from functools import lru_cache
 
 from .reps import Degree, DegreeError, check_group, strip_lambda0
 from .monomial import Monomial, MonomialError, eps_rename, positive_cone_basis
-from .tate import hb_basis
+from .tate import hb_basis, hh_basis
 
 # The a_lambda_0/a_lambda_1 recursion descends one group order per frame
 # pair, so its depth grows with n; this bound keeps it well inside Python's
@@ -80,70 +82,44 @@ def part_pos(n: int, d: Degree) -> frozenset[Monomial]:
     return positive_cone_basis(n, d)
 
 
-def _slots(n: int, d: Degree, sigma: int, window) -> frozenset[Monomial]:
-    """The slot system of degree d: the classes
-    Sigma^-sigma a_alpha^eps u_alpha^s a_lambda_0^a u_r^u prod_{p>r} u_lambda_p^(-c_p)
-    with s = -c_alpha - eps, kept when window(a, u, s, upper) holds.
-
-    Slot r needs c_1 .. c_{r-1} = 0.  For r <= n-2, u_r is u_lambda_r: slot
-    0 carries both classes (a + u = -c_0), a later slot forces a = -c_0 and
-    u = -c_r.  Slot n-1 is u_alpha's own tower: u = s and no u_lambda.  The
-    t coordinate gives the degree equation.  C_2 has no a_lambda_0, so no
-    slot.
-    """
-    c, out = d.c_lambda, []
-    for r in range(n if c else 0):
-        if r >= 2 and c[r - 1]:
-            break
-        upper = tuple(-x for x in c[r + 1:])
-        room = d.t + sigma - 2 * sum(upper)  # what u_alpha and u_r must supply
-        for eps in (0, 1):
-            s = -d.c_alpha - eps
-            if r == n - 1:
-                a, u, rest = -c[0], s, room - s
-            elif r == 0:
-                u, rest = divmod(room - s, 2)
-                a = -c[0] - u
-            else:
-                a, u = -c[0], -c[r]
-                rest = room - s - 2 * u
-            if rest or not window(a, u, s, upper):  # rest: t off the equation
-                continue
-            eul = (0,) * (n - 1) if r == n - 1 else (0,) * r + (u,) + upper
-            out.append(Monomial(n, sigma, eps, s, (a,) + (0,) * (n - 2), eul))
-    return frozenset(out)
+def _lowest(m: Monomial) -> tuple[int, tuple[int, ...]]:
+    """The first nonzero orientation power of m, read over u_lambda_0, ...,
+    u_lambda_{n-2} and then u_alpha, and the powers after it; (0, ()) if
+    every orientation power is 0."""
+    us = m.e_u_lambda + (m.e_u_alpha,)
+    for r, u in enumerate(us):
+        if u:
+            return u, us[r + 1:]
+    return 0, ()
 
 
 def _b2(n: int, d: Degree) -> frozenset[Monomial]:
-    """The suspension families with a negative a_lambda_0 power: one per
-    inverted-orientation slot, ending with the bare u_alpha^(-j) family."""
-    return _slots(n, d, 1, lambda a, u, s, upper: a <= -1 and u <= -1)
+    """The suspension families with a negative a_lambda_0 power: the orbit
+    row's class if its first nonzero orientation power is negative.  For
+    n = 1 this is the negative cone of C_2, S a_alpha^-i u_alpha^-j with
+    i, j >= 1."""
+    return frozenset(m for m in hb_basis(n, d) if _lowest(m)[0] <= -1)
 
 
 def part4(n: int, d: Degree) -> frozenset[Monomial]:
-    """Families outside the divisible part: a positive u tower against an
-    inverted block with at least one genuinely negative exponent, times a
-    polynomial a_lambda_0 and <1, a_alpha>."""
-    return _slots(
-        n, d, 0, lambda a, u, s, upper: u >= 1 and a >= 0 and min((s,) + upper) < 0
+    """Families outside the divisible part: the Borel row's class if its
+    first nonzero orientation power is positive while u_alpha or some
+    u_lambda above it is inverted."""
+    return frozenset(
+        m for m in hh_basis(n, d)
+        if (low := _lowest(m))[0] >= 1 and min(low[1], default=0) < 0
     )
-
-
-def _c2_family(d: Degree) -> frozenset[Monomial]:
-    """The negative cone of C_2, S a_alpha^-i u_alpha^-j with i, j >= 1:
-    the u_alpha-negative part of its orbit row."""
-    return frozenset(m for m in hb_basis(1, d) if m.e_u_alpha <= -1)
 
 
 def _blocks(n: int, d: Degree, pos: bool = False) -> tuple:
     """The explicit a_lambda_0-divisible blocks of degree d (n >= 2), as
     (tag, monomials) pairs.
 
-    B2 is solved in place.  B1 and B3 are renamings eps_rename(m, k) of
-    quotient-group classes m, with k the a_lambda_0 power the degree
-    forces: B1 comes from the quotient's positive-cone classes containing
-    a_alpha^2 or a rotation Euler class, B3 from its part-(4) classes
-    carrying a_lambda_0.  The renamed cone is B1 when c_lambda_0 >= 1.
+    B2 is a window of the orbit row (`_b2`).  B1 and B3 are renamings
+    eps_rename(m, k) of quotient-group classes m, with k the a_lambda_0
+    power the degree forces: B1 comes from the quotient's positive-cone
+    classes containing a_alpha^2 or a rotation Euler class, B3 from its
+    part-(4) classes carrying a_lambda_0.  The renamed cone is B1 when c_lambda_0 >= 1.
     Otherwise it is the set of positive-cone classes of d containing
     a_alpha^2 or a_lambda_i (i >= 1), which gold keeps free of u_lambda_0,
     and it is listed only if `pos` asks for it.
@@ -195,7 +171,7 @@ def _d_lambda1(n: int, d: Degree) -> frozenset[tuple[Monomial, int]]:
         raise DegreeError(f"the engine's recursion needs n <= {MAX_N}, got n={n}")
     k, q = -d.c_lambda[0], strip_lambda0(d)
     if n == 2:
-        return frozenset((eps_rename(m, k), 0) for m in _c2_family(q))
+        return frozenset((eps_rename(m, k), 0) for m in _b2(1, q))
     return frozenset((eps_rename(m, k), dep + 1) for m, dep in _d_lambda0(n - 1, q))
 
 
@@ -238,7 +214,7 @@ def part2_closed(n: int, d: Degree) -> frozenset[Monomial]:
         base_deg = strip_lambda0(base_deg)
         m_group = n - renames
         if m_group == 1:
-            fams = _c2_family(base_deg)
+            fams = _b2(1, base_deg)
         else:
             fams = _union(_blocks(m_group, base_deg, pos=True))
         for y in fams:
@@ -259,7 +235,7 @@ def basis(n: int, d: Degree) -> AnswerBasis:
     check_group(n, d)
     found = {m: BasisElement(m, "POS", 0) for m in positive_cone_basis(n, d)}
     if n == 1:
-        blocks, p2 = (), ((m, 0) for m in _c2_family(d))
+        blocks, p2 = (), ((m, 0) for m in _b2(1, d))
     else:
         blocks, p2 = _blocks(n, d) + (("P4", part4(n, d)),), _d_lambda1(n, d)
     for tag, fam in blocks:

@@ -53,7 +53,7 @@ from itertools import product
 from operator import mul, xor
 
 from .gf2 import CohomologyReducer, columns_to_bitstrings, nullspace, rank
-from .reps import Degree, check_group
+from .reps import Degree, DegreeError, check_group
 from . import reps
 
 DEFAULT_BUDGET = 20000
@@ -479,6 +479,8 @@ def oracle_pi(n: int, d: Degree, budget: int | None = None) -> MackeyAnswer:
 def mult_a_alpha(n: int, d: Degree, j: int, budget: int | None = None):
     """Induced map on level-j cohomology, pi_d -> pi_{d-alpha}, as
     (columns, source reducer, target reducer)."""
+    if not 0 <= j <= n:
+        raise DegreeError(f"level j={j} out of range for n={n}")
     [src], [tgt] = _slices(n, d, [j], budget, _DUAL_ALPHA)
     return _orbit_induced(src, tgt, _include), src.reducer, tgt.reducer
 

@@ -3,13 +3,14 @@
 There is one row, the Tate row, with the localized Euler class (a_alpha
 for n = 1, a_lambda_0 otherwise) and every orientation class inverted.
 The lambda slots pin all exponents but u_lambda_0 and the localized
-power, the alpha slot pins u_alpha once the a_alpha choice is made, and
-the trivial slot fixes one parity, so each degree is one small linear
-system with exactly one solution.  The norm cofibre sequence
-Sigma X_hG -> X^hG -> X^tG makes the other two rows windows of it: the
-Borel row is its classes with a nonnegative localized power, and the
-orbit row its once-desuspended classes with a negative one, so their
-dimensions are 0 or 1.
+power, the trivial slot's parity fixes the a_alpha power
+eps = (t + c_alpha) mod 2 and the alpha slot then pins u_alpha, so each
+degree has exactly one Tate class, solved, not searched for.  The norm
+cofibre sequence Sigma X_hG -> X^hG -> X^tG makes the other two rows
+windows of it: the Borel row is the class if its localized power is
+nonnegative, and the orbit row the once-desuspended class if it is
+negative, so their dimensions are 0 or 1.  The engine's block B2 and
+part (4) are in turn windows of the orbit and Borel rows.
 """
 
 from __future__ import annotations
@@ -25,26 +26,21 @@ def group_cohomology_dim(n: int, s: int) -> int:
     return 1 if s >= 0 else 0
 
 
-def _row(n: int, d: Degree, sigma: int) -> list[Monomial]:
-    """The Tate classes of degree d + sigma, desuspended sigma times: for
+def _row(n: int, d: Degree, sigma: int) -> Monomial:
+    """The Tate class of degree d + sigma, desuspended sigma times: for
     n = 1 a_alpha^(-c_alpha - s) u_alpha^s with s = t + sigma, otherwise
     a_alpha^eps u_alpha^s a_lambda_0^k u_lambda_0^s0 prod_{p>0} u_lambda_p^(-c_p)
-    with s = -c_alpha - eps, s0 forced by t + sigma and k = -c_lambda_0 - s0."""
+    with eps = (t + sigma + c_alpha) mod 2, s = -c_alpha - eps, s0 forced by
+    t + sigma and k = -c_lambda_0 - s0."""
     check_group(n, d)
-    t = d.t + sigma
+    t, a = d.t + sigma, d.c_alpha
     if n == 1:
-        return [Monomial(1, sigma, -d.c_alpha - t, t, (), ())]
-    out = []
-    for eps in (0, 1):
-        s = -d.c_alpha - eps
-        rem = t - s
-        if rem % 2:
-            continue
-        s0 = rem // 2 + sum(d.c_lambda[1:])
-        eul = (s0,) + tuple(-c for c in d.c_lambda[1:])
-        eal = (-d.c_lambda[0] - s0,) + (0,) * (n - 2)
-        out.append(Monomial(n, sigma, eps, s, eal, eul))
-    return out
+        return Monomial(1, sigma, -a - t, t, (), ())
+    eps = (t + a) % 2
+    upper = tuple([-c for c in d.c_lambda[1:]])
+    s0 = (t + a + eps) // 2 - sum(upper)
+    eal = (-d.c_lambda[0] - s0,) + (0,) * (n - 2)
+    return Monomial(n, sigma, eps, -a - eps, eal, (s0,) + upper)
 
 
 def _euler_power(m: Monomial) -> int:
@@ -53,22 +49,24 @@ def _euler_power(m: Monomial) -> int:
 
 
 def hh_basis(n: int, d: Degree) -> frozenset[Monomial]:
-    """Homotopy fixed points: the Tate classes with a nonnegative power of
-    the localized Euler class."""
-    return frozenset(m for m in _row(n, d, 0) if _euler_power(m) >= 0)
+    """Homotopy fixed points: the Tate class, if its power of the
+    localized Euler class is nonnegative."""
+    m = _row(n, d, 0)
+    return frozenset((m,)) if _euler_power(m) >= 0 else frozenset()
 
 
 def ht_basis(n: int, d: Degree) -> frozenset[Monomial]:
     """Tate: one class per degree.  All orientation classes and the
     localized Euler class are inverted; a_alpha is square-zero for n >= 2
     and a_lambda_0 is Laurent."""
-    return frozenset(_row(n, d, 0))
+    return frozenset((_row(n, d, 0),))
 
 
 def hb_basis(n: int, d: Degree) -> frozenset[Monomial]:
-    """Homotopy orbits: the Tate classes of degree d + 1 with a negative
-    power of the localized Euler class, desuspended once."""
-    return frozenset(m for m in _row(n, d, 1) if _euler_power(m) <= -1)
+    """Homotopy orbits: the Tate class of degree d + 1, desuspended once,
+    if its power of the localized Euler class is negative."""
+    m = _row(n, d, 1)
+    return frozenset((m,)) if _euler_power(m) <= -1 else frozenset()
 
 
 def perp_hb_basis(n: int, d: Degree) -> frozenset[Monomial]:

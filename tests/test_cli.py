@@ -567,6 +567,31 @@ def test_closed_pipe_exit_2(unbuffered):
     assert "Broken pipe" in proc.stderr
 
 
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("stdout_closed", [True, False], ids=["with-stdout", "alone"])
+@pytest.mark.parametrize("argv,codes", [
+    (["dim", "--n", "1", "--deg", "0,0"], (2, 0)),
+    (["oracle", "--n", "2", "--deg=0,0,0", "--budget", "0"], (3, 3)),
+    (["dim", "--n", "2", "--deg", "1,2"], (2, 2)),
+    (["nosuch"], (2, 2)),
+], ids=["dim", "oracle-budget", "bad-deg", "unknown-command"])
+def test_closed_stderr_keeps_exit_code(argv, codes, stdout_closed, unbuffered):
+    # `hf2 ... 2>&1 | head`: stderr's reader is gone, alone or with stdout's,
+    # so the diagnostic fails too; the exit code must stay the one chosen,
+    # never 1 (a mismatch) or 120 (a failed flush at shutdown)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hf2.cli", *argv],
+                              stdout=w if stdout_closed else subprocess.DEVNULL, stderr=w, env=env)
+    finally:
+        os.close(w)
+    assert proc.returncode == codes[not stdout_closed]
+
+
 def test_import_leaves_out_multiprocessing():
     # only `verify --jobs N` with N > 1 needs it, so start-up does not pay for it
     proc = subprocess.run(

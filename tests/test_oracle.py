@@ -16,6 +16,7 @@ from hf2.oracle import (
     verify_lemma_kernel,
 )
 from hf2.reps import (
+    DegreeError,
     alpha_degree,
     lambda_degree,
     make_degree,
@@ -411,6 +412,12 @@ class TestAlphaParity:
                 assert got == (ref_s.h_dim, ref_t.h_dim, rank(ref_cols)), (str(d), j)
                 nonzero += got[2] > 0
         assert nonzero >= 5  # the sample exercises nonzero a_alpha maps
+
+    @pytest.mark.parametrize("j", [-1, 3])
+    def test_mult_a_alpha_level_out_of_range(self, j):
+        # unchecked, j = -1 reads as level 0 and j = n + 1 as a negative shift
+        with pytest.raises(DegreeError, match=rf"^level j={j} out of range for n=2$"):
+            mult_a_alpha(2, make_degree(2, 0, 0, [0]), j)
 
 
 class TestLemmaKernel:
