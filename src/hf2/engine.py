@@ -40,7 +40,7 @@ from functools import lru_cache
 
 from .reps import Degree, DegreeError, check_group, strip_lambda0
 from .monomial import Monomial, MonomialError, eps_rename, positive_cone_basis
-from .tate import hb_basis, hh_basis
+from .tate import basis_of, hb_row, hh_row
 
 # The a_lambda_0/a_lambda_1 recursion descends one group order per frame
 # pair, so its depth grows with n; this bound keeps it well inside Python's
@@ -82,11 +82,12 @@ def part_pos(n: int, d: Degree) -> frozenset[Monomial]:
     return positive_cone_basis(n, d)
 
 
-def _lowest(m: Monomial) -> tuple[int, tuple[int, ...]]:
-    """The first nonzero orientation power of m, read over u_lambda_0, ...,
+def _lowest(row: tuple) -> tuple[int, tuple[int, ...]]:
+    """The first nonzero orientation power of a class with the exponents
+    row (as `hf2.tate` gives them), read over u_lambda_0, ...,
     u_lambda_{n-2} and then u_alpha, and the powers after it; (0, ()) if
     every orientation power is 0."""
-    us = m.e_u_lambda + (m.e_u_alpha,)
+    us = row[4] + (row[2],)
     for r, u in enumerate(us):
         if u:
             return u, us[r + 1:]
@@ -97,18 +98,24 @@ def _b2(n: int, d: Degree) -> frozenset[Monomial]:
     """The suspension families with a negative a_lambda_0 power: the orbit
     row's class if its first nonzero orientation power is negative.  For
     n = 1 this is the negative cone of C_2, S a_alpha^-i u_alpha^-j with
-    i, j >= 1."""
-    return frozenset(m for m in hb_basis(n, d) if _lowest(m)[0] <= -1)
+    i, j >= 1.  The window is read off the exponents, so a class is built
+    only when it is in."""
+    row = hb_row(n, d)
+    if row is not None and _lowest(row)[0] <= -1:
+        return basis_of(n, row)
+    return frozenset()
 
 
 def part4(n: int, d: Degree) -> frozenset[Monomial]:
     """Families outside the divisible part: the Borel row's class if its
     first nonzero orientation power is positive while u_alpha or some
     u_lambda above it is inverted."""
-    return frozenset(
-        m for m in hh_basis(n, d)
-        if (low := _lowest(m))[0] >= 1 and min(low[1], default=0) < 0
-    )
+    row = hh_row(n, d)
+    if row is not None:
+        low, after = _lowest(row)
+        if low >= 1 and min(after, default=0) < 0:
+            return basis_of(n, row)
+    return frozenset()
 
 
 def _blocks(n: int, d: Degree, pos: bool = False) -> tuple:

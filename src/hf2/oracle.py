@@ -34,10 +34,27 @@ kind (nu and N hit the whole block, 1 - gamma and its transpose two cells).
 The levels of one model share one list of factor-degree signatures
 (`_signatures`), grown factor by factor so that it holds only those of
 degrees s-1..s+1.  A degree s outside the interval of degrees with cells
-has group 0, lists no signature and is never refused by the budget.
+has group 0, lists no signature and is never refused by the budget; that
+is decided from the interval alone, before the budget pass.
 res, tr, gamma and multiplication by a_alpha (the inclusion of the model
 into its smash with one dual alpha cell pair) act on orbit indices in closed
 form.
+
+Clearing across degrees (the Chen-Kerber twist, one degree further down
+than `CohomologyReducer` takes it): a column of d_deg at a position that is
+the top bit of a column of d_{deg-1} lies in the span of the lower columns,
+as d_deg d_{deg-1} = 0.  So it need not be built: at deg = s - 1 it would
+reduce to 0, at deg = s it lies at a pivot of the image of d_in, which the
+reducer skips.  The positions are read from signatures alone, so no degree
+outside s-1..s+1 is listed.  Classes are listed in product order, so the
+top bit of a class K's columns comes from its top move (its first +1 move,
+or with none its last -1 move), which lands in the class with the largest
+offset; that class T reads the top bits off its own coordinates in closed
+form, as a box per class fixed by the move's kind and where T's star lies
+(`_top_box`).  `cols(deg, clear=True)` leaves those columns 0 and walks
+only the representatives outside the box.  Below `CLEAR_FROM` columns a
+slice builds both differentials in full, where the boxes cost more than
+they save.
 
 The bottom-level route, which stores the whole complex at the trivial-
 subgroup level with the generator's permutation action, lives in the test
@@ -57,6 +74,10 @@ from .reps import Degree, DegreeError, check_group
 from . import reps
 
 DEFAULT_BUDGET = 20000
+# Clearing costs a box per class and a walk around it per move; below about
+# this many columns in degrees s-1 and s together that costs more than the
+# columns it skips, so smaller slices build both differentials in full.
+CLEAR_FROM = 192
 # the group of every empty slice, shared: a reducer is not changed once built
 _ZERO_GROUP = CohomologyReducer(0, [], [])
 
@@ -143,6 +164,83 @@ class _CellClass:
         self.count = step
 
 
+def _top_box(factors: list[tuple[int, int, int]], first: int, p: int,
+             cls: _CellClass) -> dict | None:
+    """The representatives of cls whose orbit indices are top bits of columns
+    of the differential into cls's degree, as a box: a range of values for
+    each coordinate it restricts ({}: the whole class); None when there are
+    none to read off.  first is the index of the first positive factor, -1
+    with none.
+
+    Classes are listed in product order, so the top move of a class K, the
+    one whose target has the largest offset, is its first +1 move (sign > 0,
+    u < length) or, with none, its last -1 move (sign < 0, u > 0); every
+    other move lands lower, and the top bit of each of K's columns is that
+    of the top move's part.  cls is the top-move target of K = cls minus one
+    step of its first positive factor f or, with no positive factor, plus
+    one step of its last factor (other classes K may move into cls too).
+    The move adds nothing when K's period exceeds cls's.  With r = cls's
+    radix at f, the box restricts x[f] when the star (the coordinate fixed
+    below p) is off f: to 1..r-1 for 1 - gamma and its transpose (turn +-1),
+    to r - 1 for nu and N (turn 0; r = 1 for the transpose of nu, whose box
+    is the class).  With the star on f:
+    - turn +-1: x[f] in 1..p-1; at p = 1 every x[f] is 0 and the pair is
+      x and x -+ 1 on the other coordinates, so the first other coordinate
+      g of block > 1 has x[g] in 1..B_g-1 (with none, the move adds 0);
+    - turn 0: x[f] = p - 1 and the rest is the lexicographically largest
+      of its orbit under the shifts by multiples of p: each coordinate g
+      whose block exceeds q, the largest block before it (p at first),
+      lies in B_g-q..B_g-1.  N adds that orbit B_f / B times over, B the
+      largest block off f, so it adds 0 unless B = B_f.
+    """
+    sig, f = cls.sig, first
+    if f >= 0:
+        u = sig[f] - 1
+        if u < 0:
+            return None
+    elif sig:
+        f = len(sig) - 1
+        u = sig[f] + 1
+        if u > factors[f][1]:
+            return None
+    else:
+        return None
+    b, _, sign = factors[f]
+    if u and b > cls.period:  # K's period exceeds cls's
+        return None
+    turn = u % 2 if sign > 0 else u % 2 - 1
+    if cls.star != f:
+        r = cls.radices[f]
+        return {f: range(1, r)} if turn else {f: range(r - 1, r)} if r > 1 else {}
+    if turn:
+        if p > 1:
+            return {f: range(1, p)}
+        g = next((g for g, bg in enumerate(cls.blocks) if bg > 1 and g != f), None)
+        return None if g is None else {g: range(1, cls.blocks[g])}
+    if u and cls.blocks.count(b) == 1:  # N with B < B_f
+        return None
+    box, q = ({f: range(p - 1, p)} if p > 1 else {}), p
+    for g, bg in enumerate(cls.blocks):
+        if g != f and bg > q:
+            box[g], q = range(bg - q, bg), bg
+    return box
+
+
+def _outside(box: dict[int, range], radices: tuple[int, ...]) -> list[tuple]:
+    """The representatives of a class outside box, as disjoint walks: per
+    walk, the values each coordinate takes (None: all) and the coordinates
+    it restricts.  Walk i keeps the box's first i coordinates inside it and
+    takes its next one outside."""
+    walks, inside, cut = [], [None] * len(radices), ()
+    for g, z in box.items():
+        walk = inside.copy()
+        walk[g] = [v for v in range(radices[g]) if v not in z]
+        cut += (g,)
+        walks.append((walk, cut))
+        inside[g] = z
+    return walks
+
+
 class _LevelSlice:
     """Level-j fixed subcomplex of the tensor model of `factors` (as built by
     `_factors`, a degree d giving s = -t), in cochain degrees s-1, s and s+1
@@ -152,7 +250,9 @@ class _LevelSlice:
     single cell, so those are the bottom-level widths.  cols(deg) is the
     differential deg -> deg + 1 in the column-major form `gf2` takes: one
     column per degree-deg orbit sum, with the |O| / |O'| rule of the module
-    docstring applied per pair of classes.
+    docstring applied per pair of classes.  cleared(deg) names the columns
+    that clearing across degrees (module docstring) leaves out, and
+    cols(deg, clear=True) leaves them 0.
     """
 
     def __init__(self, n: int, factors: list[tuple[int, int, int]], s: int, j: int,
@@ -189,9 +289,27 @@ class _LevelSlice:
             for x in product(*map(range, cls.radices))
         ]
 
-    def cols(self, deg: int) -> list[int]:
+    def cleared(self, deg: int) -> dict[tuple[int, ...], dict[int, range]]:
+        """The positions of degree deg that are top bits of columns of the
+        differential into deg, as one box of representatives per class
+        (`_top_box`), keyed by signature; classes with none are left out.
+        Their columns out of deg are the ones clearing across degrees (module
+        docstring) need not build.  Only signatures are read, so degree
+        deg - 1 is never listed."""
+        boxes = {}
+        first = next((f for f, (_, _, sign) in enumerate(self.factors) if sign > 0), -1)
+        for sig, cls in self.classes[deg].items():
+            box = _top_box(self.factors, first, self.p, cls)
+            if box is not None:
+                boxes[sig] = box
+        return boxes
+
+    def cols(self, deg: int, clear: bool = False) -> list[int]:
         """The level differential from degree deg to deg + 1 as columns, one
         per degree-deg orbit O in index order: the image of the orbit sum.
+        With clear, the columns at the positions of `cleared(deg)` are not
+        built and come out 0; the span of the columns, their pivots and so
+        every answer stay the same.
 
         Counting pairs (x in O, y in O') with y in supp d(x) both ways, the
         coefficient of O' is |supp d(rep O) & O'| |O| / |O'| mod 2.  Orbit
@@ -203,9 +321,13 @@ class _LevelSlice:
         source cell's stabilizer gamma^period.
         """
         dst = self.classes[deg + 1]
+        boxes = self.cleared(deg) if clear else {}
+        free = [((None,) * len(self.factors), ())]  # one walk over every representative
         out = []
         for sig, cls in self.classes[deg].items():
             cols = [0] * cls.count
+            box = boxes.get(sig)
+            walks = free if box is None else _outside(box, cls.radices)
             for f, (_, length, sign) in enumerate(self.factors):
                 u = sig[f]
                 if sign > 0 and u < length:
@@ -216,12 +338,17 @@ class _LevelSlice:
                     turn = u % 2 - 1  # its transpose: cells y and y - 1
                 else:
                     continue
-                if tgt.period >= cls.period:
-                    self._add_move(cols, cls, tgt, f, turn)
+                if not walks or tgt.period < cls.period:  # all cleared, or no image
+                    continue
+                if (not turn and tgt.star == f and cls.blocks[f] > 1
+                        and tgt.blocks.count(tgt.blocks[f]) == 1):
+                    continue  # N inside a star no other block reaches adds 0 (`_top_box`)
+                self._add_move(cols, cls, tgt, f, turn, walks)
             out.extend(cols)
         return out
 
-    def _add_move(self, cols, cls: _CellClass, tgt: _CellClass, f: int, turn: int) -> None:
+    def _add_move(self, cols, cls: _CellClass, tgt: _CellClass, f: int, turn: int,
+                  walks) -> None:
         """XOR into cols (one per orbit of cls, in index order) the part of
         the differential that moves factor f into class tgt: source cell x
         meets the cells of tgt that agree with x off f and carry at f a c of
@@ -236,9 +363,15 @@ class _LevelSlice:
         over z are outer sums of per-factor terms, and each x[f] adds a mask
         of its cs at offsets from the base, in closed form: one mask for
         every x[f] and k for a full support (the block, or [k, k + p) with
-        the star on f), two bits for a pair.  With equal radices, hence
-        strides, and k = 0, the base is the position (the masks carry tgt's
-        offset).
+        the star on f), two bits for a pair.  At k = 0, when cls and tgt
+        have their stars at the same coordinate (or at f, or none), their
+        radices differ at most at f, so positions and bases are runs of the
+        coordinates before and after f; with equal radices the base is the
+        position (the masks carry tgt's offset).
+
+        walks (from `cols`) are the parts of cls to cover, each with the
+        values every coordinate takes (None: all) and the coordinates it
+        restricts; positions outside them are cleared and left alone.
         """
         p, st, o = self.p, tgt.star, tgt.offset
         wf, step, rf = tgt.strides[f], cls.strides[f], cls.radices[f]
@@ -265,19 +398,50 @@ class _LevelSlice:
                 ks = range(0, cls.radices[st], p) if st >= 0 else (0,)
             moves = dict.fromkeys(ks, [(y * step, m) for y in range(rf)])
         same = tgt.radices == cls.radices
-        for k, masks in moves.items():
-            direct = same and not k
-            targets, bases = [0], [0]
-            for g, (r, s, bg, w) in enumerate(zip(cls.radices, cls.strides, tgt.blocks, tgt.strides)):
-                if g != f and bg > 1:  # a block-1 factor adds 0 to both
-                    lo, hi = (k, k + p) if g == st else (0, r)
-                    targets = [a + t for a in targets for t in range(lo * s, hi * s, s)]
-                    if not direct:
-                        bs = [(v - k) % bg * w for v in range(lo, hi)]
-                        bases = [a + b for a in bases for b in bs]
-            for t, b in zip(targets, targets if direct else bases):
-                for off, m in masks:
-                    cols[t + off] ^= m << b
+        # off f the radices of cls and tgt differ only where one has its star
+        aligned = cls.star == st or (cls.star in (f, -1) and st in (f, -1))
+        terms = None
+        for walk, cut in walks:
+            if walk[f] is None:
+                moved = moves
+            else:
+                moved = {k: [(off, m) for off, m in masks if off // step in walk[f]]
+                         for k, masks in moves.items()}
+            for k, masks in moved.items():
+                if aligned and not k and cut in ((), (f,)):
+                    # every coordinate off f over its radix: position h + l
+                    # and base h / rf * (tgt's radix at f) + l, h a multiple
+                    # of rf * step and l < step
+                    targets = (range(0, cls.count, rf) if step == 1 else
+                               [h + l for h in range(0, cls.count, rf * step) for l in range(step)])
+                    if same:
+                        bases = targets
+                    else:
+                        rt = tgt.radices[f]
+                        bases = [h + l for h in range(0, cls.count // rf * rt, rt * step)
+                                 for l in range(step)]
+                else:
+                    if terms is None:
+                        terms = [(g, r, s, bg, w) for g, (r, s, bg, w) in enumerate(
+                                 zip(cls.radices, cls.strides, tgt.blocks, tgt.strides))
+                                 if g != f and bg > 1]  # a block-1 factor adds 0 to both
+                    direct = same and not k  # the base is the position
+                    targets, bases = [0], [0]
+                    for g, r, s, bg, w in terms:
+                        lo, hi = (k, k + p) if g == st else (0, r)
+                        if walk[g] is None:
+                            vs = range(lo, hi)
+                        else:
+                            vs = [v for v in walk[g] if lo <= v < hi]
+                        targets = [a + v * s for a in targets for v in vs]
+                        if not direct:
+                            bs = [(v - k) % bg * w for v in vs]
+                            bases = [a + b for a in bases for b in bs]
+                    if direct:
+                        bases = targets
+                for t, b in zip(targets, bases):
+                    for off, m in masks:
+                        cols[t + off] ^= m << b
 
     @cached_property
     def reducer(self) -> CohomologyReducer:
@@ -286,7 +450,8 @@ class _LevelSlice:
         s = self.s
         if not self.dims[s]:
             return _ZERO_GROUP
-        return CohomologyReducer(self.dims[s], self.cols(s - 1), self.cols(s))
+        clear = self.dims[s - 1] + self.dims[s] >= CLEAR_FROM
+        return CohomologyReducer(self.dims[s], self.cols(s - 1, clear), self.cols(s, clear))
 
 
 def _shift(cls: _CellClass, x, m: int) -> list[int]:
@@ -418,22 +583,37 @@ def _widths(factors: list[tuple[int, int, int]], s: int, p: int, cap: int) -> in
     return max(widths.values()) if widths[s] else 0
 
 
+def _has_cells(factors: list[tuple[int, int, int]], s: int) -> bool:
+    """Whether cochain degree s lies in the model's interval of degrees with
+    cells: from minus the dual factors' lengths to the others' lengths."""
+    lo = hi = 0
+    for _, length, sign in factors:
+        if sign > 0:
+            hi += length
+        else:
+            lo -= length
+    return lo <= s <= hi
+
+
 def _check(n: int, d: Degree, models, level: int, budget: int | None) -> None:
     """The one budget rule, decided before any signature is listed: refuse d
     when the widest of degrees s-1..s+1 over the models at `level`, the
     lowest a query reads, exceeds the budget.  Orbit counts only grow as the
-    level drops, and a degree s with no cells is 0 wide at every level."""
+    level drops.  The models are those in which degree s has cells; a query
+    with none builds nothing and is never refused."""
     cap = DEFAULT_BUDGET if budget is None else budget
     widest = 0
     for factors in models:
         widest = max(widest, _widths(factors, -d.t, 1 << (n - level), cap))
-    if widest > max(cap, 0):  # a query that builds nothing is never refused
+    if widest > cap:
         raise BudgetExceededError(d, widest, cap)
 
 
 def check_budget(n: int, d: Degree, budget: int | None = None) -> None:
     """Refuse d where `oracle_top_dim` would, building nothing."""
-    _check(n, d, [_factors(n, d)], n, budget)
+    factors = _factors(n, d)
+    if _has_cells(factors, -d.t):
+        _check(n, d, [factors], n, budget)
 
 
 # The dual alpha cell pair: smashed on, it takes the model of d to that of d - alpha.
@@ -443,15 +623,23 @@ _DUAL_ALPHA = (2, 1, -1)
 def _slices(n: int, d: Degree, levels, budget: int | None, extra=None) -> list[list[_LevelSlice]]:
     """The one way slices are made: per model, one `_LevelSlice` per level
     in `levels`.  The models are that of d and, given an `extra` factor, its
-    smash with that factor.  The budget is checked before anything is built;
-    each model lists its signatures once for all its levels."""
+    smash with that factor.  Whether degree s has cells is decided once per
+    model, from its interval; the budget is then checked over the models
+    where it has, before anything is built.  Each of those lists its
+    signatures once for all its levels; the others list none."""
+    s = -d.t
     factors = _factors(n, d)
     models = [factors] if extra is None else [factors, factors + [extra]]
-    _check(n, d, models, min(levels), budget)
+    live = [model for model in models if _has_cells(model, s)]
+    if live:
+        _check(n, d, live, min(levels), budget)
     out = []
     for model in models:
-        signatures = _signatures(model, -d.t)
-        out.append([_LevelSlice(n, model, -d.t, j, signatures) for j in levels])
+        if model in live:
+            signatures = _signatures(model, s)
+        else:
+            signatures = dict.fromkeys((s - 1, s, s + 1), ())
+        out.append([_LevelSlice(n, model, s, j, signatures) for j in levels])
     return out
 
 

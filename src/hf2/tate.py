@@ -26,47 +26,65 @@ def group_cohomology_dim(n: int, s: int) -> int:
     return 1 if s >= 0 else 0
 
 
-def _row(n: int, d: Degree, sigma: int) -> Monomial:
-    """The Tate class of degree d + sigma, desuspended sigma times: for
+def _row(n: int, d: Degree, sigma: int) -> tuple:
+    """The exponents (sigma, e_a_alpha, e_u_alpha, e_a_lambda, e_u_lambda)
+    of the Tate class of degree d + sigma, desuspended sigma times: for
     n = 1 a_alpha^(-c_alpha - s) u_alpha^s with s = t + sigma, otherwise
     a_alpha^eps u_alpha^s a_lambda_0^k u_lambda_0^s0 prod_{p>0} u_lambda_p^(-c_p)
     with eps = (t + sigma + c_alpha) mod 2, s = -c_alpha - eps, s0 forced by
-    t + sigma and k = -c_lambda_0 - s0."""
+    t + sigma and k = -c_lambda_0 - s0.  Callers test a window on them
+    before a `Monomial` is built."""
     check_group(n, d)
     t, a = d.t + sigma, d.c_alpha
     if n == 1:
-        return Monomial(1, sigma, -a - t, t, (), ())
+        return sigma, -a - t, t, (), ()
     eps = (t + a) % 2
     upper = tuple([-c for c in d.c_lambda[1:]])
     s0 = (t + a + eps) // 2 - sum(upper)
     eal = (-d.c_lambda[0] - s0,) + (0,) * (n - 2)
-    return Monomial(n, sigma, eps, -a - eps, eal, (s0,) + upper)
+    return sigma, eps, -a - eps, eal, (s0,) + upper
 
 
-def _euler_power(m: Monomial) -> int:
-    """The exponent of the localized Euler class."""
-    return m.e_a_alpha if m.n == 1 else m.e_a_lambda[0]
+def _euler_power(n: int, row: tuple) -> int:
+    """The exponent of the localized Euler class in a row's exponents."""
+    return row[1] if n == 1 else row[3][0]
+
+
+def hh_row(n: int, d: Degree) -> tuple | None:
+    """The exponents of the Borel row's class: the Tate class, if its power
+    of the localized Euler class is nonnegative; else None."""
+    row = _row(n, d, 0)
+    return row if _euler_power(n, row) >= 0 else None
+
+
+def hb_row(n: int, d: Degree) -> tuple | None:
+    """The exponents of the orbit row's class: the Tate class of degree
+    d + 1, desuspended once, if its power of the localized Euler class is
+    negative; else None."""
+    row = _row(n, d, 1)
+    return row if _euler_power(n, row) <= -1 else None
+
+
+def basis_of(n: int, row: tuple | None) -> frozenset[Monomial]:
+    """The class with the exponents row as a basis, empty for None."""
+    return frozenset() if row is None else frozenset((Monomial(n, *row),))
 
 
 def hh_basis(n: int, d: Degree) -> frozenset[Monomial]:
-    """Homotopy fixed points: the Tate class, if its power of the
-    localized Euler class is nonnegative."""
-    m = _row(n, d, 0)
-    return frozenset((m,)) if _euler_power(m) >= 0 else frozenset()
+    """Homotopy fixed points: the class of `hh_row`."""
+    return basis_of(n, hh_row(n, d))
 
 
 def ht_basis(n: int, d: Degree) -> frozenset[Monomial]:
     """Tate: one class per degree.  All orientation classes and the
     localized Euler class are inverted; a_alpha is square-zero for n >= 2
     and a_lambda_0 is Laurent."""
-    return frozenset((_row(n, d, 0),))
+    return basis_of(n, _row(n, d, 0))
 
 
 def hb_basis(n: int, d: Degree) -> frozenset[Monomial]:
-    """Homotopy orbits: the Tate class of degree d + 1, desuspended once,
-    if its power of the localized Euler class is negative."""
-    m = _row(n, d, 1)
-    return frozenset((m,)) if _euler_power(m) <= -1 else frozenset()
+    """Homotopy orbits: the class of `hb_row`."""
+    return basis_of(n, hb_row(n, d))
 
 
 def perp_hb_basis(n: int, d: Degree) -> frozenset[Monomial]:

@@ -511,8 +511,8 @@ class TestInternalFault:
         # the oracle builds both differentials itself, so a wrong shape is
         # its own defect, not a usage error
         real = oracle._LevelSlice.cols
-        monkeypatch.setattr(oracle._LevelSlice, "cols", lambda self, deg: (
-            real(self, deg)[:-1] if deg == self.s else real(self, deg)))
+        monkeypatch.setattr(oracle._LevelSlice, "cols", lambda self, deg, clear=False: (
+            real(self, deg, clear)[:-1] if deg == self.s else real(self, deg, clear)))
         code, out, err = run_cli(capsys, "mackey", "--n", "3", "--deg", "-3,0,0,2")
         assert code == 4 and out == ""
         assert "internal error" in err and "one column per basis vector" in err

@@ -3,6 +3,7 @@ import json
 import random
 import time
 from itertools import product
+from operator import mul
 
 import pytest
 
@@ -364,6 +365,76 @@ def test_cols_n4_seeded():
 def test_cols_n4_sample():
     degrees = random.Random(2030).sample(list(box_degrees(4, (-6, 6), (-1, 1), (-1, 1))), 200)
     assert _check_cols(4, degrees) >= 50
+
+
+def _positions(sl, deg: int) -> set[int]:
+    """The orbit indices in the boxes of `sl.cleared(deg)`."""
+    out = set()
+    for sig, box in sl.cleared(deg).items():
+        cls = sl.classes[deg][sig]
+        values = [box.get(g, range(r)) for g, r in enumerate(cls.radices)]
+        out.update(cls.offset + sum(map(mul, x, cls.strides)) for x in product(*values))
+    return out
+
+
+def _check_clearing(n: int, degrees) -> list[int]:
+    """`_LevelSlice.cleared` against the differential it reads, built here
+    in full from a slice one degree lower, at every level, for each degree's
+    model and the a_alpha target model: the cleared positions are top bits
+    of d_{deg-1}'s columns, the cleared columns are the full ones with 0 at
+    those positions, and at deg = s they lie at pivots of d_in.  Returns the
+    d_in columns cleared and those that reduce to 0, then the d_out columns
+    cleared and those at pivots of d_in."""
+    counts = [0, 0, 0, 0]
+    for d in degrees:
+        for factors in (oracle._factors(n, d), oracle._factors(n, d) + [oracle._DUAL_ALPHA]):
+            for j in range(n + 1):
+                sl = oracle._LevelSlice(n, factors, -d.t, j)
+                cleared = {}
+                for deg in (sl.s - 1, sl.s):
+                    cleared[deg] = _positions(sl, deg)
+                    below = oracle._LevelSlice(n, factors, deg, j)  # degrees deg-1..deg+1
+                    tops = {c.bit_length() - 1 for c in below.cols(deg - 1) if c}
+                    assert cleared[deg] <= tops, (str(d), factors, j, deg)
+                    expected = [0 if k in cleared[deg] else c for k, c in enumerate(sl.cols(deg))]
+                    assert sl.cols(deg, clear=True) == expected, (str(d), factors, j, deg)
+                span = Span()
+                span.absorb(sl.cols(sl.s - 1))
+                assert cleared[sl.s] <= span.pivots.keys(), (str(d), factors, j)
+                counts[0] += len(cleared[sl.s - 1])
+                counts[1] += sl.dims[sl.s - 1] - span.dim
+                counts[2] += len(cleared[sl.s])
+                counts[3] += span.dim
+    return counts
+
+
+class TestClearing:
+    """Clearing across degrees: the top-move rule against the differential
+    one degree lower, on the degrees `TestColumns` and the n = 4 column
+    tests read, and a floor on how much of what could be cleared it clears
+    (zero-reducing d_in columns, d_out columns at pivots of d_in), so that a
+    rule which silently clears nothing fails."""
+
+    def test_boxes(self):
+        degrees = {
+            1: list(box_degrees(1, (-6, 6), (-3, 3), (-3, 3))),
+            2: list(box_degrees(2, (-5, 5), (-2, 2), (-2, 2))),
+            3: random.Random(2029).sample(list(box_degrees(3, (-5, 5), (-1, 1), (-1, 1))), 80),
+            4: [make_degree(4, t, a, lam) for t, a, lam in N4_FULL_STAR]
+            + random.Random(2031).sample(list(box_degrees(4, (-6, 6), (-1, 1), (-1, 1))), 6),
+        }
+        counts = [sum(c) for c in zip(*(_check_clearing(n, ds) for n, ds in degrees.items()))]
+        cleared_in, zero_in, cleared_out, pivots_out = counts
+        # measured 0.82 and 0.87
+        assert cleared_in >= 0.8 * zero_in and cleared_out >= 0.8 * pivots_out, counts
+
+    @pytest.mark.slow
+    def test_n4_sample(self):
+        degrees = random.Random(2030).sample(list(box_degrees(4, (-6, 6), (-1, 1), (-1, 1))), 200)
+        counts = _check_clearing(4, degrees)
+        cleared_in, zero_in, cleared_out, pivots_out = counts
+        # measured 0.91 and 0.92
+        assert cleared_in >= 0.9 * zero_in and cleared_out >= 0.9 * pivots_out, counts
 
 
 def test_oracle_pi_pinned():
