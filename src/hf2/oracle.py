@@ -56,6 +56,20 @@ only the representatives outside the box.  Below `CLEAR_FROM` columns a
 slice builds both differentials in full, where the boxes cost more than
 they save.
 
+Moves are compiled once per shape.  What a move adds to a class's columns
+(`_LevelSlice._add_move`) depends on the slice only through p, the blocks of
+its source and target classes, which fix their stars, periods, radices and
+strides (`_shape`, one table for every class), the factor f it moves, its
+kind (turn: 1 - gamma, its transpose, or nu and N) and the source's cleared
+box; the target's offset only shifts the masks.  So `cols` keys each move by
+(p, source blocks, target blocks, f, turn, box), builds its nonzero columns
+once at target offset 0 (`_template`), and from then on XORs them in shifted
+by the target's offset, with no walk or table built.  The key names all that
+`_add_move` reads, so a memo filled by any degree gives what a direct build
+gives.  Only moves out of classes of at most `TEMPLATE_MAX` orbits are kept:
+a larger class costs its XORs more than its set-up and is built directly.
+The memo lives in the process, so no template outlives a code change.
+
 The bottom-level route, which stores the whole complex at the trivial-
 subgroup level with the generator's permutation action, lives in the test
 suite (`tests/reference_oracle.py`) as the independent reference this
@@ -74,10 +88,18 @@ from .reps import Degree, DegreeError, check_group
 from . import reps
 
 DEFAULT_BUDGET = 20000
-# Clearing costs a box per class and a walk around it per move; below about
-# this many columns in degrees s-1 and s together that costs more than the
-# columns it skips, so smaller slices build both differentials in full.
+# Clearing costs a box per class (`_top_box`) and, per cleared shape, a
+# template of its own; below about this many columns in degrees s-1 and s
+# together that costs more than the columns it skips, so smaller slices build
+# both differentials in full.
 CLEAR_FROM = 192
+# Moves out of classes of at most this many orbits (256 at most: a template
+# stores a position in one byte) are compiled once per shape
+# (`_LevelSlice.cols`).  A move out of a larger class costs its XORs more than
+# its set-up, and keeping its template would cost memory: over the oracle_pi
+# degrees of one benchmark mackey seed, 64 keeps about 1800 templates in about
+# 1 MB, and no cap about 2200 in 2.5 MB for about 5% less time.
+TEMPLATE_MAX = 64
 # the group of every empty slice, shared: a reducer is not changed once built
 _ZERO_GROUP = CohomologyReducer(0, [], [])
 
@@ -138,6 +160,24 @@ def _signatures(factors: list[tuple[int, int, int]], s: int) -> dict[int, list[t
     return by_degree
 
 
+def _shape(blocks: tuple[int, ...], p: int) -> tuple:
+    """(star, period, radices, strides, count) of the classes of `blocks` at
+    the level whose orbits have at most p cells: see `_CellClass`."""
+    big = max(blocks, default=1)
+    star = blocks.index(big) if big > p else -1
+    radices = tuple(p if f == star else b for f, b in enumerate(blocks))
+    strides, step = [], 1
+    for r in reversed(radices):
+        strides.append(step)
+        step *= r
+    # gamma^period fixes every cell; orbit size period / p
+    return star, max(big, p), radices, tuple(reversed(strides)), step
+
+
+# (blocks, p) -> `_shape`, shared by every class, signature and level
+_SHAPES: dict[tuple, tuple] = {}
+
+
 class _CellClass:
     """The orbits of one factor-degree signature at one level.
 
@@ -151,17 +191,11 @@ class _CellClass:
     def __init__(self, sig: tuple[int, ...], blocks: tuple[int, ...], p: int, offset: int):
         self.sig = sig
         self.blocks = blocks
-        big = max(blocks, default=1)
-        self.star = blocks.index(big) if big > p else -1
-        self.period = max(big, p)  # gamma^period fixes every cell; orbit size period / p
-        self.radices = tuple(p if f == self.star else b for f, b in enumerate(blocks))
-        strides, step = [], 1
-        for r in reversed(self.radices):
-            strides.append(step)
-            step *= r
-        self.strides = tuple(reversed(strides))
         self.offset = offset
-        self.count = step
+        shape = _SHAPES.get((blocks, p))
+        if shape is None:
+            shape = _SHAPES[blocks, p] = _shape(blocks, p)
+        self.star, self.period, self.radices, self.strides, self.count = shape
 
 
 def _top_box(factors: list[tuple[int, int, int]], first: int, p: int,
@@ -241,6 +275,11 @@ def _outside(box: dict[int, range], radices: tuple[int, ...]) -> list[tuple]:
     return walks
 
 
+# (p, source blocks, target blocks, f, turn, cleared box) -> one move's
+# nonzero columns at target offset 0 (`_LevelSlice._template`)
+_TEMPLATES: dict[tuple, tuple] = {}
+
+
 class _LevelSlice:
     """Level-j fixed subcomplex of the tensor model of `factors` (as built by
     `_factors`, a degree d giving s = -t), in cochain degrees s-1, s and s+1
@@ -309,7 +348,9 @@ class _LevelSlice:
         per degree-deg orbit O in index order: the image of the orbit sum.
         With clear, the columns at the positions of `cleared(deg)` are not
         built and come out 0; the span of the columns, their pivots and so
-        every answer stay the same.
+        every answer stay the same.  Each move out of a class of at most
+        `TEMPLATE_MAX` orbits comes from its shape's template (module
+        docstring); a larger class's moves are built directly.
 
         Counting pairs (x in O, y in O') with y in supp d(x) both ways, the
         coefficient of O' is |supp d(rep O) & O'| |O| / |O'| mod 2.  Orbit
@@ -322,12 +363,15 @@ class _LevelSlice:
         """
         dst = self.classes[deg + 1]
         boxes = self.cleared(deg) if clear else {}
-        free = [((None,) * len(self.factors), ())]  # one walk over every representative
-        out = []
+        p, out = self.p, []
         for sig, cls in self.classes[deg].items():
             cols = [0] * cls.count
             box = boxes.get(sig)
-            walks = free if box is None else _outside(box, cls.radices)
+            if box == {}:  # the whole class is cleared
+                out.extend(cols)
+                continue
+            boxed = None if box is None else tuple(box.items())
+            walks = None if cls.count <= TEMPLATE_MAX else self._walks(cls, box)
             for f, (_, length, sign) in enumerate(self.factors):
                 u = sig[f]
                 if sign > 0 and u < length:
@@ -338,17 +382,43 @@ class _LevelSlice:
                     turn = u % 2 - 1  # its transpose: cells y and y - 1
                 else:
                     continue
-                if not walks or tgt.period < cls.period:  # all cleared, or no image
+                if tgt.period < cls.period:  # no image
                     continue
                 if (not turn and tgt.star == f and cls.blocks[f] > 1
                         and tgt.blocks.count(tgt.blocks[f]) == 1):
                     continue  # N inside a star no other block reaches adds 0 (`_top_box`)
-                self._add_move(cols, cls, tgt, f, turn, walks)
+                if walks is not None:  # a large class: its XORs outweigh set-up
+                    self._add_move(cols, cls, tgt, f, turn, walks, tgt.offset)
+                    continue
+                key = (p, cls.blocks, tgt.blocks, f, turn, boxed)
+                template = _TEMPLATES.get(key)
+                if template is None:
+                    template = _TEMPLATES[key] = self._template(cls, tgt, f, turn, box)
+                o = tgt.offset
+                for i, m in zip(*template):
+                    cols[i] ^= m << o
             out.extend(cols)
         return out
 
+    def _walks(self, cls: _CellClass, box: dict | None) -> list[tuple]:
+        """The parts of cls that `_add_move` covers: every representative,
+        or those outside a cleared box."""
+        if box is None:
+            return [((None,) * len(self.factors), ())]
+        return _outside(box, cls.radices)
+
+    def _template(self, cls: _CellClass, tgt: _CellClass, f: int, turn: int,
+                  box: dict | None) -> tuple[bytes, tuple[int, ...]]:
+        """One move compiled at target offset 0: the positions of its nonzero
+        columns (below `TEMPLATE_MAX`, so one byte each) and their masks, to
+        be shifted by the target's offset."""
+        cols = [0] * cls.count
+        self._add_move(cols, cls, tgt, f, turn, self._walks(cls, box), 0)
+        positions = bytes(i for i, m in enumerate(cols) if m)
+        return positions, tuple(cols[i] for i in positions)
+
     def _add_move(self, cols, cls: _CellClass, tgt: _CellClass, f: int, turn: int,
-                  walks) -> None:
+                  walks, o: int) -> None:
         """XOR into cols (one per orbit of cls, in index order) the part of
         the differential that moves factor f into class tgt: source cell x
         meets the cells of tgt that agree with x off f and carry at f a c of
@@ -367,13 +437,15 @@ class _LevelSlice:
         have their stars at the same coordinate (or at f, or none), their
         radices differ at most at f, so positions and bases are runs of the
         coordinates before and after f; with equal radices the base is the
-        position (the masks carry tgt's offset).
+        position (the masks carry the offset o).
 
-        walks (from `cols`) are the parts of cls to cover, each with the
-        values every coordinate takes (None: all) and the coordinates it
-        restricts; positions outside them are cleared and left alone.
+        walks (`_walks`) are the parts of cls to cover, each with the values
+        every coordinate takes (None: all) and the coordinates it restricts;
+        positions outside them are cleared and left alone.  o is the offset
+        the masks are shifted to: tgt's offset, or 0 when `_template`
+        compiles the move once for every class of its shape.
         """
-        p, st, o = self.p, tgt.star, tgt.offset
+        p, st = self.p, tgt.star
         wf, step, rf = tgt.strides[f], cls.strides[f], cls.radices[f]
         if turn:  # equal blocks at f, so tgt has cls's star and radices
             bf = tgt.blocks[f]

@@ -367,6 +367,18 @@ def test_cols_n4_sample():
     assert _check_cols(4, degrees) >= 50
 
 
+def _column_degrees() -> dict[int, list]:
+    """Per n, the degrees `TestColumns` (n = 1..3) and `test_cols_n4_seeded`
+    (n = 4) read."""
+    return {
+        1: list(box_degrees(1, (-6, 6), (-3, 3), (-3, 3))),
+        2: list(box_degrees(2, (-5, 5), (-2, 2), (-2, 2))),
+        3: random.Random(2029).sample(list(box_degrees(3, (-5, 5), (-1, 1), (-1, 1))), 80),
+        4: [make_degree(4, t, a, lam) for t, a, lam in N4_FULL_STAR]
+        + random.Random(2031).sample(list(box_degrees(4, (-6, 6), (-1, 1), (-1, 1))), 6),
+    }
+
+
 def _positions(sl, deg: int) -> set[int]:
     """The orbit indices in the boxes of `sl.cleared(deg)`."""
     out = set()
@@ -416,13 +428,7 @@ class TestClearing:
     rule which silently clears nothing fails."""
 
     def test_boxes(self):
-        degrees = {
-            1: list(box_degrees(1, (-6, 6), (-3, 3), (-3, 3))),
-            2: list(box_degrees(2, (-5, 5), (-2, 2), (-2, 2))),
-            3: random.Random(2029).sample(list(box_degrees(3, (-5, 5), (-1, 1), (-1, 1))), 80),
-            4: [make_degree(4, t, a, lam) for t, a, lam in N4_FULL_STAR]
-            + random.Random(2031).sample(list(box_degrees(4, (-6, 6), (-1, 1), (-1, 1))), 6),
-        }
+        degrees = _column_degrees()
         counts = [sum(c) for c in zip(*(_check_clearing(n, ds) for n, ds in degrees.items()))]
         cleared_in, zero_in, cleared_out, pivots_out = counts
         # measured 0.82 and 0.87
@@ -435,6 +441,69 @@ class TestClearing:
         cleared_in, zero_in, cleared_out, pivots_out = counts
         # measured 0.91 and 0.92
         assert cleared_in >= 0.9 * zero_in and cleared_out >= 0.9 * pivots_out, counts
+
+
+class TestMoveTemplates:
+    """Moves compiled once per shape (`_LevelSlice.cols`), on the degrees of
+    `_column_degrees` at every level, for each degree's model and the
+    a_alpha target model, with clearing off and on.  Each move is built three
+    ways: directly, with the memo bypassed; from an emptied memo; and from
+    one kept warm across every slice.  The key is complete when no key
+    gets two templates, and the warm memo gives what the direct build
+    does."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        built = {}  # key -> the templates built for it, one per move
+
+        class Bypass(dict):
+            def get(self, key, default=None):
+                return None
+
+            def __setitem__(self, key, template):
+                built.setdefault(key, []).append(template)
+
+        warm, mismatches, compared = {}, [], 0
+        saved = oracle._TEMPLATES
+        try:
+            for n, degrees in _column_degrees().items():
+                for d in degrees:
+                    for factors in (oracle._factors(n, d), oracle._factors(n, d) + [oracle._DUAL_ALPHA]):
+                        for j in range(n + 1):
+                            sl = oracle._LevelSlice(n, factors, -d.t, j)
+                            for deg, clear in product((sl.s - 1, sl.s), (False, True)):
+                                out = []
+                                for memo in (Bypass(), {}, warm):
+                                    oracle._TEMPLATES = memo
+                                    out.append(sl.cols(deg, clear))
+                                if not clear:
+                                    out.append(ref.level_cols(sl, deg))
+                                    compared += 1
+                                if any(cols != out[0] for cols in out):
+                                    mismatches.append((str(d), factors, j, deg, clear))
+        finally:
+            oracle._TEMPLATES = saved
+        return built, warm, mismatches, compared
+
+    def test_key_is_complete(self, runs):
+        built, _, _, _ = runs
+        conflicts = [key for key, templates in built.items() if len(set(templates)) > 1]
+        assert not conflicts, conflicts[:5]
+        # shapes repeat (measured 16580 moves over 2348 keys), which is what
+        # the memo rests on
+        moves = sum(map(len, built.values()))
+        assert len(built) >= 1000 and moves >= 5 * len(built), (len(built), moves)
+
+    def test_cold_equals_warm(self, runs):
+        _, _, mismatches, compared = runs
+        assert not mismatches, mismatches[:5]
+        assert compared >= 1000
+
+    def test_cap(self, runs):
+        built, warm, _, _ = runs
+        assert warm.keys() == built.keys()
+        for p, blocks, *_ in warm:
+            assert oracle._SHAPES[blocks, p][4] <= oracle.TEMPLATE_MAX
 
 
 def test_oracle_pi_pinned():
