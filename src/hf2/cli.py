@@ -13,14 +13,17 @@ engine or oracle failed, or any other unexpected exception: a defect in
 hf2, not in the input).  Reports are deterministic: record ordering follows
 box iteration order and timestamps only appear in the "meta" sidecar, which
 comparison tooling must ignore.
+
+A subcommand imports what it runs, where it runs it: `dim` loads the engine
+and no oracle, `oracle` the oracle and no engine, `verify` both.  Building
+the parser and mapping exit codes load neither, so a one-shot query compiles
+only its own modules.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import hashlib
 import itertools
 import json
 import math
@@ -30,9 +33,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from . import duality, engine, gf2, oracle, reps
-from .gf2 import InternalInvariantError
-from .monomial import eps_rename
+from . import reps
 from .reps import Degree, DegreeError
 
 SCHEMA_VERSION = 1
@@ -144,20 +145,23 @@ class JsonlCache:
 
 
 def _line_hash(key: str, value) -> str:
+    import hashlib
+
     return hashlib.sha1(f"{key}={value}".encode()).hexdigest()[:12]
-
-
-# Only oracle values are cached: engine values cost less to recompute than to
-# store and load again.  These modules compute the cached values.
-_ORACLE_MODULES = (oracle, gf2)
 
 
 @functools.cache
 def _fingerprint() -> str:
     """Short hash of the source of the modules that compute oracle values,
-    read once per process, so a cached value does not outlive its code."""
+    read once per process, so a cached value does not outlive its code.
+    Only oracle values are cached: engine values cost less to recompute than
+    to store and load again."""
+    import hashlib
+
+    from . import gf2, oracle
+
     h = hashlib.sha1()
-    for module in _ORACLE_MODULES:
+    for module in (oracle, gf2):
         with open(module.__file__, "rb") as fh:
             h.update(fh.read())
     return h.hexdigest()[:12]
@@ -175,6 +179,8 @@ _CHUNK = 16  # degrees per task handed to a `verify --jobs` worker
 def _oracle_value(task):
     """(value, None), or (None, refusal) when the budget refuses the degree.
     A cached value faces this run's budget, like a fresh one."""
+    from . import oracle
+
     n, d, budget, cached = task
     try:
         if cached is None:
@@ -207,6 +213,8 @@ def _emit(report: Report, fmt: str) -> None:
         nested = any(isinstance(v, (dict, list)) for v in values)
         print(json.dumps(payload, indent=2 if nested else None))
     elif fmt == "csv":  # quoted where a field holds a comma, as a degree does
+        import csv
+
         csv.writer(sys.stdout, lineterminator="\n").writerows(report.csv)
     else:
         for line in report.table:
@@ -217,12 +225,16 @@ def _emit(report: Report, fmt: str) -> None:
 
 
 def cmd_dim(args) -> Report:
+    from . import engine
+
     val = engine.dimension(args.n, reps.parse_degree(args.deg, args.n))
     return Report({"n": args.n, "degree": args.deg, "dimension": val},
                   csv=[("dimension",), (val,)], table=[val])
 
 
 def cmd_basis(args) -> Report:
+    from . import engine
+
     d = reps.parse_degree(args.deg, args.n)
     elements = engine.basis(args.n, d).sorted_elements()
     return Report(
@@ -234,6 +246,8 @@ def cmd_basis(args) -> Report:
 
 
 def cmd_verify(args) -> Report:
+    from . import engine
+
     box = parse_box(args.box, args.n)
     directory = None if args.no_cache else args.cache_dir or os.environ.get("HF2_CACHE_DIR")
     cache = JsonlCache(directory, args.n) if directory else None
@@ -305,6 +319,8 @@ def cmd_verify(args) -> Report:
 
 
 def cmd_duality_scan(args) -> Report:
+    from . import duality
+
     box = parse_box(args.box, args.n)
     t0 = time.time()
     report = duality.duality_scan(args.n, box)
@@ -325,6 +341,9 @@ def cmd_duality_scan(args) -> Report:
 def cmd_slice_check(args) -> Report:
     if args.n < 2:
         raise UsageError("slice-check needs n >= 2")
+    from . import engine
+    from .monomial import eps_rename
+
     box = parse_box(args.box, args.n - 1)
     t0 = time.time()
     mismatches = []
@@ -361,6 +380,8 @@ def cmd_slice_check(args) -> Report:
 
 
 def cmd_mackey(args) -> Report:
+    from . import oracle
+
     d = reps.parse_degree(args.deg, args.n)
     payload = oracle.oracle_pi(args.n, d, args.budget).to_json()
     payload["schema"] = SCHEMA_VERSION
@@ -370,6 +391,8 @@ def cmd_mackey(args) -> Report:
 
 
 def cmd_summands(args) -> Report:
+    from . import engine
+
     audit = engine.summand_audit(args.n)
     audit["schema"] = SCHEMA_VERSION
     lines = [f"n={args.n}: {audit['total']} summands ({audit['families']})"]
@@ -379,6 +402,8 @@ def cmd_summands(args) -> Report:
 
 
 def cmd_oracle(args) -> Report:
+    from . import oracle
+
     dim = oracle.oracle_top_dim(args.n, reps.parse_degree(args.deg, args.n), args.budget)
     return Report({"n": args.n, "degree": args.deg, "oracle_dimension": dim},
                   csv=[("oracle_dimension",), (dim,)], table=[dim])
@@ -396,6 +421,18 @@ def _int_at_least(low: int):
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """Reads the oracle's default budget into `--budget`'s help only when
+    the help is printed, so that building the parser loads no oracle."""
+
+    def _get_help_string(self, action) -> str:
+        if action.dest != "budget":
+            return action.help
+        from .oracle import DEFAULT_BUDGET
+
+        return f"{action.help} (default {DEFAULT_BUDGET})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("summands", cmd_summands, "summand family count with audit trail", set()),
         ("oracle", cmd_oracle, "oracle top-level dimension at one degree", {"deg", "budget"}),
     ):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, formatter_class=_HelpFormatter)
         p.set_defaults(func=func)
         p.add_argument("--n", type=int, required=True, help="group exponent: the group is C_{2^n}")
         if "deg" in needs:
@@ -425,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--box", required=True, help='box "t=-8..8,a=-2..2,l0=-2..2,..."')
         if "budget" in needs:
             p.add_argument("--budget", type=_int_at_least(0), default=None,
-                           help=f"oracle column cap (default {oracle.DEFAULT_BUDGET})")
+                           help="oracle column cap")
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
         p.add_argument("--cache-dir", default=None, help="cache directory (or HF2_CACHE_DIR)")
         p.add_argument("--no-cache", action="store_true")
@@ -479,21 +516,26 @@ def main(argv=None) -> int:
         report = args.func(args)
         _emit(report, args.format)
         sys.stdout.flush()  # a closed pipe fails here, inside the mapping
-    except oracle.BudgetExceededError as exc:  # a one-degree query cannot skip its degree
-        _warn(json.dumps({"error": str(exc)}))
-        return EXIT_BUDGET
     except (UsageError, DegreeError, OSError) as exc:
         if isinstance(exc, BrokenPipeError):
             _devnull(sys.stdout)
         _warn(f"error: {exc}")
         return EXIT_USAGE
-    except (InternalInvariantError, engine.PartOverlapError) as exc:
-        _warn(f"internal error: {exc}")
-        return EXIT_INTERNAL
-    except Exception as exc:  # anything else is a defect too, never a mismatch
-        import traceback
+    except Exception as exc:
+        # imported on the way out only, where a module that raised is loaded
+        from . import oracle
 
-        _warn(f"internal error: {exc!r}", traceback.format_exc().rstrip("\n"))
+        if isinstance(exc, oracle.BudgetExceededError):  # a one-degree query cannot skip it
+            _warn(json.dumps({"error": str(exc)}))
+            return EXIT_BUDGET
+        from . import engine, gf2
+
+        if isinstance(exc, (gf2.InternalInvariantError, engine.PartOverlapError)):
+            _warn(f"internal error: {exc}")
+        else:  # anything else is a defect too, never a mismatch
+            import traceback
+
+            _warn(f"internal error: {exc!r}", traceback.format_exc().rstrip("\n"))
         return EXIT_INTERNAL
     return report.code
 

@@ -260,17 +260,15 @@ def _top_box(factors: list[tuple[int, int, int]], first: int, p: int,
     return box
 
 
-def _outside(box: dict[int, range], radices: tuple[int, ...]) -> list[tuple]:
+def _outside(box: dict[int, range], radices: tuple[int, ...]) -> list[list]:
     """The representatives of a class outside box, as disjoint walks: per
-    walk, the values each coordinate takes (None: all) and the coordinates
-    it restricts.  Walk i keeps the box's first i coordinates inside it and
-    takes its next one outside."""
-    walks, inside, cut = [], [None] * len(radices), ()
+    walk, the values each coordinate takes (None: all).  Walk i keeps the
+    box's first i coordinates inside it and takes its next one outside."""
+    walks, inside = [], [None] * len(radices)
     for g, z in box.items():
         walk = inside.copy()
         walk[g] = [v for v in range(radices[g]) if v not in z]
-        cut += (g,)
-        walks.append((walk, cut))
+        walks.append(walk)
         inside[g] = z
     return walks
 
@@ -400,11 +398,11 @@ class _LevelSlice:
             out.extend(cols)
         return out
 
-    def _walks(self, cls: _CellClass, box: dict | None) -> list[tuple]:
+    def _walks(self, cls: _CellClass, box: dict | None) -> list:
         """The parts of cls that `_add_move` covers: every representative,
         or those outside a cleared box."""
         if box is None:
-            return [((None,) * len(self.factors), ())]
+            return [(None,) * len(self.factors)]
         return _outside(box, cls.radices)
 
     def _template(self, cls: _CellClass, tgt: _CellClass, f: int, turn: int,
@@ -433,17 +431,14 @@ class _LevelSlice:
         over z are outer sums of per-factor terms, and each x[f] adds a mask
         of its cs at offsets from the base, in closed form: one mask for
         every x[f] and k for a full support (the block, or [k, k + p) with
-        the star on f), two bits for a pair.  At k = 0, when cls and tgt
-        have their stars at the same coordinate (or at f, or none), their
-        radices differ at most at f, so positions and bases are runs of the
-        coordinates before and after f; with equal radices the base is the
-        position (the masks carry the offset o).
+        the star on f), two bits for a pair.  At k = 0 with equal radices
+        the base is the position (the masks carry the offset o).
 
         walks (`_walks`) are the parts of cls to cover, each with the values
-        every coordinate takes (None: all) and the coordinates it restricts;
-        positions outside them are cleared and left alone.  o is the offset
-        the masks are shifted to: tgt's offset, or 0 when `_template`
-        compiles the move once for every class of its shape.
+        every coordinate takes (None: all); positions outside them are
+        cleared and left alone.  o is the offset the masks are shifted to:
+        tgt's offset, or 0 when `_template` compiles the move once for every
+        class of its shape.
         """
         p, st = self.p, tgt.star
         wf, step, rf = tgt.strides[f], cls.strides[f], cls.radices[f]
@@ -470,47 +465,30 @@ class _LevelSlice:
                 ks = range(0, cls.radices[st], p) if st >= 0 else (0,)
             moves = dict.fromkeys(ks, [(y * step, m) for y in range(rf)])
         same = tgt.radices == cls.radices
-        # off f the radices of cls and tgt differ only where one has its star
-        aligned = cls.star == st or (cls.star in (f, -1) and st in (f, -1))
-        terms = None
-        for walk, cut in walks:
+        terms = [(g, r, s, bg, w) for g, (r, s, bg, w) in enumerate(
+                 zip(cls.radices, cls.strides, tgt.blocks, tgt.strides))
+                 if g != f and bg > 1]  # a block-1 factor adds 0 to both
+        for walk in walks:
             if walk[f] is None:
                 moved = moves
             else:
                 moved = {k: [(off, m) for off, m in masks if off // step in walk[f]]
                          for k, masks in moves.items()}
             for k, masks in moved.items():
-                if aligned and not k and cut in ((), (f,)):
-                    # every coordinate off f over its radix: position h + l
-                    # and base h / rf * (tgt's radix at f) + l, h a multiple
-                    # of rf * step and l < step
-                    targets = (range(0, cls.count, rf) if step == 1 else
-                               [h + l for h in range(0, cls.count, rf * step) for l in range(step)])
-                    if same:
-                        bases = targets
+                direct = same and not k  # the base is the position
+                targets, bases = [0], [0]
+                for g, r, s, bg, w in terms:
+                    lo, hi = (k, k + p) if g == st else (0, r)
+                    if walk[g] is None:
+                        vs = range(lo, hi)
                     else:
-                        rt = tgt.radices[f]
-                        bases = [h + l for h in range(0, cls.count // rf * rt, rt * step)
-                                 for l in range(step)]
-                else:
-                    if terms is None:
-                        terms = [(g, r, s, bg, w) for g, (r, s, bg, w) in enumerate(
-                                 zip(cls.radices, cls.strides, tgt.blocks, tgt.strides))
-                                 if g != f and bg > 1]  # a block-1 factor adds 0 to both
-                    direct = same and not k  # the base is the position
-                    targets, bases = [0], [0]
-                    for g, r, s, bg, w in terms:
-                        lo, hi = (k, k + p) if g == st else (0, r)
-                        if walk[g] is None:
-                            vs = range(lo, hi)
-                        else:
-                            vs = [v for v in walk[g] if lo <= v < hi]
-                        targets = [a + v * s for a in targets for v in vs]
-                        if not direct:
-                            bs = [(v - k) % bg * w for v in vs]
-                            bases = [a + b for a in bases for b in bs]
-                    if direct:
-                        bases = targets
+                        vs = [v for v in walk[g] if lo <= v < hi]
+                    targets = [a + v * s for a in targets for v in vs]
+                    if not direct:
+                        bs = [(v - k) % bg * w for v in vs]
+                        bases = [a + b for a in bases for b in bs]
+                if direct:
+                    bases = targets
                 for t, b in zip(targets, bases):
                     for off, m in masks:
                         cols[t + off] ^= m << b

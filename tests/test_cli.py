@@ -592,11 +592,30 @@ def test_closed_stderr_keeps_exit_code(argv, codes, stdout_closed, unbuffered):
     assert proc.returncode == codes[not stdout_closed]
 
 
-def test_import_leaves_out_multiprocessing():
-    # only `verify --jobs N` with N > 1 needs it, so start-up does not pay for it
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, hf2.cli; print('multiprocessing' in sys.modules)"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+@pytest.mark.parametrize("command, present, absent", [
+    (["-c", "import hf2"], ["hf2"], [f"hf2.{m}" for m in (
+        "cli", "duality", "engine", "gf2", "monomial", "oracle", "reps", "tate")]),
+    # only `verify --jobs N` with N > 1 needs multiprocessing
+    (["-c", "import hf2.cli"], ["hf2.cli", "hf2.reps"],
+     ["hf2.engine", "hf2.oracle", "hashlib", "multiprocessing"]),
+    (["-m", "hf2.cli", "dim", "--n", "3", "--deg=-1,0,1,-1"], ["hf2.engine"],
+     ["hf2.oracle", "hf2.duality", "hashlib", "multiprocessing"]),
+    (["-m", "hf2.cli", "oracle", "--n", "3", "--deg=-1,0,1,-1"], ["hf2.oracle"],
+     ["hf2.engine", "hf2.monomial", "hf2.tate", "hf2.duality", "hashlib", "multiprocessing"]),
+], ids=["import-hf2", "import-cli", "dim", "oracle"])
+def test_process_imports_only_what_it_runs(command, present, absent):
+    # a one-shot query compiles its own modules and no others; present shows
+    # that the import log sees the modules a process loads on demand
+    proc = subprocess.run([sys.executable, "-X", "importtime", *command],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert loaded >= set(present)
+    assert not loaded & set(absent)
+
+
+@pytest.mark.parametrize("command", ["oracle", "mackey", "verify"])
+def test_budget_help_reads_default(capsys, command):
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0 and f"default {oracle.DEFAULT_BUDGET})" in out

@@ -1,0 +1,60 @@
+import subprocess
+import sys
+from importlib import import_module
+
+import pytest
+
+import hf2
+
+# The package surface: the names each submodule exports at package level.
+# Each submodule is exported under its own name too.
+EXPORTS = {
+    "reps": ["Degree", "DegreeError", "make_degree", "underlying_dim", "fixed_dim", "restrict",
+             "pullback_eps", "parse_degree", "format_degree"],
+    "monomial": ["Monomial", "MonomialError", "degree_of", "multiply", "is_gold_zero",
+                 "positive_cone_basis", "parse_monomial", "format_monomial"],
+    "engine": ["AnswerBasis", "BasisElement", "basis", "dimension", "part2", "part2_closed",
+               "part3", "part4", "part_pos", "d_divisible", "summand_count", "summand_audit"],
+    "tate": ["group_cohomology_dim", "hh_basis", "ht_basis", "hb_basis", "perp_hb_basis"],
+    "duality": ["dual_degree", "dual_monomial", "duality_scan", "lambda_class"],
+    "oracle": ["BudgetExceededError", "MackeyAnswer", "oracle_pi", "oracle_top_dim",
+               "verify_lemma_kernel"],
+    "gf2": [],
+}
+SURFACE = [(module, name) for module, names in EXPORTS.items() for name in (module, *names)]
+
+
+def test_all_is_the_surface():
+    assert hf2.__all__ == sorted(name for _, name in SURFACE)
+
+
+@pytest.mark.parametrize("module, name", SURFACE, ids=[name for _, name in SURFACE])
+def test_name_is_the_submodules_object(module, name):
+    source = import_module(f"hf2.{module}")
+    expected = source if name == module else getattr(source, name)
+    assert getattr(hf2, name) is expected
+    assert name in dir(hf2)
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from hf2 import *", namespace)
+    assert all(namespace[name] is getattr(hf2, name) for name in hf2.__all__)
+
+
+def test_unknown_name_raises():
+    with pytest.raises(AttributeError, match="nosuch"):
+        hf2.nosuch
+    with pytest.raises(ImportError):
+        from hf2 import nosuch  # noqa: F401
+
+
+def test_submodule_resolves_on_first_access():
+    # in a fresh process, where `import hf2` has loaded no submodule
+    proc = subprocess.run(
+        [sys.executable, "-c", "import hf2; print(hf2.oracle.DEFAULT_BUDGET, hf2.dimension.__module__)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(import_module("hf2.oracle").DEFAULT_BUDGET), "hf2.engine"]
