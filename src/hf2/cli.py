@@ -31,7 +31,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
 
 from . import reps
 from .reps import Degree, DegreeError
@@ -52,13 +51,14 @@ class UsageError(Exception):
 # -- degree boxes -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class DegreeBox:
     """Inclusive ranges (lo, hi) of t, c_alpha, c_lambda[0], ..., in that
     order; iteration is lexicographic in them."""
 
-    n: int
-    ranges: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "ranges")
+
+    def __init__(self, n: int, ranges: tuple[tuple[int, int], ...]):
+        self.n, self.ranges = n, ranges
 
     def __iter__(self):
         for t, a, *lam in itertools.product(*(range(lo, hi + 1) for lo, hi in self.ranges)):
@@ -150,6 +150,14 @@ def _line_hash(key: str, value) -> str:
     return hashlib.sha1(f"{key}={value}".encode()).hexdigest()[:12]
 
 
+def _oracle_sources() -> tuple:
+    """The modules whose source decides an oracle value: `hf2.oracle` and
+    every hf2 module it imports."""
+    from . import gf2, oracle, reps
+
+    return oracle, gf2, reps
+
+
 @functools.cache
 def _fingerprint() -> str:
     """Short hash of the source of the modules that compute oracle values,
@@ -158,10 +166,8 @@ def _fingerprint() -> str:
     to store and load again."""
     import hashlib
 
-    from . import gf2, oracle
-
     h = hashlib.sha1()
-    for module in (oracle, gf2):
+    for module in _oracle_sources():
         with open(module.__file__, "rb") as fh:
             h.update(fh.read())
     return h.hexdigest()[:12]
@@ -194,15 +200,14 @@ def _oracle_value(task):
 # -- output -------------------------------------------------------------------
 
 
-@dataclass
 class Report:
     """What a command computed, in every output format, and its exit code.
     CSV rows start with the header, if the format has one."""
 
-    payload: dict | list
-    csv: list[tuple]
-    table: list
-    code: int = EXIT_PASS
+    __slots__ = ("payload", "csv", "table", "code")
+
+    def __init__(self, payload: dict | list, csv: list[tuple], table: list, code: int = EXIT_PASS):
+        self.payload, self.csv, self.table, self.code = payload, csv, table, code
 
 
 def _emit(report: Report, fmt: str) -> None:

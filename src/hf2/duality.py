@@ -9,7 +9,7 @@ quotients.
 
 from __future__ import annotations
 
-from .reps import Degree, DegreeError, check_group, lambda_degree, trivial_degree
+from .reps import Degree, DegreeError, check_group
 from .monomial import Monomial, MonomialError, divide
 from .engine import dimension
 
@@ -26,7 +26,8 @@ def dual_degree(n: int, d: Degree) -> Degree:
     if n < 2:
         raise DegreeError("duality needs n >= 2")
     check_group(n, d)
-    return lambda_degree(n, 0) - trivial_degree(n, 2) - d
+    c0, *rest = d.c_lambda
+    return Degree(n, -2 - d.t, -d.c_alpha, (1 - c0, *(-c for c in rest)))
 
 
 def _is_unit_shape(m: Monomial) -> bool:

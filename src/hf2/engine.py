@@ -35,7 +35,7 @@ everything divisible) is asserted, not repaired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .reps import Degree, DegreeError, check_group, strip_lambda0
@@ -52,21 +52,26 @@ class PartOverlapError(RuntimeError):
     """Two parts that must be disjoint produced the same monomial."""
 
 
-@dataclass(frozen=True, order=True)
-class BasisElement:
-    monomial: Monomial
-    part: str
-    depth: int
+class BasisElement(namedtuple("BasisElement", "monomial part depth")):
+    """A class of the answer: its Monomial, the tag of the part that made it
+    and its recursion depth.  An immutable named tuple, ordered by its fields."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"monomial": str(self.monomial), "part": self.part, "depth": self.depth}
 
 
-@dataclass(frozen=True)
-class AnswerBasis:
-    n: int
-    degree: Degree
-    elements: frozenset[BasisElement]
+class AnswerBasis(namedtuple("AnswerBasis", "n degree elements")):
+    """The answer in one Degree over C_{2^n}: a frozenset of BasisElements.
+    An immutable named tuple, with no order."""
+
+    __slots__ = ()
+
+    def _unordered(self, other):
+        return NotImplemented
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     def sorted_elements(self) -> list[BasisElement]:
         return sorted(self.elements, key=lambda e: (str(e.monomial), e.part))

@@ -16,7 +16,7 @@ has a monomial basis and gold testing is a predicate, not a rewrite.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .reps import Degree, check_group, make_degree
 
@@ -25,22 +25,23 @@ class MonomialError(ValueError):
     """Raised for malformed monomials or unsatisfiable preconditions."""
 
 
-@dataclass(frozen=True, order=True)
-class Monomial:
-    n: int
-    sigma: int
-    e_a_alpha: int
-    e_u_alpha: int
-    e_a_lambda: tuple[int, ...]
-    e_u_lambda: tuple[int, ...]
+class Monomial(namedtuple("Monomial", "n sigma e_a_alpha e_u_alpha e_a_lambda e_u_lambda")):
+    """S^sigma a_alpha^e_a_alpha u_alpha^e_u_alpha times the a_lambda_i and
+    u_lambda_i powers in the tuples e_a_lambda and e_u_lambda, over
+    C_{2^n}.  An immutable named tuple, ordered and hashed by its fields."""
 
-    def __post_init__(self):
-        if self.sigma not in (0, 1):
-            raise MonomialError(f"sigma must be 0 or 1, got {self.sigma}")
-        if len(self.e_a_lambda) != self.n - 1 or len(self.e_u_lambda) != self.n - 1:
-            raise MonomialError(
-                f"lambda exponent vectors must have length {self.n - 1} for n={self.n}"
-            )
+    __slots__ = ()
+
+    def __new__(cls, n, sigma, e_a_alpha, e_u_alpha, e_a_lambda, e_u_lambda):
+        if sigma not in (0, 1):
+            raise MonomialError(f"sigma must be 0 or 1, got {sigma}")
+        if len(e_a_lambda) != n - 1 or len(e_u_lambda) != n - 1:
+            raise MonomialError(f"lambda exponent vectors must have length {n - 1} for n={n}")
+        return tuple.__new__(cls, (n, sigma, e_a_alpha, e_u_alpha, e_a_lambda, e_u_lambda))
+
+    @classmethod
+    def _make(cls, iterable):  # so that `_replace` checks its result too
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return format_monomial(self)

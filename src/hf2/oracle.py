@@ -78,7 +78,7 @@ builder is compared against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, reduce
 from itertools import product
 from operator import mul, xor
@@ -572,14 +572,18 @@ def _orbit_induced(src: _LevelSlice, tgt: _LevelSlice, chain_map) -> list[int]:
 # -- the oracle ---------------------------------------------------------------
 
 
-@dataclass
-class MackeyAnswer:
-    n: int
-    degree: Degree
-    level_dims: list[int]
-    res: list[list[int]]
-    tr: list[list[int]]
-    gamma: list[list[int]]
+class MackeyAnswer(namedtuple("MackeyAnswer", "n degree level_dims res tr gamma")):
+    """The Mackey functor in one Degree over C_{2^n}: the dimensions at
+    levels 0..n, the column lists of restriction and transfer between
+    adjacent levels, and of the Weyl action gamma at each level.  A named
+    tuple, with no order."""
+
+    __slots__ = ()
+
+    def _unordered(self, other):
+        return NotImplemented
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     def to_json(self) -> dict:
         return {

@@ -12,21 +12,19 @@ C_{2^i}; alpha is fixed exactly by the index-two subgroup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class DegreeError(ValueError):
     """Raised for malformed degrees (bad n, wrong number of lambda slots)."""
 
 
-@dataclass(frozen=True, order=True)
-class Degree:
-    """A point of RO(C_{2^n}), with lambda coefficients indexed 0..n-2."""
+class Degree(namedtuple("Degree", "n t c_alpha c_lambda")):
+    """A point of RO(C_{2^n}), with lambda coefficients indexed 0..n-2:
+    the ints n, t and c_alpha and the tuple of ints c_lambda.  An immutable
+    named tuple, ordered and hashed by its fields."""
 
-    n: int
-    t: int
-    c_alpha: int
-    c_lambda: tuple[int, ...]
+    __slots__ = ()
 
     def __add__(self, other: "Degree") -> "Degree":
         check_group(self.n, other)

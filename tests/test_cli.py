@@ -1,11 +1,13 @@
 import csv
 import functools
+import hashlib
 import json
 import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -420,6 +422,21 @@ class TestCache:
         assert code == 0 and json.loads(out)["pass"]
         # the three oracle values miss under the new fingerprint and are stored again
         assert len(cache_file.read_text().splitlines()) == n_lines + 3
+
+    def test_fingerprint_covers_the_oracles_imports(self):
+        # the hf2 modules hf2.oracle imports: those it binds, and those of
+        # the names it binds; each decides oracle values, so each is hashed
+        bound = vars(oracle).values()
+        names = {v.__name__ for v in bound if isinstance(v, types.ModuleType)}
+        names |= {getattr(v, "__module__", None) for v in bound}
+        imported = {sys.modules[name] for name in names if str(name).startswith("hf2.")}
+        assert {gf2, reps} <= imported
+        hashed = cli._oracle_sources()
+        assert imported | {oracle} <= set(hashed)
+        h = hashlib.sha1()
+        for module in hashed:
+            h.update(Path(module.__file__).read_bytes())
+        assert cli._fingerprint() == h.hexdigest()[:12]
 
 
 class TestOtherCommands:

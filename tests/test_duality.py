@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from hf2.duality import dual_degree, dual_monomial, duality_scan, lambda_class
 from hf2.engine import dimension
 from hf2.monomial import Monomial, MonomialError, degree_of, parse_monomial, unit
-from hf2.reps import DegreeError, make_degree, zero_degree
+from hf2.reps import Degree, DegreeError, lambda_degree, make_degree, trivial_degree, zero_degree
 
 from fixtures import box_degrees
 
@@ -33,6 +33,19 @@ class TestDualDegree:
     def test_needs_lambda0(self):
         with pytest.raises(DegreeError):
             dual_degree(1, zero_degree(1))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_closed_form_is_the_difference(self, n):
+        # lambda_0 - 2 - d through the Degree arithmetic, and back again
+        unit = lambda_degree(n, 0) - trivial_degree(n, 2)
+        for d in box_degrees(n, (-3, 3), (-1, 1), (-1, 1)):
+            dd = dual_degree(n, d)
+            assert type(dd) is Degree and dd == unit - d, str(d)
+            assert dual_degree(n, dd) == d
+
+    def test_degree_over_another_group_refused(self):
+        with pytest.raises(DegreeError, match="expected 3"):
+            dual_degree(3, zero_degree(2))
 
 
 class TestDualMonomial:

@@ -1,12 +1,15 @@
 import hashlib
 import itertools
 import json
+import pickle
 import random
 
 import pytest
 
 from hf2 import engine
 from hf2.engine import (
+    AnswerBasis,
+    BasisElement,
     PartOverlapError,
     basis,
     d_divisible,
@@ -293,3 +296,54 @@ def test_basis_pinned():
             d = make_degree(n, t, a, [rng.randint(-2, 2) for _ in range(n - 1)])
             h.update(json.dumps([e.to_json() for e in basis(n, d).sorted_elements()]).encode())
     assert h.hexdigest() == "221dbf12f318e5ceb1237c01b6819e2d92a67b50"
+
+
+class TestValueTypes:
+    """BasisElement and AnswerBasis are immutable values, equal and hashed by
+    their fields; BasisElement orders by them and AnswerBasis has no order."""
+
+    D = make_degree(3, -3, 0, [0, 2])
+
+    def test_equality_and_hash(self):
+        a, b = basis(3, self.D), basis(3, make_degree(3, -3, 0, (0, 2)))
+        assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != basis(3, zero_degree(3))
+        assert a == (3, self.D, a.elements)
+        e = min(a.elements)
+        assert e == BasisElement(e.monomial, e.part, e.depth) and hash(e) == hash(tuple(e))
+
+    def test_element_order_is_by_fields(self):
+        elements = [e for d in box_degrees(3, (-3, 3), (-1, 1), (-1, 1)) for e in basis(3, d).elements]
+        assert len({e.part for e in elements}) >= 3
+        assert sorted(elements) == sorted(elements, key=lambda e: (e.monomial, e.part, e.depth))
+
+    def test_answer_has_no_order(self):
+        a, b = basis(3, self.D), basis(3, zero_degree(3))
+        for compare in (lambda: a < b, lambda: a <= b, lambda: a > b, lambda: a >= b):
+            with pytest.raises(TypeError):
+                compare()
+
+    def test_fields_cannot_be_assigned(self):
+        a = basis(3, self.D)
+        with pytest.raises(AttributeError):
+            a.elements = frozenset()
+        with pytest.raises(AttributeError):
+            min(a.elements).depth = 5
+
+    def test_repr(self):
+        e = BasisElement(parse_monomial("1", 1), "POS", 0)
+        assert repr(e) == (
+            "BasisElement(monomial=Monomial(n=1, sigma=0, e_a_alpha=0, e_u_alpha=0, "
+            "e_a_lambda=(), e_u_lambda=()), part='POS', depth=0)"
+        )
+        assert repr(AnswerBasis(1, zero_degree(1), frozenset([e]))) == (
+            f"AnswerBasis(n=1, degree=Degree(n=1, t=0, c_alpha=0, c_lambda=()), "
+            f"elements=frozenset({{{e!r}}}))"
+        )
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        a = basis(3, self.D)
+        back = pickle.loads(pickle.dumps(a, protocol))
+        assert type(back) is AnswerBasis and back == a
+        assert back.sorted_elements() == a.sorted_elements()

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -192,3 +193,54 @@ class TestGrammar:
         for d in box_degrees(3, (-5, 5), (-2, 2), (-2, 2)):
             for m in basis(3, d).monomials():
                 assert parse_monomial(format_monomial(m), 3) == m
+
+
+class TestValueType:
+    """Monomial is an immutable value, equal, hashed and ordered by its
+    fields, and it refuses a bad sigma or lambda vector however it is built."""
+
+    def test_equality_and_hash(self):
+        m = parse_monomial("S * aA * uA^-1 * aL0^-1", 2)
+        assert m == LAMBDA_C4 and hash(m) == hash(LAMBDA_C4) and len({m, LAMBDA_C4}) == 1
+        assert m != unit(2) and m == (2, 1, 1, -1, (-1,), (0,))
+
+    def test_order_is_by_fields(self):
+        ms = [Monomial(2, s, a, u, (k,), (0,)) for s in (1, 0) for a in (1, -1)
+              for u in (0, 2) for k in (1, -1)]
+        assert sorted(ms) == sorted(ms, key=tuple)
+        assert unit(2) < LAMBDA_C4
+
+    def test_fields_cannot_be_assigned(self):
+        with pytest.raises(AttributeError):
+            LAMBDA_C4.sigma = 0
+        with pytest.raises(AttributeError):
+            LAMBDA_C4.extra = 0
+
+    def test_repr(self):
+        assert repr(LAMBDA_C4) == (
+            "Monomial(n=2, sigma=1, e_a_alpha=1, e_u_alpha=-1, e_a_lambda=(-1,), e_u_lambda=(0,))"
+        )
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        back = pickle.loads(pickle.dumps(LAMBDA_C4, protocol))
+        assert type(back) is Monomial and back == LAMBDA_C4 and str(back) == str(LAMBDA_C4)
+
+    @pytest.mark.parametrize("sigma", [2, -1])
+    def test_bad_sigma(self, sigma):
+        with pytest.raises(MonomialError, match=f"sigma must be 0 or 1, got {sigma}"):
+            Monomial(2, sigma, 0, 0, (0,), (0,))
+        with pytest.raises(MonomialError, match="sigma"):
+            Monomial(n=2, sigma=sigma, e_a_alpha=0, e_u_alpha=0, e_a_lambda=(0,), e_u_lambda=(0,))
+
+    @pytest.mark.parametrize("e_a, e_u", [((0, 0), (0,)), ((0,), ()), ((), ())])
+    def test_wrong_lambda_length(self, e_a, e_u):
+        with pytest.raises(MonomialError, match="must have length 1 for n=2"):
+            Monomial(2, 0, 0, 0, e_a, e_u)
+        with pytest.raises(MonomialError, match="must have length 1 for n=2"):
+            unit(2)._replace(e_a_lambda=e_a, e_u_lambda=e_u)
+
+    def test_replace_checks_sigma(self):
+        assert LAMBDA_C4._replace(sigma=0) == Monomial(2, 0, 1, -1, (-1,), (0,))
+        with pytest.raises(MonomialError, match="sigma must be 0 or 1, got 2"):
+            LAMBDA_C4._replace(sigma=2)

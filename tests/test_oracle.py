@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pickle
 import random
 import time
 from itertools import product
@@ -11,6 +12,7 @@ from hf2 import engine, oracle
 from hf2.gf2 import Span, rank
 from hf2.oracle import (
     BudgetExceededError,
+    MackeyAnswer,
     mult_a_alpha,
     oracle_pi,
     oracle_top_dim,
@@ -258,6 +260,37 @@ class TestOraclePi:
 
 
 PARITY_BOXES = [(2, (-6, 6), (-2, 2)), (3, (-5, 5), (-1, 1))]
+
+
+class TestMackeyAnswerValue:
+    """MackeyAnswer is a value: equal by its fields, with no order, and its
+    fields cannot be assigned.  It holds lists, so it does not hash."""
+
+    D = make_degree(3, -3, 0, [0, 2])
+
+    def test_equality(self):
+        a, b = oracle_pi(3, self.D), oracle_pi(3, make_degree(3, -3, 0, (0, 2)))
+        assert a is not b and a == b and not a != b
+        assert a == MackeyAnswer(3, self.D, [0, 0, 1, 1], a.res, a.tr, a.gamma)
+        assert a != a._replace(level_dims=[0, 0, 1, 0]) != oracle_pi(3, zero_degree(3))
+
+    def test_no_order_and_no_hash(self):
+        a, b = oracle_pi(3, self.D), oracle_pi(3, zero_degree(3))
+        for compare in (lambda: a < b, lambda: a <= b, lambda: a > b, lambda: a >= b):
+            with pytest.raises(TypeError):
+                compare()
+        with pytest.raises(TypeError):
+            hash(a)
+
+    def test_fields_cannot_be_assigned(self):
+        with pytest.raises(AttributeError):
+            oracle_pi(3, self.D).level_dims = []
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        a = oracle_pi(3, self.D)
+        back = pickle.loads(pickle.dumps(a, protocol))
+        assert type(back) is MackeyAnswer and back == a and back.to_json() == a.to_json()
 
 
 def _map_ranks(res, tr, gamma):

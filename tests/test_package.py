@@ -58,3 +58,21 @@ def test_submodule_resolves_on_first_access():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [str(import_module("hf2.oracle").DEFAULT_BUDGET), "hf2.engine"]
+
+
+def test_queries_load_no_dataclasses():
+    # in a fresh process: a one-shot dim, then an oracle query, through the
+    # CLI entry point, loads neither dataclasses nor the inspect it imports
+    code = """
+import io, sys
+from contextlib import redirect_stdout
+bare = {"dataclasses", "inspect"} & set(sys.modules)
+from hf2.cli import main
+for argv in (["dim", "--n", "3", "--deg=-1,0,1,-1"], ["oracle", "--n", "3", "--deg=-1,0,1,-1"]):
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    print(" ".join(argv[:1] + sorted({"dataclasses", "inspect"} & set(sys.modules) - bare)))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["dim", "oracle", ""]

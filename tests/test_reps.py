@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -144,6 +146,43 @@ class TestTextForm:
             parse_degree("1,2,3", 3)
         with pytest.raises(DegreeError):
             parse_degree("1,x,3", 2)
+
+
+class TestValueType:
+    """Degree is an immutable value, equal, hashed and ordered by its fields."""
+
+    D = make_degree(3, 1, -1, (1, -1))
+
+    def test_equality_and_hash(self):
+        same = make_degree(3, 1, -1, [1, -1])
+        assert same == self.D and hash(same) == hash(self.D) and len({same, self.D}) == 1
+        assert make_degree(3, 1, -1, (1, 0)) != self.D != make_degree(2, 1, -1, (1,))
+
+    def test_equals_the_tuple_of_its_fields(self):
+        assert self.D == (3, 1, -1, (1, -1))
+
+    def test_order_is_by_fields(self):
+        ds = [make_degree(2, t, a, [c]) for t in (1, -1) for a in (2, -2) for c in (3, -3)]
+        assert sorted(ds) == sorted(ds, key=lambda d: (d.n, d.t, d.c_alpha, d.c_lambda))
+        assert make_degree(2, 0, 9, [9]) < make_degree(2, 1, 0, [0]) <= make_degree(2, 1, 0, [0])
+
+    def test_fields_cannot_be_assigned(self):
+        with pytest.raises(AttributeError):
+            self.D.t = 2
+        with pytest.raises(AttributeError):
+            self.D.extra = 0
+
+    def test_repr(self):
+        assert repr(self.D) == "Degree(n=3, t=1, c_alpha=-1, c_lambda=(1, -1))"
+
+    def test_arithmetic_is_not_tuple_concatenation(self):
+        assert self.D + self.D == make_degree(3, 2, -2, (2, -2))
+        assert self.D - self.D == zero_degree(3) == -zero_degree(3)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        back = pickle.loads(pickle.dumps(self.D, protocol))
+        assert type(back) is Degree and back == self.D and str(back) == "1,-1,1,-1"
 
 
 @pytest.mark.parametrize("query", [
