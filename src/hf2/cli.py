@@ -17,7 +17,8 @@ comparison tooling must ignore.
 A subcommand imports what it runs, where it runs it: `dim` loads the engine
 and no oracle, `oracle` the oracle and no engine, `verify` both.  Building
 the parser and mapping exit codes load neither, so a one-shot query compiles
-only its own modules.
+only its own modules.  An oracle value found in the cache is answered, and
+checked against the budget, without loading the oracle or `hashlib`.
 """
 
 from __future__ import annotations
@@ -103,59 +104,79 @@ def parse_box(text: str, n: int) -> DegreeBox:
 
 
 class JsonlCache:
-    """Append-only JSON-lines cache, one file per group, checksum per line."""
+    """Append-only JSON-lines cache of oracle values, one file per group.  A
+    line {"k", "v", "w", "h"} holds a key, its value, the budget width of its
+    degree (`oracle.top_width`) and a checksum of all three, so a hit faces
+    the budget without the oracle.  Only lines that can hit are decoded:
+    those of this code's fingerprint or, given one `key`, those that hold it.
+    Of several valid lines for a key, the last wins."""
 
-    def __init__(self, directory: str, n: int):
+    def __init__(self, directory: str, n: int, key: str | None = None):
         self.path = os.path.join(directory, f"hf2-cache-n{n}.jsonl")
-        self.data: dict[str, int] = {}
-        self._load()
+        self.data: dict[str, tuple[int, int]] = {}
+        self._load((json.dumps(key) if key else f"|{_fingerprint()}|").encode())
 
-    def _load(self) -> None:
+    def _load(self, needle: bytes) -> None:
         if not os.path.exists(self.path):
             return
         with open(self.path, "rb") as fh:  # decoded line by line
             for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
+                if needle not in line:
+                    continue  # blank, of other code or of another key: it cannot hit
                 try:
                     rec = json.loads(line.decode("utf-8"))
-                    key, val, h = rec["k"], rec["v"], rec["h"]
+                    key, val, width, h = rec["k"], rec["v"], rec["w"], rec["h"]
                 except (ValueError, KeyError, TypeError):
                     continue  # undecodable or corrupted line: recompute later
-                # the checksum reads "1" and 1 alike, so only an int is trusted
-                if (type(key), type(val)) != (str, int) or _line_hash(key, val) != h:
+                # the checksum reads "1" and 1 alike, so only ints are trusted
+                if ((type(key), type(val), type(width)) != (str, int, int)
+                        or _line_hash(key, val, width) != h):
                     continue
-                self.data[key] = val
+                self.data[key] = val, width
 
     def get(self, key: str):
         return self.data.get(key)
 
-    def put(self, values: dict[str, int]) -> None:
-        """Append the values not held yet, all with one write."""
-        new = {k: v for k, v in values.items() if k not in self.data}
+    def put(self, entries: dict[str, tuple[int, int]]) -> None:
+        """Append the (value, width) entries not held yet, all with one write."""
+        new = {k: e for k, e in entries.items() if k not in self.data}
         if not new:
             return
         self.data.update(new)
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write("".join(
-                json.dumps({"k": k, "v": v, "h": _line_hash(k, v)}) + "\n" for k, v in new.items()
+                json.dumps({"k": k, "v": v, "w": w, "h": _line_hash(k, v, w)}) + "\n"
+                for k, (v, w) in new.items()
             ))
 
 
-def _line_hash(key: str, value) -> str:
-    import hashlib
-
-    return hashlib.sha1(f"{key}={value}".encode()).hexdigest()[:12]
+def _cache_dir(args) -> str | None:
+    return None if args.no_cache else args.cache_dir or os.environ.get("HF2_CACHE_DIR")
 
 
-def _oracle_sources() -> tuple:
-    """The modules whose source decides an oracle value: `hf2.oracle` and
-    every hf2 module it imports."""
-    from . import gf2, oracle, reps
+@functools.cache
+def _sha1():
+    """The SHA-1 constructor of CPython's own `_sha1` module, which `hashlib`
+    falls back to: importing `hashlib` loads OpenSSL, which costs a short run
+    more than all it hashes."""
+    try:
+        from _sha1 import sha1
+    except ImportError:  # an interpreter built without it
+        from hashlib import sha1
+    return sha1
 
-    return oracle, gf2, reps
+
+def _line_hash(key: str, value, width) -> str:
+    return _sha1()(f"{key}={value}:{width}".encode()).hexdigest()[:12]
+
+
+def _oracle_sources() -> list[str]:
+    """The source files that decide an oracle value: that of `hf2.oracle`
+    and those of the hf2 modules it imports, found next to this file, so
+    that none of them is loaded."""
+    here = os.path.dirname(__file__)
+    return [os.path.join(here, f"{name}.py") for name in ("oracle", "gf2", "reps")]
 
 
 @functools.cache
@@ -164,11 +185,9 @@ def _fingerprint() -> str:
     read once per process, so a cached value does not outlive its code.
     Only oracle values are cached: engine values cost less to recompute than
     to store and load again."""
-    import hashlib
-
-    h = hashlib.sha1()
-    for module in _oracle_sources():
-        with open(module.__file__, "rb") as fh:
+    h = _sha1()()
+    for path in _oracle_sources():
+        with open(path, "rb") as fh:
             h.update(fh.read())
     return h.hexdigest()[:12]
 
@@ -182,17 +201,31 @@ def _cache_key(n: int, d: Degree) -> str:
 _CHUNK = 16  # degrees per task handed to a `verify --jobs` worker
 
 
-def _oracle_value(task):
-    """(value, None), or (None, refusal) when the budget refuses the degree.
-    A cached value faces this run's budget, like a fresh one."""
+def _fits(entry, budget: int) -> bool:
+    """Whether a cached (value, width) answers under `budget`: the oracle
+    refuses a degree exactly when its width exceeds the budget."""
+    return entry is not None and entry[1] <= budget
+
+
+def _compute(n: int, d: Degree, budget: int) -> tuple[int, int]:
+    """The oracle's (value, width) at d; over budget, the oracle's refusal."""
     from . import oracle
 
+    return oracle.oracle_top_dim(n, d, budget), oracle.top_width(n, d)
+
+
+def _oracle_value(task):
+    """((value, width), None), or (None, refusal) when the budget refuses the
+    degree.  A cached entry faces this run's budget, like a fresh one: one
+    that fits answers without loading the oracle, and any other takes the
+    oracle's own route, so a refusal reads the same cached or not."""
     n, d, budget, cached = task
-    try:
-        if cached is None:
-            return oracle.oracle_top_dim(n, d, budget), None
-        oracle.check_budget(n, d, budget)
+    if _fits(cached, budget):
         return cached, None
+    from . import oracle
+
+    try:
+        return _compute(n, d, budget), None
     except oracle.BudgetExceededError as exc:
         return None, f"predicted {exc.predicted} columns > budget {exc.cap}"
 
@@ -254,7 +287,7 @@ def cmd_verify(args) -> Report:
     from . import engine
 
     box = parse_box(args.box, args.n)
-    directory = None if args.no_cache else args.cache_dir or os.environ.get("HF2_CACHE_DIR")
+    directory = _cache_dir(args)
     cache = JsonlCache(directory, args.n) if directory else None
     if args.cache_selftest and cache is None:
         raise UsageError("--cache-selftest needs an open cache "
@@ -273,23 +306,24 @@ def cmd_verify(args) -> Report:
     else:
         answers = map(_oracle_value, tasks)
 
-    records, new_values = [], {}
+    records, new_entries = [], {}
     rows, table = [("degree", "engine", "oracle", "status")], []
-    for d, c, (orc, skip) in zip(degrees, cached, answers):
+    for d, c, (entry, skip) in zip(degrees, cached, answers):
         rec = {"degree": reps.format_degree(d), "engine": engine.dimension(args.n, d)}
         if skip is None:
+            orc = entry[0]
             rec["oracle"], rec["match"] = orc, rec["engine"] == orc
             status = "ok" if rec["match"] else "MISMATCH"
             detail = f"oracle={orc} {status}"
             if cache and c is None:
-                new_values[_cache_key(args.n, d)] = orc
+                new_entries[_cache_key(args.n, d)] = entry
         else:
             rec["skipped"], status, detail = skip, "skipped", f"skipped: {skip}"
         records.append(rec)
         rows.append((rec["degree"], rec["engine"], rec.get("oracle", ""), status))
         table.append(f"{rec['degree']:24s} engine={rec['engine']} {detail}")
-    if new_values:
-        cache.put(new_values)
+    if new_entries:
+        cache.put(new_entries)
 
     selftest_failures = 0
     if args.cache_selftest:
@@ -297,6 +331,7 @@ def cmd_verify(args) -> Report:
         for d in degrees[::step][: args.cache_selftest]:
             cached = cache.get(_cache_key(args.n, d))
             if cached is not None:
+                # the width too: a stale one would let a hit round the budget;
                 # a degree this run's budget refuses cannot be re-checked
                 fresh, refusal = _oracle_value((args.n, d, args.budget, None))
                 selftest_failures += refusal is None and fresh != cached
@@ -407,9 +442,18 @@ def cmd_summands(args) -> Report:
 
 
 def cmd_oracle(args) -> Report:
-    from . import oracle
-
-    dim = oracle.oracle_top_dim(args.n, reps.parse_degree(args.deg, args.n), args.budget)
+    d = reps.parse_degree(args.deg, args.n)
+    directory = _cache_dir(args)
+    cache = key = entry = None
+    if directory:
+        key = _cache_key(args.n, d)
+        cache = JsonlCache(directory, args.n, key)  # decodes only the lines that hold key
+        entry = cache.get(key)
+    if not _fits(entry, args.budget):
+        entry = _compute(args.n, d, args.budget)  # an over-budget degree raises here
+        if cache:
+            cache.put({key: entry})
+    dim = entry[0]
     return Report({"n": args.n, "degree": args.deg, "oracle_dimension": dim},
                   csv=[("oracle_dimension",), (dim,)], table=[dim])
 
@@ -426,18 +470,6 @@ def _int_at_least(low: int):
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
-
-
-class _HelpFormatter(argparse.HelpFormatter):
-    """Reads the oracle's default budget into `--budget`'s help only when
-    the help is printed, so that building the parser loads no oracle."""
-
-    def _get_help_string(self, action) -> str:
-        if action.dest != "budget":
-            return action.help
-        from .oracle import DEFAULT_BUDGET
-
-        return f"{action.help} (default {DEFAULT_BUDGET})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -458,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("summands", cmd_summands, "summand family count with audit trail", set()),
         ("oracle", cmd_oracle, "oracle top-level dimension at one degree", {"deg", "budget"}),
     ):
-        p = sub.add_parser(name, help=help_text, formatter_class=_HelpFormatter)
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--n", type=int, required=True, help="group exponent: the group is C_{2^n}")
         if "deg" in needs:
@@ -466,8 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
         if "box" in needs:
             p.add_argument("--box", required=True, help='box "t=-8..8,a=-2..2,l0=-2..2,..."')
         if "budget" in needs:
-            p.add_argument("--budget", type=_int_at_least(0), default=None,
-                           help="oracle column cap")
+            p.add_argument("--budget", type=_int_at_least(0), default=reps.DEFAULT_BUDGET,
+                           help=f"oracle column cap (default {reps.DEFAULT_BUDGET})")
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
         p.add_argument("--cache-dir", default=None, help="cache directory (or HF2_CACHE_DIR)")
         p.add_argument("--no-cache", action="store_true")

@@ -84,10 +84,9 @@ from itertools import product
 from operator import mul, xor
 
 from .gf2 import CohomologyReducer, columns_to_bitstrings, nullspace, rank
-from .reps import Degree, DegreeError, check_group
+from .reps import DEFAULT_BUDGET, Degree, DegreeError, check_group
 from . import reps
 
-DEFAULT_BUDGET = 20000
 # Clearing costs a box per class (`_top_box`) and, per cleared shape, a
 # template of its own; below about this many columns in degrees s-1 and s
 # together that costs more than the columns it skips, so smaller slices build
@@ -663,11 +662,22 @@ def _check(n: int, d: Degree, models, level: int, budget: int | None) -> None:
         raise BudgetExceededError(d, widest, cap)
 
 
+def top_width(n: int, d: Degree) -> int:
+    """The widest of cochain degrees s-1..s+1 of d's model at the top level,
+    in orbits and with no cap: 0 when degree s has no cells.  `_widths`
+    falls back to the whole model's count only under the cap, so
+    `oracle_top_dim` refuses d exactly when this exceeds the budget, and
+    reports it as the predicted width."""
+    factors = _factors(n, d)
+    return _widths(factors, -d.t, 1, -1) if _has_cells(factors, -d.t) else 0
+
+
 def check_budget(n: int, d: Degree, budget: int | None = None) -> None:
     """Refuse d where `oracle_top_dim` would, building nothing."""
-    factors = _factors(n, d)
-    if _has_cells(factors, -d.t):
-        _check(n, d, [factors], n, budget)
+    cap = DEFAULT_BUDGET if budget is None else budget
+    width = top_width(n, d)
+    if width > cap and width:  # a degree with no cells is never refused
+        raise BudgetExceededError(d, width, cap)
 
 
 # The dual alpha cell pair: smashed on, it takes the model of d to that of d - alpha.

@@ -14,6 +14,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+# The oracle's default column cap (`hf2.oracle` binds the same value).  It
+# lives here, in a module the CLI loads anyway, so that the CLI can name it
+# and check a cached width against it without loading the oracle.
+DEFAULT_BUDGET = 20000
+
 
 class DegreeError(ValueError):
     """Raised for malformed degrees (bad n, wrong number of lambda slots)."""

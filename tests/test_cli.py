@@ -29,6 +29,14 @@ def fault_at(monkeypatch, degree: str) -> None:
     )
 
 
+def spy(monkeypatch, owner, name: str) -> list:
+    """Record the positional arguments of each call to `owner.name`, which
+    still runs."""
+    calls, real = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    return calls
+
+
 def duality_fault(monkeypatch) -> None:
     """Make duality-scan's dimensions answer one too many at 0,0,0 over C_4,
     whose dual degree is -2,0,1."""
@@ -320,20 +328,39 @@ class TestCache:
         code, out, _ = run_cli(capsys, *args)
         assert code == 0 and json.loads(out)["records"][0]["oracle"] == 1
 
-    def test_non_integer_value_recomputed(self, capsys, tmp_path):
+    def test_non_integer_value_recomputed(self, capsys, tmp_path, monkeypatch):
         args = (*self.ONE_DEGREE, "--cache-dir", str(tmp_path))
         run_cli(capsys, *args)
         cache_file = tmp_path / "hf2-cache-n2.jsonl"
-        [key] = [json.loads(line)["k"] for line in cache_file.read_text().splitlines()]
+        [rec] = [json.loads(line) for line in cache_file.read_text().splitlines()]
+        key, width = rec["k"], rec["w"]
+        assert (rec["v"], width) == (1, oracle.top_width(2, reps.zero_degree(2)))
+        computed = spy(monkeypatch, cli, "_compute")
         # each line's checksum is valid; "1" even has the checksum of the int 1
-        for value in ("1", True, 1.0, [1]):
-            line = {"k": key, "v": value, "h": cli._line_hash(key, value)}
+        cases = [(v, width) for v in ("1", True, 1.0, [1])]
+        cases += [(1, w) for w in (str(width), True, float(width), None, [width])]
+        for value, w in cases:
+            line = {"k": key, "v": value, "w": w, "h": cli._line_hash(key, value, w)}
             cache_file.write_text(json.dumps(line) + "\n")
             code, out, _ = run_cli(capsys, *args)
             payload = json.loads(out)
             oracle_value = payload["records"][0]["oracle"]
-            assert code == 0 and payload["pass"], value
-            assert oracle_value == 1 and type(oracle_value) is int, value
+            assert code == 0 and payload["pass"], (value, w)
+            assert oracle_value == 1 and type(oracle_value) is int, (value, w)
+        assert len(computed) == len(cases)  # no such line was trusted
+
+    def test_line_without_width_recomputed(self, capsys, tmp_path, monkeypatch):
+        # a line of the format before widths were stored, checksummed as then
+        args = (*self.ONE_DEGREE, "--cache-dir", str(tmp_path))
+        run_cli(capsys, *args)
+        cache_file = tmp_path / "hf2-cache-n2.jsonl"
+        [rec] = [json.loads(line) for line in cache_file.read_text().splitlines()]
+        old = hashlib.sha1(f"{rec['k']}=1".encode()).hexdigest()[:12]
+        cache_file.write_text(json.dumps({"k": rec["k"], "v": 1, "h": old}) + "\n")
+        computed = spy(monkeypatch, cli, "_compute")
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0 and json.loads(out)["records"][0]["oracle"] == 1
+        assert len(computed) == 1 and len(cache_file.read_text().splitlines()) == 2
 
     def test_blank_lines_are_skipped(self, capsys, tmp_path, monkeypatch):
         args = ("verify", "--n", "2", "--box", "t=-1..1,a=0..0", "--cache-dir", str(tmp_path))
@@ -364,13 +391,59 @@ class TestCache:
             rec = json.loads(line)
             if "|oracle|" in rec["k"] and rec["k"].endswith("|0,0,0"):
                 rec["v"] += 1  # a wrong value under a valid line checksum
-                rec["h"] = cli._line_hash(rec["k"], rec["v"])
+                rec["h"] = cli._line_hash(rec["k"], rec["v"], rec["w"])
             lines.append(json.dumps(rec))
         cache_file.write_text("\n".join(lines) + "\n")
         code, out, _ = run_cli(capsys, *args)
         summary = json.loads(out)["summary"]
         assert code == 1
         assert summary["mismatches"] == 1 and summary["cache_selftest_failures"] == 1
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_selftest_rechecks_width(self, capsys, tmp_path, shift):
+        # a stale width would move the budget's line for a hit, so the
+        # re-check compares it too, though the value itself is right
+        args = (
+            "verify", "--n", "2", "--box", "t=-1..1,a=0..0,l0=0..0",
+            "--cache-dir", str(tmp_path), "--cache-selftest", "3",
+        )
+        run_cli(capsys, *args)
+        cache_file = tmp_path / "hf2-cache-n2.jsonl"
+        lines = []
+        for line in cache_file.read_text().splitlines():
+            rec = json.loads(line)
+            if rec["k"].endswith("|0,0,0"):
+                assert rec["w"] > 0
+                rec["w"] += shift
+                rec["h"] = cli._line_hash(rec["k"], rec["v"], rec["w"])
+            lines.append(json.dumps(rec))
+        cache_file.write_text("\n".join(lines) + "\n")
+        code, out, _ = run_cli(capsys, *args)
+        payload = json.loads(out)
+        assert code == 1 and not payload["pass"]
+        assert payload["summary"] == {
+            "total": 3, "mismatches": 0, "skipped": 0, "cache_selftest_failures": 1}
+
+    def test_stale_lines_are_not_decoded(self, capsys, tmp_path, monkeypatch):
+        # lines of another fingerprint can never hit: they are not decoded
+        args = ("verify", "--n", "2", "--box", "t=-1..1,a=0..0,l0=0..0",
+                "--cache-dir", str(tmp_path))
+        _, cold, _ = run_cli(capsys, *args)
+        cache_file = tmp_path / "hf2-cache-n2.jsonl"
+        fresh = cache_file.read_text()
+        stale = []
+        for i in range(1000):
+            key = f"1|oracle|{i:012x}|2|0,0,{i}"
+            stale.append(json.dumps({"k": key, "v": 1, "w": 1, "h": cli._line_hash(key, 1, 1)}))
+        cache_file.write_text("\n".join(stale) + "\n" + fresh)
+        decoded = spy(monkeypatch, json, "loads")
+        monkeypatch.setattr(cli, "_compute", None)  # a recomputation would fail
+        cache = cli.JsonlCache(str(tmp_path), 2)
+        assert len(decoded) == len(cache.data) == 3
+        code, warm, _ = run_cli(capsys, *args)
+        cold, warm = json.loads(cold), json.loads(warm)
+        cold.pop("meta"), warm.pop("meta")
+        assert code == 0 and warm == cold
 
     def test_selftest_without_cache_exit_2(self, capsys, tmp_path, monkeypatch):
         # a re-check that cannot run must not report a pass
@@ -414,9 +487,14 @@ class TestCache:
         n_lines = len(cache_file.read_text().splitlines())
         run_cli(capsys, *args)
         assert len(cache_file.read_text().splitlines()) == n_lines  # warm: pure hits
-        edited = tmp_path / "oracle.py"
-        edited.write_bytes(open(oracle.__file__, "rb").read() + b"# edited\n")
-        monkeypatch.setattr(oracle, "__file__", str(edited))
+        # the same sources beside another cli.py, with an edit to oracle.py
+        src = tmp_path / "src"
+        src.mkdir()
+        for module in (oracle, gf2, reps):
+            text = Path(module.__file__).read_bytes()
+            (src / Path(module.__file__).name).write_bytes(
+                text + b"# edited\n" if module is oracle else text)
+        monkeypatch.setattr(cli, "__file__", str(src / "cli.py"))
         monkeypatch.setattr(cli, "_fingerprint", functools.cache(cli._fingerprint.__wrapped__))
         code, out, _ = run_cli(capsys, *args)
         assert code == 0 and json.loads(out)["pass"]
@@ -431,12 +509,94 @@ class TestCache:
         names |= {getattr(v, "__module__", None) for v in bound}
         imported = {sys.modules[name] for name in names if str(name).startswith("hf2.")}
         assert {gf2, reps} <= imported
-        hashed = cli._oracle_sources()
-        assert imported | {oracle} <= set(hashed)
+        hashed = [Path(path).resolve() for path in cli._oracle_sources()]
+        assert {Path(m.__file__).resolve() for m in imported | {oracle}} <= set(hashed)
         h = hashlib.sha1()
-        for module in hashed:
-            h.update(Path(module.__file__).read_bytes())
+        for path in hashed:
+            h.update(path.read_bytes())
         assert cli._fingerprint() == h.hexdigest()[:12]
+
+    def test_line_hash_is_sha1(self, monkeypatch):
+        # the built-in SHA-1 digests as hashlib's does: 48 bits of it
+        key = "1|oracle|0123456789ab|2|0,0,0"
+        expected = hashlib.sha1(f"{key}=1:3".encode()).hexdigest()[:12]
+        assert cli._line_hash(key, 1, 3) == expected
+        # an interpreter built without `_sha1` takes hashlib's
+        monkeypatch.setitem(sys.modules, "_sha1", None)
+        cli._sha1.cache_clear()
+        try:
+            assert cli._sha1() is hashlib.sha1 and cli._line_hash(key, 1, 3) == expected
+        finally:
+            cli._sha1.cache_clear()
+
+
+class TestOracleCache:
+    DEG = ("oracle", "--n", "2", "--deg=0,0,0")
+
+    def test_miss_writes_one_line_and_hit_answers(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("HF2_CACHE_DIR", raising=False)
+        _, plain, _ = run_cli(capsys, *self.DEG, "--no-cache")
+        code, cold, _ = run_cli(capsys, *self.DEG, "--cache-dir", str(tmp_path))
+        cache_file = tmp_path / "hf2-cache-n2.jsonl"
+        [line] = cache_file.read_text().splitlines()
+        rec = json.loads(line)
+        assert code == 0 and cold == plain
+        assert (rec["v"], rec["w"]) == (json.loads(plain)["oracle_dimension"],
+                                        oracle.top_width(2, reps.zero_degree(2)))
+        monkeypatch.setattr(cli, "_compute", None)  # a hit must not compute
+        monkeypatch.setenv("HF2_CACHE_DIR", str(tmp_path))
+        code, warm, _ = run_cli(capsys, *self.DEG)
+        assert code == 0 and warm == plain
+        assert cache_file.read_text() == line + "\n"
+
+    def test_reads_what_verify_wrote(self, capsys, tmp_path, monkeypatch):
+        run_cli(capsys, "verify", "--n", "2", "--box", "t=-1..1,a=0..0,l0=-1..1",
+                "--cache-dir", str(tmp_path))
+        cache_file = tmp_path / "hf2-cache-n2.jsonl"
+        before = cache_file.read_text()
+        assert len(before.splitlines()) == 9
+        decoded = spy(monkeypatch, json, "loads")
+        monkeypatch.setattr(cli, "_compute", None)
+        code, out, _ = run_cli(capsys, "oracle", "--n", "2", "--deg=1,0,-1",
+                               "--cache-dir", str(tmp_path))
+        [(line,)] = decoded  # only the one line that holds the key is decoded
+        assert json.loads(line)["k"] == cli._cache_key(2, reps.make_degree(2, 1, 0, [-1]))
+        assert code == 0 and json.loads(out)["oracle_dimension"] == 1
+        assert cache_file.read_text() == before
+
+    def test_last_valid_line_wins(self, tmp_path):
+        key = cli._cache_key(2, reps.zero_degree(2))
+        lines = [json.dumps({"k": key, "v": v, "w": w, "h": cli._line_hash(key, v, w)})
+                 for v, w in ((5, 6), (7, 8))]
+        (tmp_path / "hf2-cache-n2.jsonl").write_text("\n".join(lines + ["{ broken"]) + "\n")
+        for only in (None, key):
+            assert cli.JsonlCache(str(tmp_path), 2, only).get(key) == (7, 8)
+
+    def test_over_budget_hit_refuses_as_cold(self, capsys, tmp_path):
+        deg = ("oracle", "--n", "2", "--deg=-2,1,2")
+        width = oracle.top_width(2, reps.make_degree(2, -2, 1, [2]))
+        tight = ("--budget", str(width - 1))
+        cold = run_cli(capsys, *deg, *tight, "--no-cache")
+        code, _, _ = run_cli(capsys, *deg, "--cache-dir", str(tmp_path))
+        assert code == 0 and (tmp_path / "hf2-cache-n2.jsonl").exists()
+        warm = run_cli(capsys, *deg, *tight, "--cache-dir", str(tmp_path))
+        assert cold[0] == cli.EXIT_BUDGET and warm == cold
+        assert f"predicted matrix dimension {width} exceeds budget {width - 1}" in cold[2]
+        assert run_cli(capsys, *deg, "--budget", str(width), "--cache-dir", str(tmp_path))[0] == 0
+
+    def test_no_cache_neither_reads_nor_writes(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("HF2_CACHE_DIR", str(tmp_path))
+        key = cli._cache_key(2, reps.zero_degree(2))
+        width = oracle.top_width(2, reps.zero_degree(2))
+        wrong = json.dumps({"k": key, "v": 9, "w": width, "h": cli._line_hash(key, 9, width)})
+        cache_file = tmp_path / "hf2-cache-n2.jsonl"
+        cache_file.write_text(wrong + "\n")
+        code, out, _ = run_cli(capsys, *self.DEG, "--no-cache")
+        assert code == 0 and json.loads(out)["oracle_dimension"] == 1
+        assert cache_file.read_text() == wrong + "\n"
+        # with the cache, the planted line answers: it was read only now
+        code, out, _ = run_cli(capsys, *self.DEG)
+        assert code == 0 and json.loads(out)["oracle_dimension"] == 9
 
 
 class TestOtherCommands:
@@ -609,6 +769,9 @@ def test_closed_stderr_keeps_exit_code(argv, codes, stdout_closed, unbuffered):
     assert proc.returncode == codes[not stdout_closed]
 
 
+CACHE = "<cache>"  # a cache directory, warmed by one run of the same command
+
+
 @pytest.mark.parametrize("command, present, absent", [
     (["-c", "import hf2"], ["hf2"], [f"hf2.{m}" for m in (
         "cli", "duality", "engine", "gf2", "monomial", "oracle", "reps", "tate")]),
@@ -619,10 +782,24 @@ def test_closed_stderr_keeps_exit_code(argv, codes, stdout_closed, unbuffered):
      ["hf2.oracle", "hf2.duality", "hashlib", "multiprocessing"]),
     (["-m", "hf2.cli", "oracle", "--n", "3", "--deg=-1,0,1,-1"], ["hf2.oracle"],
      ["hf2.engine", "hf2.monomial", "hf2.tate", "hf2.duality", "hashlib", "multiprocessing"]),
-], ids=["import-hf2", "import-cli", "dim", "oracle"])
-def test_process_imports_only_what_it_runs(command, present, absent):
+    # the help names the default budget, which lives in hf2.reps
+    (["-m", "hf2.cli", "verify", "--help"], ["hf2.reps"], ["hf2.oracle", "hf2.gf2", "hf2.engine"]),
+    # a cache hit is answered and budget-checked from its line: no oracle,
+    # and SHA-1 from the built-in _sha1, not OpenSSL's through hashlib
+    (["-m", "hf2.cli", "verify", "--n", "3", "--box=t=-1..1,a=0..0,l0=-1..1,l1=-1..0",
+      "--cache-dir", CACHE], ["hf2.engine", "_sha1"],
+     ["hf2.oracle", "hf2.gf2", "hashlib", "_hashlib", "multiprocessing"]),
+    (["-m", "hf2.cli", "oracle", "--n", "3", "--deg=-1,0,1,-1", "--cache-dir", CACHE],
+     ["hf2.reps", "_sha1"], ["hf2.oracle", "hf2.gf2", "hf2.engine", "hashlib", "_hashlib"]),
+], ids=["import-hf2", "import-cli", "dim", "oracle", "verify-help", "verify-warm",
+        "oracle-cached"])
+def test_process_imports_only_what_it_runs(tmp_path, command, present, absent):
     # a one-shot query compiles its own modules and no others; present shows
     # that the import log sees the modules a process loads on demand
+    command = [str(tmp_path) if arg == CACHE else arg for arg in command]
+    if str(tmp_path) in command:
+        subprocess.run([sys.executable, *command], capture_output=True, check=True)
+        assert any(tmp_path.iterdir())
     proc = subprocess.run([sys.executable, "-X", "importtime", *command],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

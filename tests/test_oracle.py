@@ -739,6 +739,40 @@ def test_widths_closed_form():
     assert (slices, nonempty) == (11200, 4535)
 
 
+def test_top_width_decides_the_top_level_budget(monkeypatch):
+    """A cache stores `top_width` beside each value and answers a hit only
+    where the width fits the budget.  Over every degree of n = 2..4 boxes,
+    at budgets around the width (the CLI takes none below 0), the width
+    exceeds the budget exactly where `check_budget` and `oracle_top_dim`
+    refuse, and it is the width they predict."""
+
+    class Accepted(Exception):
+        pass
+
+    def accept(*args):
+        raise Accepted  # past the budget: the first slice would be built
+
+    monkeypatch.setattr(oracle, "_LevelSlice", accept)
+    checked = refused = 0
+    boxes = {2: ((-8, 8), 2), 3: ((-6, 6), 1), 4: ((-5, 5), 1)}
+    for n, (t_range, r) in boxes.items():
+        for d in box_degrees(n, t_range, (-r, r), (-r, r)):
+            w = oracle.top_width(n, d)
+            for cap in {0, w - 1, w, w + 1, oracle.DEFAULT_BUDGET} - {-1}:
+                checked += 1
+                if w > cap:
+                    refused += 1
+                    for call in (oracle.check_budget, oracle_top_dim):
+                        with pytest.raises(BudgetExceededError) as err:
+                            call(n, d, cap)
+                        assert (err.value.predicted, err.value.cap) == (w, cap), (str(d), cap)
+                else:
+                    oracle.check_budget(n, d, cap)
+                    with pytest.raises(Accepted):
+                        oracle_top_dim(n, d, cap)
+    assert (checked, refused) == (6300, 1299)
+
+
 @pytest.mark.parametrize("call, predicted", [(oracle_top_dim, 798892080), (oracle_pi, 25541764480)])
 def test_refusal_builds_nothing(call, predicted):
     """Degree s = 80 lies in the middle of the model's degrees 0..180, where
