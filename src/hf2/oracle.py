@@ -17,25 +17,25 @@ smashed, and the negative part of a virtual degree is dualized.
 
 Every entry point (`oracle_top_dim`, `oracle_pi`, `mult_a_alpha`,
 `verify_lemma_kernel`) reads the same way: it asks `_slices` for the level
-slices of one model, or of a model and its smash with one extra factor, and
-reads groups (`_LevelSlice.reducer`) and maps (`_orbit_induced`) off them.
-`_slices` checks the budget first, in closed form (`_widths`), so a refused
-degree builds nothing.  `_LevelSlice` builds the level-j fixed subcomplex
-of a factor list in the three cochain degrees s-1, s, s+1 the answer
-reads, straight from orbit data.  A cell of the tensor model is a tuple of
-factor degrees plus one coordinate in Z/B per factor (B the factor's
-block, 1 in factor degree 0); gamma adds 1 to every coordinate, and level j
-is the action of gamma^(2^(n-j)).  A differential is emitted column by
-column, in the column-major form `gf2` takes, as the image of each source
-orbit sum: the coefficient of a target orbit O' in d(sum O) is the number of
-cells of O' that d(rep O) hits, times |O| / |O'|, mod 2, so no bottom-level
-vector is formed; a factor's move adds bit masks fixed by its differential's
-kind (nu and N hit the whole block, 1 - gamma and its transpose two cells).
-The levels of one model share one list of factor-degree signatures
-(`_signatures`), grown factor by factor so that it holds only those of
-degrees s-1..s+1.  A degree s outside the interval of degrees with cells
-has group 0, lists no signature and is never refused by the budget; that
-is decided from the interval alone, before the budget pass.
+slices of one model (a factor list, `_Model`), or of a model and its smash
+with one extra factor, and reads groups (`_LevelSlice.reducer`) and maps
+(`_orbit_induced`) off them.  `_Model` computes once what the factors alone
+fix: the interval of degrees with cells, the signatures of a degree window
+with their blocks, shared by every level, and the orbit count of every
+degree at a level in closed form, from which `_slices` sizes the budget
+before `_Model.level`, the one slice constructor, builds anything.  A
+`_LevelSlice` is the level-j fixed subcomplex of a model in the three cochain
+degrees s-1, s, s+1 the answer reads, straight from orbit data.  A cell of
+the tensor model is a tuple of factor degrees plus one coordinate in Z/B per
+factor (B the factor's block, 1 in factor degree 0); gamma adds 1 to every
+coordinate, and level j is the action of gamma^(2^(n-j)).  A differential is
+emitted column by column, in the column-major form `gf2` takes, as the image
+of each source orbit sum: the coefficient of a target orbit O' in d(sum O)
+is the number of cells of O' that d(rep O) hits, times |O| / |O'|, mod 2, so
+no bottom-level vector is formed; a factor's move adds bit masks fixed by its
+differential's kind (nu and N hit the whole block, 1 - gamma and its
+transpose two cells).  A degree s outside the model's interval has group 0,
+lists no signature and is never refused by the budget.
 res, tr, gamma and multiplication by a_alpha (the inclusion of the model
 into its smash with one dual alpha cell pair) act on orbit indices in closed
 form.
@@ -138,25 +138,95 @@ def _factors(n: int, d: Degree) -> list[tuple[int, int, int]]:
     return out
 
 
-def _signatures(factors: list[tuple[int, int, int]], s: int) -> dict[int, list[tuple[int, ...]]]:
-    """Factor-degree signatures of cochain degrees s-1, s and s+1, in product
-    order.  Factor f adds sign * u for u in 0..length, so the factors after a
-    prefix add every degree between their least and most sums; grown one
-    factor at a time, a prefix stays while those can bring it into s-1..s+1.
-    When s is outside the degrees with cells, nothing is listed."""
-    by_degree: dict[int, list] = {deg: [] for deg in (s - 1, s, s + 1)}
-    least, most = [0], [0]  # over the last k factors, k = 0, 1, ...
-    for _, length, sign in reversed(factors):
-        least.append(least[-1] + min(0, sign * length))
-        most.append(most[-1] + max(0, sign * length))
-    if least[-1] <= s <= most[-1]:
-        prefixes = [((), 0)]
-        for (_, length, sign), lo, hi in zip(factors, least[-2::-1], most[-2::-1]):
-            prefixes = [(sig + (u,), deg + sign * u) for sig, deg in prefixes
-                        for u in range(length + 1) if s - 1 - hi <= deg + sign * u <= s + 1 - lo]
-        for sig, deg in prefixes:
-            by_degree[deg].append(sig)
-    return by_degree
+class _Model:
+    """What one factor list (as built by `_factors`) fixes for every degree
+    and level, each computed once.  Factor f adds sign * u for u in
+    0..length, so the factors add every degree of lo..hi, the interval of
+    cochain degrees with cells.  first is the index of the first positive
+    factor, -1 with none.  Blocks never increase along the list: `_factors`
+    lists lambda_i by increasing i, and alpha's and `_DUAL_ALPHA`'s 2 is the
+    least.
+    """
+
+    def __init__(self, n: int, factors: list[tuple[int, int, int]]):
+        self.n, self.factors = n, factors
+        lo = hi = 0
+        for _, length, sign in factors:
+            if sign > 0:
+                hi += length
+            else:
+                lo -= length
+        self.lo, self.hi = lo, hi
+        self._signatures: dict[int, dict[int, list]] = {}
+
+    @cached_property
+    def first(self) -> int:
+        return next((f for f, (_, _, sign) in enumerate(self.factors) if sign > 0), -1)
+
+    def signatures(self, s: int) -> dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+        """(sig, blocks) of every factor-degree signature of cochain degrees
+        s-1, s and s+1, in product order, listed once for every level; blocks
+        holds each factor's block, 1 where its factor degree is 0.  Grown one
+        factor at a time, a prefix stays while the factors after it, which
+        add every degree of lo..hi with the factors so far peeled off, can
+        bring it into s-1..s+1.  When s is outside lo..hi, nothing is listed."""
+        if s in self._signatures:
+            return self._signatures[s]
+        by_degree = self._signatures[s] = {s - 1: [], s: [], s + 1: []}
+        if self.lo <= s <= self.hi:
+            prefixes, lo, hi = [((), 0)], self.lo, self.hi
+            for _, length, sign in self.factors:
+                if sign > 0:
+                    hi -= length
+                else:
+                    lo += length
+                prefixes = [(sig + (u,), deg + sign * u) for sig, deg in prefixes for u in
+                            range(length + 1) if s - 1 - hi <= deg + sign * u <= s + 1 - lo]
+            for sig, deg in prefixes:
+                blocks = tuple(b if u else 1 for (b, _, _), u in zip(self.factors, sig))
+                by_degree[deg].append((sig, blocks))
+        return by_degree
+
+    def orbit_counts(self, p: int) -> dict[int, int]:
+        """Orbits by cochain degree at the level whose orbits have at most p
+        cells; a degree with none is left out.
+
+        A signature's orbit count is the product of the blocks of its nonzero
+        factors, the first capped at p; the first is the largest, as blocks
+        never increase.  Over the signatures whose first nonzero factor is f,
+        by degree, that is min(b_f, p) A_f(z) prod_{g > f} (1 + b_g A_g(z))
+        with A_f = sum_{u = 1..L_f} z^(sign u): one right-to-left pass."""
+        counts = {0: 1}  # the all-zero signature
+        tail = {0: 1}  # orbit counts by degree of the signatures of the factors after f
+        for b, length, sign in reversed(self.factors):
+            moved, capped = {}, min(b, p)
+            for deg, count in tail.items():
+                for e in range(deg + sign, deg + sign * (length + 1), sign):
+                    moved[e] = moved.get(e, 0) + count
+            for e, count in moved.items():
+                counts[e] = counts.get(e, 0) + capped * count
+                tail[e] = tail.get(e, 0) + b * count
+        return counts
+
+    def width(self, s: int, p: int, cap: int) -> int:
+        """The widest of cochain degrees s-1..s+1, in orbits, at the level
+        whose orbits have at most p cells: 0 when s is outside lo..hi.  When
+        the whole model's orbit count (`orbit_counts` at z = 1), which bounds
+        every width, fits under cap, that count is returned instead."""
+        if not self.lo <= s <= self.hi:
+            return 0
+        whole, rest = 1, 1
+        for b, length, _ in reversed(self.factors):
+            whole += min(b, p) * length * rest
+            rest *= 1 + b * length
+        if whole <= cap:
+            return whole
+        counts = self.orbit_counts(p)
+        return max(counts.get(deg, 0) for deg in (s - 1, s, s + 1))
+
+    def level(self, j: int, s: int) -> _LevelSlice:
+        """The level-j slice of degrees s-1..s+1: the one way a slice is made."""
+        return _LevelSlice(self, s, j)
 
 
 def _shape(blocks: tuple[int, ...], p: int) -> tuple:
@@ -197,13 +267,11 @@ class _CellClass:
         self.star, self.period, self.radices, self.strides, self.count = shape
 
 
-def _top_box(factors: list[tuple[int, int, int]], first: int, p: int,
-             cls: _CellClass) -> dict | None:
+def _top_box(model: _Model, p: int, cls: _CellClass) -> dict | None:
     """The representatives of cls whose orbit indices are top bits of columns
     of the differential into cls's degree, as a box: a range of values for
     each coordinate it restricts ({}: the whole class); None when there are
-    none to read off.  first is the index of the first positive factor, -1
-    with none.
+    none to read off.
 
     Classes are listed in product order, so the top move of a class K, the
     one whose target has the largest offset, is its first +1 move (sign > 0,
@@ -226,7 +294,7 @@ def _top_box(factors: list[tuple[int, int, int]], first: int, p: int,
       lies in B_g-q..B_g-1.  N adds that orbit B_f / B times over, B the
       largest block off f, so it adds 0 unless B = B_f.
     """
-    sig, f = cls.sig, first
+    sig, f = cls.sig, model.first
     if f >= 0:
         u = sig[f] - 1
         if u < 0:
@@ -234,11 +302,11 @@ def _top_box(factors: list[tuple[int, int, int]], first: int, p: int,
     elif sig:
         f = len(sig) - 1
         u = sig[f] + 1
-        if u > factors[f][1]:
+        if u > model.factors[f][1]:
             return None
     else:
         return None
-    b, _, sign = factors[f]
+    b, _, sign = model.factors[f]
     if u and b > cls.period:  # K's period exceeds cls's
         return None
     turn = u % 2 if sign > 0 else u % 2 - 1
@@ -278,9 +346,9 @@ _TEMPLATES: dict[tuple, tuple] = {}
 
 
 class _LevelSlice:
-    """Level-j fixed subcomplex of the tensor model of `factors` (as built by
-    `_factors`, a degree d giving s = -t), in cochain degrees s-1, s and s+1
-    only, with orbit-sum bases.
+    """Level-j fixed subcomplex of the tensor model of a `_Model`'s factors
+    (a degree d giving s = -t), in cochain degrees s-1, s and s+1 only, with
+    orbit-sum bases.  Made by `_Model.level`.
 
     dims[deg] is the orbit count of degree deg; at level 0 every orbit is a
     single cell, so those are the bottom-level widths.  cols(deg) is the
@@ -291,18 +359,14 @@ class _LevelSlice:
     cols(deg, clear=True) leaves them 0.
     """
 
-    def __init__(self, n: int, factors: list[tuple[int, int, int]], s: int, j: int,
-                 signatures=None):
-        if signatures is None:  # the levels of one model share them
-            signatures = _signatures(factors, s)
-        self.factors, self.s = factors, s
-        self.p = 1 << (n - j)
+    def __init__(self, model: _Model, s: int, j: int):
+        self.model, self.factors, self.s = model, model.factors, s
+        self.p = 1 << (model.n - j)
         self.classes: dict[int, dict[tuple[int, ...], _CellClass]] = {}
         self.dims: dict[int, int] = {}
-        for deg, sigs in signatures.items():
+        for deg, sigs in model.signatures(s).items():
             table, offset = {}, 0
-            for sig in sigs:
-                blocks = tuple(b if u else 1 for (b, _, _), u in zip(factors, sig))
+            for sig, blocks in sigs:
                 table[sig] = cls = _CellClass(sig, blocks, self.p, offset)
                 offset += cls.count
             self.classes[deg] = table
@@ -333,9 +397,8 @@ class _LevelSlice:
         docstring) need not build.  Only signatures are read, so degree
         deg - 1 is never listed."""
         boxes = {}
-        first = next((f for f, (_, _, sign) in enumerate(self.factors) if sign > 0), -1)
         for sig, cls in self.classes[deg].items():
-            box = _top_box(self.factors, first, self.p, cls)
+            box = _top_box(self.model, self.p, cls)
             if box is not None:
                 boxes[sig] = box
         return boxes
@@ -603,73 +666,13 @@ class MackeyAnswer(namedtuple("MackeyAnswer", "n degree level_dims res tr gamma"
         }
 
 
-def _widths(factors: list[tuple[int, int, int]], s: int, p: int, cap: int) -> int:
-    """The widest of cochain degrees s-1..s+1, in orbits, of the model of
-    `factors` at the level whose orbits have at most p cells: 0 when degree
-    s has no cells.  When the whole model's orbit count, which bounds every
-    width, fits under cap, that count is returned instead.
-
-    A signature's orbit count is the product of the blocks of its nonzero
-    factors, the first capped at p.  The first is the largest: `_factors`
-    lists blocks in non-increasing order, and `_DUAL_ALPHA`'s 2 is the least.
-    Over the signatures whose first nonzero factor is f, by degree, that is
-    min(b_f, p) A_f(z) prod_{g > f} (1 + b_g A_g(z)) with A_f = sum_{u =
-    1..L_f} z^(sign u): one right-to-left pass, first at z = 1 for the whole
-    model."""
-    whole, rest = 1, 1
-    for b, length, _ in reversed(factors):
-        whole += min(b, p) * length * rest
-        rest *= 1 + b * length
-    if whole <= cap:
-        return whole
-    widths = {deg: int(deg == 0) for deg in (s - 1, s, s + 1)}  # 1: the all-zero signature
-    tail = {0: 1}  # orbit counts by degree of the signatures of the factors after f
-    for b, length, sign in reversed(factors):
-        moved = {}
-        for deg, count in tail.items():
-            for e in range(deg + sign, deg + sign * (length + 1), sign):
-                moved[e] = moved.get(e, 0) + count
-        for e, count in moved.items():
-            if e in widths:
-                widths[e] += min(b, p) * count
-            tail[e] = tail.get(e, 0) + b * count
-    return max(widths.values()) if widths[s] else 0
-
-
-def _has_cells(factors: list[tuple[int, int, int]], s: int) -> bool:
-    """Whether cochain degree s lies in the model's interval of degrees with
-    cells: from minus the dual factors' lengths to the others' lengths."""
-    lo = hi = 0
-    for _, length, sign in factors:
-        if sign > 0:
-            hi += length
-        else:
-            lo -= length
-    return lo <= s <= hi
-
-
-def _check(n: int, d: Degree, models, level: int, budget: int | None) -> None:
-    """The one budget rule, decided before any signature is listed: refuse d
-    when the widest of degrees s-1..s+1 over the models at `level`, the
-    lowest a query reads, exceeds the budget.  Orbit counts only grow as the
-    level drops.  The models are those in which degree s has cells; a query
-    with none builds nothing and is never refused."""
-    cap = DEFAULT_BUDGET if budget is None else budget
-    widest = 0
-    for factors in models:
-        widest = max(widest, _widths(factors, -d.t, 1 << (n - level), cap))
-    if widest > cap:
-        raise BudgetExceededError(d, widest, cap)
-
-
 def top_width(n: int, d: Degree) -> int:
     """The widest of cochain degrees s-1..s+1 of d's model at the top level,
-    in orbits and with no cap: 0 when degree s has no cells.  `_widths`
+    in orbits and with no cap: 0 when degree s has no cells.  `_Model.width`
     falls back to the whole model's count only under the cap, so
     `oracle_top_dim` refuses d exactly when this exceeds the budget, and
     reports it as the predicted width."""
-    factors = _factors(n, d)
-    return _widths(factors, -d.t, 1, -1) if _has_cells(factors, -d.t) else 0
+    return _Model(n, _factors(n, d)).width(-d.t, 1, -1)
 
 
 def check_budget(n: int, d: Degree, budget: int | None = None) -> None:
@@ -685,26 +688,22 @@ _DUAL_ALPHA = (2, 1, -1)
 
 
 def _slices(n: int, d: Degree, levels, budget: int | None, extra=None) -> list[list[_LevelSlice]]:
-    """The one way slices are made: per model, one `_LevelSlice` per level
-    in `levels`.  The models are that of d and, given an `extra` factor, its
-    smash with that factor.  Whether degree s has cells is decided once per
-    model, from its interval; the budget is then checked over the models
-    where it has, before anything is built.  Each of those lists its
-    signatures once for all its levels; the others list none."""
-    s = -d.t
-    factors = _factors(n, d)
-    models = [factors] if extra is None else [factors, factors + [extra]]
-    live = [model for model in models if _has_cells(model, s)]
-    if live:
-        _check(n, d, live, min(levels), budget)
-    out = []
-    for model in models:
-        if model in live:
-            signatures = _signatures(model, s)
-        else:
-            signatures = dict.fromkeys((s - 1, s, s + 1), ())
-        out.append([_LevelSlice(n, model, s, j, signatures) for j in levels])
-    return out
+    """Per model, one `_LevelSlice` per level in `levels`.  The models are
+    that of d and, given an `extra` factor, its smash with that factor.  The
+    one budget rule is decided first, so a refused degree builds nothing:
+    refuse d when the widest of degrees s-1..s+1 over the models at the
+    lowest level in `levels` exceeds the budget.  Orbit counts only grow as
+    the level drops.  A query whose degree s has no cells in any model is 0
+    wide and never refused."""
+    s, factors = -d.t, _factors(n, d)
+    models = [_Model(n, factors)]
+    if extra is not None:
+        models.append(_Model(n, factors + [extra]))
+    cap = DEFAULT_BUDGET if budget is None else budget
+    widest = max([model.width(s, 1 << (n - min(levels)), cap) for model in models])
+    if widest > cap and widest:
+        raise BudgetExceededError(d, widest, cap)
+    return [[model.level(j, s) for j in levels] for model in models]
 
 
 def oracle_top_dim(n: int, d: Degree, budget: int | None = None) -> int:

@@ -1,9 +1,10 @@
-"""Acceptance suite: the twelve exit criteria, one test each.
+"""Acceptance suite: the thirteen exit criteria, one test each, and a
+second test with the wider boxes of criterion 13.
 
 Every criterion prints a single PASS/FAIL line (run pytest with -s or read
 captured output).  All comparisons are exact; the boxes are the stated
-desk-scale boxes.  Criterion 12 (the n=4 box with radius 2, about 25 s) is
-opt-in: `pytest -m slow`.
+desk-scale boxes.  Criterion 12 (the n=4 box with radius 2, about 25 s) and
+the n=6,7 boxes of criterion 13 are opt-in: `pytest -m slow`.
 """
 
 import itertools
@@ -14,7 +15,7 @@ import pytest
 from hf2 import engine, oracle, duality, tate
 from hf2.monomial import Monomial, degree_of, eps_rename, multiply, times_a_lambda
 from hf2.oracle import oracle_pi, oracle_top_dim
-from hf2.reps import make_degree, pullback_eps, trivial_degree
+from hf2.reps import make_degree, pullback_eps, restrict, trivial_degree
 
 from fixtures import box_degrees, c2_closed_form, c4_closed_form, c8_closed_form
 from reference_oracle import OrbitModule, dualize, sphere_complex
@@ -173,10 +174,11 @@ def test_criterion_9_structural_invariants():
         dualize(c).validate()
         for w in (v, make_degree(n, 0, -v.c_alpha, [-x for x in v.c_lambda])):
             factors = oracle._factors(n, w)
+            model = oracle._Model(n, factors)
             top = sum(length for _, length, _ in factors)
             for j in range(n + 1):
                 for s in range(-top - 1, top + 2):
-                    sl = oracle._LevelSlice(n, factors, s, j)
+                    sl = model.level(j, s)
                     d_in, d_out = sl.cols(s - 1), sl.cols(s)
                     ok &= all(_apply(d_out, col) == 0 for col in d_in)
 
@@ -292,6 +294,56 @@ def test_criterion_12_differential_n4_wide():
         f"n=4 engine vs oracle over 10625 degrees "
         f"({len(mismatches)} mismatches, {len(skipped)} over budget)",
         not mismatches and not skipped,
+    )
+
+
+def _euler_mismatches(radii: dict[int, int]) -> tuple[int, list]:
+    """The Euler characteristic of every column of each n box at radius
+    radii[n] (t free, the other coefficients in -r..r) at every level j =
+    1..n: the engine's alternating sum of pi^{C_{2^j}} at `restrict(d_s, j)`,
+    d_s the column's degree with t = -s, over s in lo-2..hi+2, against that
+    of the orbit counts W_j(s) of the column's model, with no elimination;
+    and every engine group 0 outside lo..hi.  Integers only: the sign is
+    read from s % 2.  Returns the identities checked and the mismatches."""
+    checked, bad = 0, []
+    for n, r in radii.items():
+        for d0 in box_degrees(n, (0, 0), (-r, r), (-r, r)):
+            model = oracle._Model(n, oracle._factors(n, d0))
+            for j in range(1, n + 1):
+                counts = model.orbit_counts(1 << (n - j))
+                euler_engine = euler_cells = 0
+                for s in range(model.lo - 2, model.hi + 3):
+                    d = make_degree(n, -s, d0.c_alpha, d0.c_lambda)
+                    h = engine.dimension(j, restrict(d, j))
+                    sign = 1 - 2 * (s % 2)
+                    euler_engine += sign * h
+                    euler_cells += sign * counts.get(s, 0)
+                    if h and not model.lo <= s <= model.hi:
+                        bad.append((str(d), j, "nonzero outside the cells"))
+                checked += 1
+                if euler_engine != euler_cells:
+                    bad.append((str(d0), j, euler_engine, euler_cells))
+    return checked, bad
+
+
+def test_criterion_13_euler_characteristic():
+    checked, bad = _euler_mismatches({2: 3, 3: 2, 4: 2, 5: 1})
+    _report(
+        13,
+        f"Euler characteristic of each column and level, engine vs orbit counts, "
+        f"n=2 at +-3, n=3,4 at +-2, n=5 at +-1 ({checked} identities, {len(bad)} mismatches)",
+        checked == 4188 and not bad,
+    )
+
+
+@pytest.mark.slow
+def test_criterion_13_euler_characteristic_wide():
+    checked, bad = _euler_mismatches({6: 1, 7: 1})
+    _report(
+        13,
+        f"Euler characteristic of each column and level, engine vs orbit counts, "
+        f"n=6,7 at +-1 ({checked} identities, {len(bad)} mismatches)",
+        checked == 19683 and not bad,
     )
 
 

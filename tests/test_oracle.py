@@ -354,8 +354,9 @@ def _check_cols(n: int, degrees) -> int:
     nonzero = 0
     for d in degrees:
         for factors in (oracle._factors(n, d), oracle._factors(n, d) + [(2, 1, -1)]):
+            model = oracle._Model(n, factors)
             for j in range(n + 1):
-                sl = oracle._LevelSlice(n, factors, -d.t, j)
+                sl = model.level(j, -d.t)
                 for deg in (sl.s - 1, sl.s):
                     cols = sl.cols(deg)
                     assert cols == ref.level_cols(sl, deg), (str(d), factors, j, deg)
@@ -386,7 +387,7 @@ N4_FULL_STAR = [(-3, 0, (2, 1, 0)), (2, 0, (-2, 1, 0))]
 def test_cols_n4_seeded():
     degrees = [make_degree(4, t, a, lam) for t, a, lam in N4_FULL_STAR]
     for d in degrees:
-        top = oracle._LevelSlice(4, oracle._factors(4, d), -d.t, 4)
+        top = oracle._Model(4, oracle._factors(4, d)).level(4, -d.t)
         u = 2 if d.c_lambda[0] > 0 else 3  # the source's factor degree of that move
         sources = [cls for deg in (top.s - 1, top.s) for cls in top.classes[deg].values()]
         assert any(cls.sig[0] == u for cls in sources)
@@ -433,12 +434,13 @@ def _check_clearing(n: int, degrees) -> list[int]:
     counts = [0, 0, 0, 0]
     for d in degrees:
         for factors in (oracle._factors(n, d), oracle._factors(n, d) + [oracle._DUAL_ALPHA]):
+            model = oracle._Model(n, factors)
             for j in range(n + 1):
-                sl = oracle._LevelSlice(n, factors, -d.t, j)
+                sl = model.level(j, -d.t)
                 cleared = {}
                 for deg in (sl.s - 1, sl.s):
                     cleared[deg] = _positions(sl, deg)
-                    below = oracle._LevelSlice(n, factors, deg, j)  # degrees deg-1..deg+1
+                    below = model.level(j, deg)  # degrees deg-1..deg+1
                     tops = {c.bit_length() - 1 for c in below.cols(deg - 1) if c}
                     assert cleared[deg] <= tops, (str(d), factors, j, deg)
                     expected = [0 if k in cleared[deg] else c for k, c in enumerate(sl.cols(deg))]
@@ -502,8 +504,9 @@ class TestMoveTemplates:
             for n, degrees in _column_degrees().items():
                 for d in degrees:
                     for factors in (oracle._factors(n, d), oracle._factors(n, d) + [oracle._DUAL_ALPHA]):
+                        model = oracle._Model(n, factors)
                         for j in range(n + 1):
-                            sl = oracle._LevelSlice(n, factors, -d.t, j)
+                            sl = model.level(j, -d.t)
                             for deg, clear in product((sl.s - 1, sl.s), (False, True)):
                                 out = []
                                 for memo in (Bypass(), {}, warm):
@@ -626,7 +629,7 @@ class TestTopDim:
 def _product_signatures(factors, s):
     """The signatures of degrees s-1..s+1 by filtering the whole product of
     factor-degree ranges, when degree s has cells: the reference for
-    `oracle._signatures`, order included."""
+    `oracle._Model.signatures`, order included."""
     by_degree = {deg: [] for deg in (s - 1, s, s + 1)}
     lo = -sum(length for _, length, sign in factors if sign < 0)
     if lo <= s <= lo + sum(length for _, length, _ in factors):
@@ -649,7 +652,11 @@ def test_signatures_in_product_order():
         hi = sum(length for _, length, sign in factors if sign > 0)
         s = rng.randint(lo - 2, hi + 2)
         expected = _product_signatures(factors, s)
-        assert oracle._signatures(factors, s) == expected, (factors, s)
+        listed = oracle._Model(3, factors).signatures(s)
+        sigs = {deg: [sig for sig, _ in pairs] for deg, pairs in listed.items()}
+        assert sigs == expected, (factors, s)
+        assert all(blocks == tuple(b if u else 1 for (b, _, _), u in zip(factors, sig))
+                   for pairs in listed.values() for sig, blocks in pairs), (factors, s)
         nonempty += any(expected.values())
     assert nonempty >= 11000
 
@@ -719,9 +726,11 @@ class TestBudget:
 
 
 def test_widths_closed_form():
-    """`oracle._widths` against the built tables: the closed form (forced by
-    a cap below every count) equals the widest built degree, and the
-    whole-model count (returned under a cap above it) bounds it."""
+    """`oracle._Model.width` and `orbit_counts` against the built tables: the
+    closed form (forced by a cap below every count) equals the widest built
+    degree, the whole-model count (returned under a cap above it) bounds it,
+    and the orbit counts are the built dimensions of degrees s-1..s+1 (0
+    when degree s has no cells)."""
     rng = random.Random(1501)
     slices = nonempty = 0
     for n in range(1, 5):
@@ -729,11 +738,15 @@ def test_widths_closed_form():
             d = make_degree(n, rng.randint(-12, 4), rng.randint(-3, 3),
                             [rng.randint(-2, 2) for _ in range(n - 1)])
             for extra in (None, oracle._DUAL_ALPHA):
-                *_, model = oracle._slices(n, d, range(n + 1), 10 ** 9, extra)
-                for sl in model:
-                    built = max(sl.dims.values())
-                    assert oracle._widths(sl.factors, sl.s, sl.p, -1) == built, (str(d), extra)
-                    assert oracle._widths(sl.factors, sl.s, sl.p, 10 ** 9) >= built
+                *_, levels = oracle._slices(n, d, range(n + 1), 10 ** 9, extra)
+                for sl in levels:
+                    model, built = sl.model, max(sl.dims.values())
+                    assert model.width(sl.s, sl.p, -1) == built, (str(d), extra)
+                    assert model.width(sl.s, sl.p, 10 ** 9) >= built
+                    counts, live = model.orbit_counts(sl.p), model.lo <= sl.s <= model.hi
+                    for deg in (sl.s - 1, sl.s, sl.s + 1):
+                        expected = counts.get(deg, 0) if live else 0
+                        assert sl.dims[deg] == expected, (str(d), extra, deg)
                     slices += 1
                     nonempty += built > 0
     assert (slices, nonempty) == (11200, 4535)
