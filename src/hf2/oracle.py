@@ -36,6 +36,10 @@ no bottom-level vector is formed; a factor's move adds bit masks fixed by its
 differential's kind (nu and N hit the whole block, 1 - gamma and its
 transpose two cells).  A degree s outside the model's interval has group 0,
 lists no signature and is never refused by the budget.
+`oracle_pi` builds level 0 only when |d| = 0: level 0 is the underlying
+non-equivariant sphere of dimension |d|, whose mod-2 group at d is F_2 at
+|d| = 0 and 0 otherwise, so for |d| != 0 levels 1..n are built and the
+budget is checked at level 1.
 res, tr, gamma and multiplication by a_alpha (the inclusion of the model
 into its smash with one dual alpha cell pair) act on orbit indices in closed
 form.
@@ -714,14 +718,26 @@ def oracle_top_dim(n: int, d: Degree, budget: int | None = None) -> int:
 
 def oracle_pi(n: int, d: Degree, budget: int | None = None) -> MackeyAnswer:
     """Full Mackey functor at degree d: levelwise dimensions with induced
-    restriction, transfer and Weyl-generator matrices on cohomology."""
-    [slices] = _slices(n, d, range(n + 1), budget)
-    return MackeyAnswer(
-        n, d, [sl.reducer.h_dim for sl in slices],
-        [_orbit_induced(hi, lo, _res) for lo, hi in zip(slices, slices[1:])],
-        [_orbit_induced(lo, hi, _tr) for lo, hi in zip(slices, slices[1:])],
-        [_orbit_induced(sl, sl, _gamma) for sl in slices],
-    )
+    restriction, transfer and Weyl-generator matrices on cohomology.
+
+    Level 0 is the underlying non-equivariant sphere of dimension |d|
+    (`reps.underlying_dim`), whose mod-2 group is F_2 at |d| = 0 and 0
+    otherwise.  So for |d| != 0 only levels 1..n are built, and the budget
+    is checked at level 1: level 0 is 0, res into it is one zero column per
+    level-1 class, and tr out of it and its gamma have no columns.  At
+    |d| = 0 every level is built and the budget is checked at level 0."""
+    low = 1 if reps.underlying_dim(d) else 0
+    [slices] = _slices(n, d, range(low, n + 1), budget)
+    dims = [sl.reducer.h_dim for sl in slices]
+    res = [_orbit_induced(hi, lo, _res) for lo, hi in zip(slices, slices[1:])]
+    tr = [_orbit_induced(lo, hi, _tr) for lo, hi in zip(slices, slices[1:])]
+    gamma = [_orbit_induced(sl, sl, _gamma) for sl in slices]
+    if low:
+        res.insert(0, [0] * dims[0])
+        dims.insert(0, 0)
+        tr.insert(0, [])
+        gamma.insert(0, [])
+    return MackeyAnswer(n, d, dims, res, tr, gamma)
 
 
 # -- multiplication by the alpha Euler class ----------------------------------

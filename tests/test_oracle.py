@@ -329,11 +329,34 @@ class TestLevelDirectParity:
 
     @pytest.mark.parametrize("n,t_range,r", PARITY_BOXES)
     def test_level_dims(self, n, t_range, r):
+        """oracle_pi builds level 0 only at |d| = 0, so the level-0 slice is
+        built here for every degree and checked against the reference and
+        the closed form [|d| = 0]."""
         for d in box_degrees(n, t_range, r, r):
             c, s = _model(n, d)
             ref = [level_cohomology(c, j, s).h_dim for j in range(n + 1)]
             assert oracle_pi(n, d).level_dims == ref, str(d)
             assert oracle_top_dim(n, d) == ref[n], str(d)
+            level0 = oracle._Model(n, oracle._factors(n, d)).level(0, -d.t).reducer.h_dim
+            assert level0 == ref[0] == (1 if underlying_dim(d) == 0 else 0), str(d)
+
+    @pytest.mark.parametrize("n,t_range,r", PARITY_BOXES)
+    def test_level0_rule_changes_no_answer(self, n, t_range, r):
+        """oracle_pi's JSON equals the answer read off every level's slice,
+        level 0 included, as if no level were left out."""
+        skipped = 0
+        for d in box_degrees(n, t_range, r, r):
+            [slices] = oracle._slices(n, d, range(n + 1), None)
+            pairs = list(zip(slices, slices[1:]))
+            full = MackeyAnswer(
+                n, d, [sl.reducer.h_dim for sl in slices],
+                [oracle._orbit_induced(hi, lo, oracle._res) for lo, hi in pairs],
+                [oracle._orbit_induced(lo, hi, oracle._tr) for lo, hi in pairs],
+                [oracle._orbit_induced(sl, sl, oracle._gamma) for sl in slices],
+            )
+            assert oracle_pi(n, d).to_json() == full.to_json(), str(d)
+            skipped += underlying_dim(d) != 0
+        assert skipped > 0  # the box exercises the level-0 shortcut
 
     @pytest.mark.parametrize("n,t_range,r", PARITY_BOXES)
     def test_map_ranks_on_sample(self, n, t_range, r):
@@ -786,15 +809,77 @@ def test_top_width_decides_the_top_level_budget(monkeypatch):
     assert (checked, refused) == (6300, 1299)
 
 
-@pytest.mark.parametrize("call, predicted", [(oracle_top_dim, 798892080), (oracle_pi, 25541764480)])
-def test_refusal_builds_nothing(call, predicted):
-    """Degree s = 80 lies in the middle of the model's degrees 0..180, where
-    millions of signatures meet: the budget refuses it before listing any."""
+def test_oracle_pi_budget_at_its_lowest_built_level(monkeypatch):
+    """oracle_pi builds levels 1..n when |d| != 0 and 0..n when |d| = 0.
+    Over every degree of n = 3 and n = 4 boxes, at budgets around the width
+    of that lowest level, it refuses exactly when the width exceeds the
+    budget, predicts that width, and otherwise builds that level first."""
+
+    class Accepted(Exception):
+        pass
+
+    def accept(model, s, j):
+        raise Accepted(j)  # past the budget: the first slice would be built
+
+    monkeypatch.setattr(oracle, "_LevelSlice", accept)
+    checked = refused = 0
+    boxes = {3: ((-6, 6), 1), 4: ((-5, 5), 1)}
+    for n, (t_range, r) in boxes.items():
+        for d in box_degrees(n, t_range, (-r, r), (-r, r)):
+            low = 1 if underlying_dim(d) else 0
+            w = oracle._Model(n, oracle._factors(n, d)).width(-d.t, 1 << (n - low), -1)
+            for cap in {0, w - 1, w, w + 1, oracle.DEFAULT_BUDGET} - {-1}:
+                checked += 1
+                if w > cap:
+                    refused += 1
+                    with pytest.raises(BudgetExceededError) as err:
+                        oracle_pi(n, d, cap)
+                    assert (err.value.predicted, err.value.cap) == (w, cap), (str(d), cap)
+                else:
+                    with pytest.raises(Accepted) as acc:
+                        oracle_pi(n, d, cap)
+                    assert acc.value.args == (low,), str(d)
+    assert (checked, refused) == (4860, 1134)
+
+
+@pytest.mark.parametrize("call, last, predicted", [
+    pytest.param(oracle_top_dim, 20, 798892080, id="oracle_top_dim-798892080"),
+    pytest.param(oracle_pi, 20, 12782259840, id="oracle_pi-12782259840"),
+    pytest.param(oracle_pi, -30, 15729320704, id="oracle_pi-15729320704"),
+])
+def test_refusal_builds_nothing(call, last, predicted):
+    """Degree s = 80 lies in the middle of the model's degrees 0..180
+    (-60..140 with the last slot -30), where millions of signatures meet:
+    the budget refuses it before listing any.  oracle_pi sizes its lowest
+    built level: level 1 at |d| = 100, level 0 at |d| = 0 (last slot -30)."""
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError) as err:
-        call(5, make_degree(5, -80, 20, [20] * 4))
+        call(5, make_degree(5, -80, 20, [20, 20, 20, last]))
     assert time.perf_counter() - start < 1
     assert (err.value.predicted, err.value.cap) == (predicted, oracle.DEFAULT_BUDGET)
+
+
+def _check_levels_against_subgroups(n, t_range, r):
+    """oracle_pi's level j against oracle_top_dim of C_{2^j} at restrict(d, j),
+    for j = 1..n: oracle-only evidence for the level construction, each side
+    built from its own model."""
+    checked = nonzero = 0
+    for d in box_degrees(n, t_range, (-r, r), (-r, r)):
+        dims = oracle_pi(n, d).level_dims
+        for j in range(1, n + 1):
+            assert dims[j] == oracle_top_dim(j, restrict(d, j)), (str(d), j)
+            checked += 1
+            nonzero += dims[j] > 0
+    return checked, nonzero
+
+
+def test_levels_are_subgroup_top_dims_n3():
+    assert _check_levels_against_subgroups(3, (-8, 8), 2) == (6375, 1338)
+
+
+@pytest.mark.slow
+def test_levels_are_subgroup_top_dims_n4():
+    assert _check_levels_against_subgroups(4, (-6, 6), 1) == (4212, 786)
 
 
 def test_empty_degree_builds_nothing(monkeypatch):
