@@ -104,17 +104,18 @@ def parse_box(text: str, n: int) -> DegreeBox:
 
 
 class JsonlCache:
-    """Append-only JSON-lines cache of oracle values, one file per group.  A
-    line {"k", "v", "w", "h"} holds a key, its value, the budget width of its
-    degree (`oracle.top_width`) and a checksum of all three, so a hit faces
-    the budget without the oracle.  Only lines that can hit are decoded:
-    those of this code's fingerprint or, given one `key`, those that hold it.
-    Of several valid lines for a key, the last wins."""
+    """Append-only JSON-lines cache of oracle values, one file per group and
+    per fingerprint of the oracle's code (`_fingerprint`), so lines of other
+    code are never opened.  A line {"k", "v", "w", "h"} holds a degree
+    (`reps.format_degree`), its value, its budget width (`oracle.top_width`)
+    and a checksum of all three, so a hit faces the budget without the
+    oracle.  Given one `key`, only the lines that hold it are decoded.  Of
+    several valid lines for a key, the last wins."""
 
     def __init__(self, directory: str, n: int, key: str | None = None):
-        self.path = os.path.join(directory, f"hf2-cache-n{n}.jsonl")
+        self.path = os.path.join(directory, f"hf2-cache-n{n}-{_fingerprint()}.jsonl")
         self.data: dict[str, tuple[int, int]] = {}
-        self._load((json.dumps(key) if key else f"|{_fingerprint()}|").encode())
+        self._load(json.dumps(key).encode() if key else b"")
 
     def _load(self, needle: bytes) -> None:
         if not os.path.exists(self.path):
@@ -122,12 +123,12 @@ class JsonlCache:
         with open(self.path, "rb") as fh:  # decoded line by line
             for line in fh:
                 if needle not in line:
-                    continue  # blank, of other code or of another key: it cannot hit
+                    continue  # of another key: it cannot hit
                 try:
                     rec = json.loads(line.decode("utf-8"))
                     key, val, width, h = rec["k"], rec["v"], rec["w"], rec["h"]
                 except (ValueError, KeyError, TypeError):
-                    continue  # undecodable or corrupted line: recompute later
+                    continue  # blank, undecodable or corrupted line: recompute later
                 # the checksum reads "1" and 1 alike, so only ints are trusted
                 if ((type(key), type(val), type(width)) != (str, int, int)
                         or _line_hash(key, val, width) != h):
@@ -138,16 +139,13 @@ class JsonlCache:
         return self.data.get(key)
 
     def put(self, entries: dict[str, tuple[int, int]]) -> None:
-        """Append the (value, width) entries not held yet, all with one write."""
-        new = {k: e for k, e in entries.items() if k not in self.data}
-        if not new:
-            return
-        self.data.update(new)
+        """Append the (value, width) entries, all with one write."""
+        self.data.update(entries)
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write("".join(
                 json.dumps({"k": k, "v": v, "w": w, "h": _line_hash(k, v, w)}) + "\n"
-                for k, (v, w) in new.items()
+                for k, (v, w) in entries.items()
             ))
 
 
@@ -192,42 +190,55 @@ def _fingerprint() -> str:
     return h.hexdigest()[:12]
 
 
-def _cache_key(n: int, d: Degree) -> str:
-    return f"{SCHEMA_VERSION}|oracle|{_fingerprint()}|{n}|{reps.format_degree(d)}"
-
-
-# -- workers ------------------------------------------------------------------
+# -- oracle values ------------------------------------------------------------
 
 _CHUNK = 16  # degrees per task handed to a `verify --jobs` worker
 
 
-def _fits(entry, budget: int) -> bool:
-    """Whether a cached (value, width) answers under `budget`: the oracle
-    refuses a degree exactly when its width exceeds the budget."""
-    return entry is not None and entry[1] <= budget
-
-
-def _compute(n: int, d: Degree, budget: int) -> tuple[int, int]:
-    """The oracle's (value, width) at d; over budget, the oracle's refusal."""
-    from . import oracle
-
-    return oracle.oracle_top_dim(n, d, budget), oracle.top_width(n, d)
-
-
 def _oracle_value(task):
-    """((value, width), None), or (None, refusal) when the budget refuses the
-    degree.  A cached entry faces this run's budget, like a fresh one: one
-    that fits answers without loading the oracle, and any other takes the
-    oracle's own route, so a refusal reads the same cached or not."""
-    n, d, budget, cached = task
-    if _fits(cached, budget):
-        return cached, None
+    """((value, width), None) at d, or (None, (predicted, cap)) when the
+    budget refuses d."""
+    n, d, budget = task
     from . import oracle
 
     try:
-        return _compute(n, d, budget), None
+        return (oracle.oracle_top_dim(n, d, budget), oracle.top_width(n, d)), None
     except oracle.BudgetExceededError as exc:
-        return None, f"predicted {exc.predicted} columns > budget {exc.cap}"
+        return None, (exc.predicted, exc.cap)
+
+
+def _oracle_values(args, degrees: list[Degree], jobs: int = 1) -> list:
+    """`_oracle_value` at each degree under `--budget`.  A cached entry whose
+    width fits the budget answers without loading the oracle; every other
+    degree takes the oracle's own route, over `jobs` workers, so a refusal
+    reads the same cached or not.  What the oracle computed anew is stored
+    with one write."""
+    keys = [reps.format_degree(d) for d in degrees]
+    directory, cache = _cache_dir(args), None
+    if directory:  # one degree decodes only the lines that hold its key
+        cache = JsonlCache(directory, args.n, keys[0] if len(keys) == 1 else None)
+    answers, misses = {}, {}
+    for k, d in zip(keys, degrees):
+        entry = cache.get(k) if cache else None
+        if entry is not None and entry[1] <= args.budget:
+            answers[k] = entry, None
+        else:
+            misses[k] = args.n, d, args.budget
+    # a pool starts all its workers at once: no more than there are chunks
+    workers = min(jobs, math.ceil(len(misses) / _CHUNK))
+    if workers > 1:
+        from multiprocessing import Pool  # only here: it slows every start-up
+
+        with Pool(workers) as pool:
+            fresh = pool.map(_oracle_value, misses.values(), chunksize=_CHUNK)
+    else:
+        fresh = map(_oracle_value, misses.values())
+    answers.update(zip(misses, fresh))
+    if cache:
+        new = {k: e for k, (e, _) in answers.items() if e is not None and cache.data.get(k) != e}
+        if new:
+            cache.put(new)
+    return [answers[k] for k in keys]
 
 
 # -- output -------------------------------------------------------------------
@@ -265,8 +276,9 @@ def _emit(report: Report, fmt: str) -> None:
 def cmd_dim(args) -> Report:
     from . import engine
 
-    val = engine.dimension(args.n, reps.parse_degree(args.deg, args.n))
-    return Report({"n": args.n, "degree": args.deg, "dimension": val},
+    d = reps.parse_degree(args.deg, args.n)
+    val = engine.dimension(args.n, d)
+    return Report({"n": args.n, "degree": reps.format_degree(d), "dimension": val},
                   csv=[("dimension",), (val,)], table=[val])
 
 
@@ -287,54 +299,37 @@ def cmd_verify(args) -> Report:
     from . import engine
 
     box = parse_box(args.box, args.n)
-    directory = _cache_dir(args)
-    cache = JsonlCache(directory, args.n) if directory else None
-    if args.cache_selftest and cache is None:
+    if args.cache_selftest and not _cache_dir(args):
         raise UsageError("--cache-selftest needs an open cache "
                          "(--cache-dir or HF2_CACHE_DIR, without --no-cache)")
     t0 = time.time()
     degrees = list(box)
-    cached = [cache.get(_cache_key(args.n, d)) if cache else None for d in degrees]
-    tasks = [(args.n, d, args.budget, c) for d, c in zip(degrees, cached)]
-    # a pool starts all its workers at once: no more than there are chunks
-    workers = min(args.jobs, math.ceil(len(tasks) / _CHUNK))
-    if workers > 1 and None in cached:
-        from multiprocessing import Pool  # only here: it slows every start-up
-
-        with Pool(workers) as pool:
-            answers = pool.map(_oracle_value, tasks, chunksize=_CHUNK)
-    else:
-        answers = map(_oracle_value, tasks)
-
-    records, new_entries = [], {}
+    answers = _oracle_values(args, degrees, args.jobs)
+    records = []
     rows, table = [("degree", "engine", "oracle", "status")], []
-    for d, c, (entry, skip) in zip(degrees, cached, answers):
+    for d, (entry, refusal) in zip(degrees, answers):
         rec = {"degree": reps.format_degree(d), "engine": engine.dimension(args.n, d)}
-        if skip is None:
+        if refusal is None:
             orc = entry[0]
             rec["oracle"], rec["match"] = orc, rec["engine"] == orc
             status = "ok" if rec["match"] else "MISMATCH"
             detail = f"oracle={orc} {status}"
-            if cache and c is None:
-                new_entries[_cache_key(args.n, d)] = entry
         else:
+            skip = "predicted %d columns > budget %d" % refusal
             rec["skipped"], status, detail = skip, "skipped", f"skipped: {skip}"
         records.append(rec)
         rows.append((rec["degree"], rec["engine"], rec.get("oracle", ""), status))
         table.append(f"{rec['degree']:24s} engine={rec['engine']} {detail}")
-    if new_entries:
-        cache.put(new_entries)
 
     selftest_failures = 0
     if args.cache_selftest:
         step = max(1, len(degrees) // args.cache_selftest)
-        for d in degrees[::step][: args.cache_selftest]:
-            cached = cache.get(_cache_key(args.n, d))
-            if cached is not None:
+        for d, (entry, _) in list(zip(degrees, answers))[::step][: args.cache_selftest]:
+            if entry is not None:
                 # the width too: a stale one would let a hit round the budget;
                 # a degree this run's budget refuses cannot be re-checked
-                fresh, refusal = _oracle_value((args.n, d, args.budget, None))
-                selftest_failures += refusal is None and fresh != cached
+                fresh, refusal = _oracle_value((args.n, d, args.budget))
+                selftest_failures += refusal is None and fresh != entry
 
     mismatches = sum(rec.get("match") is False for rec in records)
     skipped = sum("skipped" in rec for rec in records)
@@ -443,18 +438,13 @@ def cmd_summands(args) -> Report:
 
 def cmd_oracle(args) -> Report:
     d = reps.parse_degree(args.deg, args.n)
-    directory = _cache_dir(args)
-    cache = key = entry = None
-    if directory:
-        key = _cache_key(args.n, d)
-        cache = JsonlCache(directory, args.n, key)  # decodes only the lines that hold key
-        entry = cache.get(key)
-    if not _fits(entry, args.budget):
-        entry = _compute(args.n, d, args.budget)  # an over-budget degree raises here
-        if cache:
-            cache.put({key: entry})
+    [(entry, refusal)] = _oracle_values(args, [d])
+    if refusal is not None:  # a one-degree query cannot skip it
+        from .oracle import BudgetExceededError
+
+        raise BudgetExceededError(d, *refusal)
     dim = entry[0]
-    return Report({"n": args.n, "degree": args.deg, "oracle_dimension": dim},
+    return Report({"n": args.n, "degree": reps.format_degree(d), "oracle_dimension": dim},
                   csv=[("oracle_dimension",), (dim,)], table=[dim])
 
 

@@ -70,8 +70,8 @@ box; the target's offset only shifts the masks.  So `cols` keys each move by
 once at target offset 0 (`_template`), and from then on XORs them in shifted
 by the target's offset, with no walk or table built.  The key names all that
 `_add_move` reads, so a memo filled by any degree gives what a direct build
-gives.  Only moves out of classes of at most `TEMPLATE_MAX` orbits are kept:
-a larger class costs its XORs more than its set-up and is built directly.
+gives.  Only moves out of classes of at most `TEMPLATE_MAX` orbits are kept,
+which bounds the memo's memory; a larger class's moves are built directly.
 The memo lives in the process, so no template outlives a code change.
 
 The bottom-level route, which stores the whole complex at the trivial-
@@ -98,10 +98,13 @@ from . import reps
 CLEAR_FROM = 192
 # Moves out of classes of at most this many orbits (256 at most: a template
 # stores a position in one byte) are compiled once per shape
-# (`_LevelSlice.cols`).  A move out of a larger class costs its XORs more than
-# its set-up, and keeping its template would cost memory: over the oracle_pi
-# degrees of one benchmark mackey seed, 64 keeps about 1800 templates in about
-# 1 MB, and no cap about 2200 in 2.5 MB for about 5% less time.
+# (`_LevelSlice.cols`); a larger class's moves are built directly.  The cap
+# bounds memory and costs time.  With every move from a template instead,
+# oracle_top_dim over the box t = -6..6, other slots -1..1 took, in fresh
+# processes on 2 vCPU (Xeon): at n = 5, 2.1-2.6 s of CPU, not 4.1-5.1 s, for
+# a peak RSS of 37 MB, not 28 MB; at n = 6, 14 s, not 26 s, for 195 MB, not
+# 64 MB (7949 templates, not 5214).  Building each differential once in a
+# column walk could win the time back without the memory.
 TEMPLATE_MAX = 64
 # the group of every empty slice, shared: a reducer is not changed once built
 _ZERO_GROUP = CohomologyReducer(0, [], [])
@@ -451,7 +454,7 @@ class _LevelSlice:
                 if (not turn and tgt.star == f and cls.blocks[f] > 1
                         and tgt.blocks.count(tgt.blocks[f]) == 1):
                     continue  # N inside a star no other block reaches adds 0 (`_top_box`)
-                if walks is not None:  # a large class: its XORs outweigh set-up
+                if walks is not None:  # a large class: no template, to bound memory
                     self._add_move(cols, cls, tgt, f, turn, walks, tgt.offset)
                     continue
                 key = (p, cls.blocks, tgt.blocks, f, turn, boxed)
@@ -677,14 +680,6 @@ def top_width(n: int, d: Degree) -> int:
     `oracle_top_dim` refuses d exactly when this exceeds the budget, and
     reports it as the predicted width."""
     return _Model(n, _factors(n, d)).width(-d.t, 1, -1)
-
-
-def check_budget(n: int, d: Degree, budget: int | None = None) -> None:
-    """Refuse d where `oracle_top_dim` would, building nothing."""
-    cap = DEFAULT_BUDGET if budget is None else budget
-    width = top_width(n, d)
-    if width > cap and width:  # a degree with no cells is never refused
-        raise BudgetExceededError(d, width, cap)
 
 
 # The dual alpha cell pair: smashed on, it takes the model of d to that of d - alpha.

@@ -37,6 +37,11 @@ def spy(monkeypatch, owner, name: str) -> list:
     return calls
 
 
+def cache_path(directory: Path, n: int = 2) -> Path:
+    """The cache file of C_{2^n} in `directory` under this code's fingerprint."""
+    return directory / f"hf2-cache-n{n}-{cli._fingerprint()}.jsonl"
+
+
 def duality_fault(monkeypatch) -> None:
     """Make duality-scan's dimensions answer one too many at 0,0,0 over C_4,
     whose dual degree is -2,0,1."""
@@ -283,7 +288,7 @@ class TestCache:
             "--cache-dir", str(tmp_path), "--cache-selftest", "5",
         )
         code1, out1, _ = run_cli(capsys, *args)
-        cache_file = tmp_path / "hf2-cache-n2.jsonl"
+        cache_file = cache_path(tmp_path)
         assert code1 == 0 and cache_file.exists()
         n_lines = len(cache_file.read_text().splitlines())
         code2, out2, _ = run_cli(capsys, *args)
@@ -309,12 +314,12 @@ class TestCache:
         monkeypatch.setenv("HF2_CACHE_DIR", str(tmp_path))
         code, out, _ = run_cli(capsys, *self.ONE_DEGREE)
         assert code == 0 and json.loads(out)["records"][0]["oracle"] == 1
-        assert (tmp_path / "hf2-cache-n2.jsonl").exists()
+        assert cache_path(tmp_path).exists()
 
     def test_corruption_recovery(self, capsys, tmp_path):
         args = (*self.ONE_DEGREE, "--cache-dir", str(tmp_path))
         run_cli(capsys, *args)
-        cache_file = tmp_path / "hf2-cache-n2.jsonl"
+        cache_file = cache_path(tmp_path)
         cache_file.write_text("{ not json\n" + cache_file.read_text().replace('"v": 1', '"v": 9'))
         code, out, _ = run_cli(capsys, *args)
         # the checksum rejects the tampered line, so the value is recomputed
@@ -323,7 +328,7 @@ class TestCache:
     def test_undecodable_line_recomputed(self, capsys, tmp_path):
         args = (*self.ONE_DEGREE, "--cache-dir", str(tmp_path))
         run_cli(capsys, *args)
-        cache_file = tmp_path / "hf2-cache-n2.jsonl"
+        cache_file = cache_path(tmp_path)
         cache_file.write_bytes(b"\xff\xfe garbage\n" + cache_file.read_bytes() + b"\xff\n")
         code, out, _ = run_cli(capsys, *args)
         assert code == 0 and json.loads(out)["records"][0]["oracle"] == 1
@@ -331,11 +336,11 @@ class TestCache:
     def test_non_integer_value_recomputed(self, capsys, tmp_path, monkeypatch):
         args = (*self.ONE_DEGREE, "--cache-dir", str(tmp_path))
         run_cli(capsys, *args)
-        cache_file = tmp_path / "hf2-cache-n2.jsonl"
+        cache_file = cache_path(tmp_path)
         [rec] = [json.loads(line) for line in cache_file.read_text().splitlines()]
         key, width = rec["k"], rec["w"]
         assert (rec["v"], width) == (1, oracle.top_width(2, reps.zero_degree(2)))
-        computed = spy(monkeypatch, cli, "_compute")
+        computed = spy(monkeypatch, cli, "_oracle_value")
         # each line's checksum is valid; "1" even has the checksum of the int 1
         cases = [(v, width) for v in ("1", True, 1.0, [1])]
         cases += [(1, w) for w in (str(width), True, float(width), None, [width])]
@@ -353,11 +358,11 @@ class TestCache:
         # a line of the format before widths were stored, checksummed as then
         args = (*self.ONE_DEGREE, "--cache-dir", str(tmp_path))
         run_cli(capsys, *args)
-        cache_file = tmp_path / "hf2-cache-n2.jsonl"
+        cache_file = cache_path(tmp_path)
         [rec] = [json.loads(line) for line in cache_file.read_text().splitlines()]
         old = hashlib.sha1(f"{rec['k']}=1".encode()).hexdigest()[:12]
         cache_file.write_text(json.dumps({"k": rec["k"], "v": 1, "h": old}) + "\n")
-        computed = spy(monkeypatch, cli, "_compute")
+        computed = spy(monkeypatch, cli, "_oracle_value")
         code, out, _ = run_cli(capsys, *args)
         assert code == 0 and json.loads(out)["records"][0]["oracle"] == 1
         assert len(computed) == 1 and len(cache_file.read_text().splitlines()) == 2
@@ -365,7 +370,7 @@ class TestCache:
     def test_blank_lines_are_skipped(self, capsys, tmp_path, monkeypatch):
         args = ("verify", "--n", "2", "--box", "t=-1..1,a=0..0", "--cache-dir", str(tmp_path))
         _, cold, _ = run_cli(capsys, *args)
-        cache_file = tmp_path / "hf2-cache-n2.jsonl"
+        cache_file = cache_path(tmp_path)
         spaced = "\n\n".join(cache_file.read_text().splitlines()) + "\n  \n"
         cache_file.write_text(spaced)
 
@@ -385,11 +390,11 @@ class TestCache:
             "--cache-dir", str(tmp_path), "--cache-selftest", "3",
         )
         run_cli(capsys, *args)
-        cache_file = tmp_path / "hf2-cache-n2.jsonl"
+        cache_file = cache_path(tmp_path)
         lines = []
         for line in cache_file.read_text().splitlines():
             rec = json.loads(line)
-            if "|oracle|" in rec["k"] and rec["k"].endswith("|0,0,0"):
+            if rec["k"] == "0,0,0":
                 rec["v"] += 1  # a wrong value under a valid line checksum
                 rec["h"] = cli._line_hash(rec["k"], rec["v"], rec["w"])
             lines.append(json.dumps(rec))
@@ -408,11 +413,11 @@ class TestCache:
             "--cache-dir", str(tmp_path), "--cache-selftest", "3",
         )
         run_cli(capsys, *args)
-        cache_file = tmp_path / "hf2-cache-n2.jsonl"
+        cache_file = cache_path(tmp_path)
         lines = []
         for line in cache_file.read_text().splitlines():
             rec = json.loads(line)
-            if rec["k"].endswith("|0,0,0"):
+            if rec["k"] == "0,0,0":
                 assert rec["w"] > 0
                 rec["w"] += shift
                 rec["h"] = cli._line_hash(rec["k"], rec["v"], rec["w"])
@@ -425,22 +430,27 @@ class TestCache:
             "total": 3, "mismatches": 0, "skipped": 0, "cache_selftest_failures": 1}
 
     def test_stale_lines_are_not_decoded(self, capsys, tmp_path, monkeypatch):
-        # lines of another fingerprint can never hit: they are not decoded
+        # lines of another fingerprint can never hit: their file is not opened
         args = ("verify", "--n", "2", "--box", "t=-1..1,a=0..0,l0=0..0",
                 "--cache-dir", str(tmp_path))
         _, cold, _ = run_cli(capsys, *args)
-        cache_file = tmp_path / "hf2-cache-n2.jsonl"
-        fresh = cache_file.read_text()
+        stale_file = tmp_path / "hf2-cache-n2-0123456789ab.jsonl"
+        assert stale_file != cache_path(tmp_path)
         stale = []
         for i in range(1000):
-            key = f"1|oracle|{i:012x}|2|0,0,{i}"
-            stale.append(json.dumps({"k": key, "v": 1, "w": 1, "h": cli._line_hash(key, 1, 1)}))
-        cache_file.write_text("\n".join(stale) + "\n" + fresh)
-        decoded = spy(monkeypatch, json, "loads")
-        monkeypatch.setattr(cli, "_compute", None)  # a recomputation would fail
-        cache = cli.JsonlCache(str(tmp_path), 2)
-        assert len(decoded) == len(cache.data) == 3
+            key = f"0,0,{i}"  # "0,0,0" among them, with a wrong value
+            stale.append(json.dumps({"k": key, "v": 9, "w": 1, "h": cli._line_hash(key, 9, 1)}))
+        stale_file.write_text("\n".join(stale) + "\n")
+        opened = []
+
+        def logged_open(path, *rest, **kw):  # `open` as hf2.cli sees it
+            opened.append(path)
+            return open(path, *rest, **kw)
+
+        monkeypatch.setattr(cli, "open", logged_open, raising=False)
+        monkeypatch.setattr(cli, "_oracle_value", None)  # a recomputation would fail
         code, warm, _ = run_cli(capsys, *args)
+        assert opened == [str(cache_path(tmp_path))]
         cold, warm = json.loads(cold), json.loads(warm)
         cold.pop("meta"), warm.pop("meta")
         assert code == 0 and warm == cold
@@ -466,7 +476,7 @@ class TestCache:
         args = ("verify", "--n", "2", "--box", "t=-1..1,a=0..0,l0=-1..1",
                 "--cache-dir", str(tmp_path))
         run_cli(capsys, *args)
-        cache_file = tmp_path / "hf2-cache-n2.jsonl"
+        cache_file = cache_path(tmp_path)
         assert puts == [9] and len(cache_file.read_text().splitlines()) == 9
         run_cli(capsys, *args)
         assert puts == [9]  # warm: nothing new, no write
@@ -482,11 +492,11 @@ class TestCache:
             "verify", "--n", "2", "--box", "t=-1..1,a=0..0,l0=0..0",
             "--cache-dir", str(tmp_path / "cache"),
         )
-        cache_file = tmp_path / "cache" / "hf2-cache-n2.jsonl"
+        old_file = cache_path(tmp_path / "cache")
         run_cli(capsys, *args)
-        n_lines = len(cache_file.read_text().splitlines())
+        before = old_file.read_bytes()
         run_cli(capsys, *args)
-        assert len(cache_file.read_text().splitlines()) == n_lines  # warm: pure hits
+        assert old_file.read_bytes() == before  # warm: pure hits
         # the same sources beside another cli.py, with an edit to oracle.py
         src = tmp_path / "src"
         src.mkdir()
@@ -498,8 +508,12 @@ class TestCache:
         monkeypatch.setattr(cli, "_fingerprint", functools.cache(cli._fingerprint.__wrapped__))
         code, out, _ = run_cli(capsys, *args)
         assert code == 0 and json.loads(out)["pass"]
-        # the three oracle values miss under the new fingerprint and are stored again
-        assert len(cache_file.read_text().splitlines()) == n_lines + 3
+        # the three oracle values miss under the new fingerprint and go to
+        # its own file; the old file is left as it was
+        new_file = cache_path(tmp_path / "cache")
+        assert sorted((tmp_path / "cache").iterdir()) == sorted([old_file, new_file])
+        assert old_file.read_bytes() == before
+        assert len(new_file.read_text().splitlines()) == 3
 
     def test_fingerprint_covers_the_oracles_imports(self):
         # the hf2 modules hf2.oracle imports: those it binds, and those of
@@ -518,7 +532,7 @@ class TestCache:
 
     def test_line_hash_is_sha1(self, monkeypatch):
         # the built-in SHA-1 digests as hashlib's does: 48 bits of it
-        key = "1|oracle|0123456789ab|2|0,0,0"
+        key = "0,0,0"
         expected = hashlib.sha1(f"{key}=1:3".encode()).hexdigest()[:12]
         assert cli._line_hash(key, 1, 3) == expected
         # an interpreter built without `_sha1` takes hashlib's
@@ -537,13 +551,13 @@ class TestOracleCache:
         monkeypatch.delenv("HF2_CACHE_DIR", raising=False)
         _, plain, _ = run_cli(capsys, *self.DEG, "--no-cache")
         code, cold, _ = run_cli(capsys, *self.DEG, "--cache-dir", str(tmp_path))
-        cache_file = tmp_path / "hf2-cache-n2.jsonl"
+        cache_file = cache_path(tmp_path)
         [line] = cache_file.read_text().splitlines()
         rec = json.loads(line)
         assert code == 0 and cold == plain
         assert (rec["v"], rec["w"]) == (json.loads(plain)["oracle_dimension"],
                                         oracle.top_width(2, reps.zero_degree(2)))
-        monkeypatch.setattr(cli, "_compute", None)  # a hit must not compute
+        monkeypatch.setattr(cli, "_oracle_value", None)  # a hit must not compute
         monkeypatch.setenv("HF2_CACHE_DIR", str(tmp_path))
         code, warm, _ = run_cli(capsys, *self.DEG)
         assert code == 0 and warm == plain
@@ -552,25 +566,48 @@ class TestOracleCache:
     def test_reads_what_verify_wrote(self, capsys, tmp_path, monkeypatch):
         run_cli(capsys, "verify", "--n", "2", "--box", "t=-1..1,a=0..0,l0=-1..1",
                 "--cache-dir", str(tmp_path))
-        cache_file = tmp_path / "hf2-cache-n2.jsonl"
+        cache_file = cache_path(tmp_path)
         before = cache_file.read_text()
         assert len(before.splitlines()) == 9
         decoded = spy(monkeypatch, json, "loads")
-        monkeypatch.setattr(cli, "_compute", None)
+        monkeypatch.setattr(cli, "_oracle_value", None)
         code, out, _ = run_cli(capsys, "oracle", "--n", "2", "--deg=1,0,-1",
                                "--cache-dir", str(tmp_path))
         [(line,)] = decoded  # only the one line that holds the key is decoded
-        assert json.loads(line)["k"] == cli._cache_key(2, reps.make_degree(2, 1, 0, [-1]))
+        assert json.loads(line)["k"] == "1,0,-1"
         assert code == 0 and json.loads(out)["oracle_dimension"] == 1
         assert cache_file.read_text() == before
 
     def test_last_valid_line_wins(self, tmp_path):
-        key = cli._cache_key(2, reps.zero_degree(2))
+        key = "0,0,0"
         lines = [json.dumps({"k": key, "v": v, "w": w, "h": cli._line_hash(key, v, w)})
                  for v, w in ((5, 6), (7, 8))]
-        (tmp_path / "hf2-cache-n2.jsonl").write_text("\n".join(lines + ["{ broken"]) + "\n")
+        (cache_path(tmp_path)).write_text("\n".join(lines + ["{ broken"]) + "\n")
         for only in (None, key):
             assert cli.JsonlCache(str(tmp_path), 2, only).get(key) == (7, 8)
+
+    def test_any_spelling_of_a_degree_hits(self, capsys, tmp_path, monkeypatch):
+        # the key is the degree's canonical text, not the --deg text
+        run_cli(capsys, *self.DEG, "--cache-dir", str(tmp_path))
+        monkeypatch.setattr(cli, "_oracle_value", None)
+        code, out, _ = run_cli(capsys, "oracle", "--n", "2", "--deg", " -0, 0,+0",
+                               "--cache-dir", str(tmp_path))
+        assert code == 0 and json.loads(out) == {"n": 2, "degree": "0,0,0", "oracle_dimension": 1}
+        assert len(cache_path(tmp_path).read_text().splitlines()) == 1
+
+    def test_recomputed_entry_replaces_a_stale_width(self, capsys, tmp_path, monkeypatch):
+        # a width too wide for the budget sends the degree to the oracle;
+        # the fresh entry is appended, and as the last line it hits from then on
+        key, width = "0,0,0", oracle.top_width(2, reps.zero_degree(2))
+        lines = [json.dumps({"k": key, "v": 1, "w": w, "h": cli._line_hash(key, 1, w)})
+                 for w in (width + 5, width)]
+        cache_file = cache_path(tmp_path)
+        cache_file.write_text(lines[0] + "\n")
+        args = (*self.DEG, "--budget", str(width), "--cache-dir", str(tmp_path))
+        assert run_cli(capsys, *args)[0] == 0
+        assert cache_file.read_text().splitlines() == lines
+        monkeypatch.setattr(cli, "_oracle_value", None)
+        assert run_cli(capsys, *args)[0] == 0
 
     def test_over_budget_hit_refuses_as_cold(self, capsys, tmp_path):
         deg = ("oracle", "--n", "2", "--deg=-2,1,2")
@@ -578,7 +615,7 @@ class TestOracleCache:
         tight = ("--budget", str(width - 1))
         cold = run_cli(capsys, *deg, *tight, "--no-cache")
         code, _, _ = run_cli(capsys, *deg, "--cache-dir", str(tmp_path))
-        assert code == 0 and (tmp_path / "hf2-cache-n2.jsonl").exists()
+        assert code == 0 and (cache_path(tmp_path)).exists()
         warm = run_cli(capsys, *deg, *tight, "--cache-dir", str(tmp_path))
         assert cold[0] == cli.EXIT_BUDGET and warm == cold
         assert f"predicted matrix dimension {width} exceeds budget {width - 1}" in cold[2]
@@ -586,10 +623,10 @@ class TestOracleCache:
 
     def test_no_cache_neither_reads_nor_writes(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("HF2_CACHE_DIR", str(tmp_path))
-        key = cli._cache_key(2, reps.zero_degree(2))
+        key = "0,0,0"
         width = oracle.top_width(2, reps.zero_degree(2))
         wrong = json.dumps({"k": key, "v": 9, "w": width, "h": cli._line_hash(key, 9, width)})
-        cache_file = tmp_path / "hf2-cache-n2.jsonl"
+        cache_file = cache_path(tmp_path)
         cache_file.write_text(wrong + "\n")
         code, out, _ = run_cli(capsys, *self.DEG, "--no-cache")
         assert code == 0 and json.loads(out)["oracle_dimension"] == 1
@@ -620,6 +657,13 @@ class TestOtherCommands:
         code, out, _ = run_cli(capsys, "summands", "--n", "3")
         payload = json.loads(out)
         assert code == 0 and payload["total"] == 13
+
+    @pytest.mark.parametrize("command", ["dim", "oracle", "mackey"])
+    @pytest.mark.parametrize("deg", ["-0,0,+0", " 0, 0,0", "00,0 ,0"])
+    def test_degree_reported_canonical(self, capsys, monkeypatch, command, deg):
+        monkeypatch.delenv("HF2_CACHE_DIR", raising=False)
+        code, out, _ = run_cli(capsys, command, "--n", "2", "--deg", deg)
+        assert code == 0 and json.loads(out)["degree"] == "0,0,0"
 
     def test_oracle_cmd(self, capsys):
         code, out, _ = run_cli(

@@ -779,8 +779,8 @@ def test_top_width_decides_the_top_level_budget(monkeypatch):
     """A cache stores `top_width` beside each value and answers a hit only
     where the width fits the budget.  Over every degree of n = 2..4 boxes,
     at budgets around the width (the CLI takes none below 0), the width
-    exceeds the budget exactly where `check_budget` and `oracle_top_dim`
-    refuse, and it is the width they predict."""
+    exceeds the budget exactly where `oracle_top_dim` refuses, before it
+    builds a slice, and it is the width it predicts."""
 
     class Accepted(Exception):
         pass
@@ -798,12 +798,10 @@ def test_top_width_decides_the_top_level_budget(monkeypatch):
                 checked += 1
                 if w > cap:
                     refused += 1
-                    for call in (oracle.check_budget, oracle_top_dim):
-                        with pytest.raises(BudgetExceededError) as err:
-                            call(n, d, cap)
-                        assert (err.value.predicted, err.value.cap) == (w, cap), (str(d), cap)
+                    with pytest.raises(BudgetExceededError) as err:
+                        oracle_top_dim(n, d, cap)
+                    assert (err.value.predicted, err.value.cap) == (w, cap), (str(d), cap)
                 else:
-                    oracle.check_budget(n, d, cap)
                     with pytest.raises(Accepted):
                         oracle_top_dim(n, d, cap)
     assert (checked, refused) == (6300, 1299)
