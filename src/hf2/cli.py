@@ -326,10 +326,10 @@ def cmd_verify(args) -> Report:
         step = max(1, len(degrees) // args.cache_selftest)
         for d, (entry, _) in list(zip(degrees, answers))[::step][: args.cache_selftest]:
             if entry is not None:
-                # the width too: a stale one would let a hit round the budget;
-                # a degree this run's budget refuses cannot be re-checked
-                fresh, refusal = _oracle_value((args.n, d, args.budget))
-                selftest_failures += refusal is None and fresh != entry
+                # the width too: a stale one would let a hit round the budget,
+                # so a fresh refusal of an answered degree is a failure
+                fresh, _ = _oracle_value((args.n, d, args.budget))
+                selftest_failures += fresh != entry
 
     mismatches = sum(rec.get("match") is False for rec in records)
     skipped = sum("skipped" in rec for rec in records)

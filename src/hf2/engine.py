@@ -36,7 +36,6 @@ everything divisible) is asserted, not repaired.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
 from .reps import Degree, DegreeError, check_group, strip_lambda0
 from .monomial import Monomial, MonomialError, eps_rename, positive_cone_basis
@@ -162,19 +161,32 @@ def part3(n: int, d: Degree) -> frozenset[Monomial]:
     return _union(_blocks(n, d))
 
 
-@lru_cache(maxsize=None)
-def _d_lambda0(n: int, d: Degree) -> frozenset[tuple[Monomial, int]]:
+# The a_lambda_0-divisible set of each degree the recursion has reached,
+# keyed by the degree alone (it carries n) and unbounded: a scan revisits
+# the same quotient degrees, and a 4096-entry LRU halved its throughput.
+# Values are tuples, so every empty answer is the one shared (); a stored
+# key shares one c_lambda tuple per coefficient list through _C_LAMBDA.
+_D_LAMBDA0: dict[Degree, tuple[tuple[Monomial, int], ...]] = {}
+_C_LAMBDA: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
+def _d_lambda0(d: Degree) -> tuple[tuple[Monomial, int], ...]:
     """All classes of degree d infinitely divisible by a_lambda_0, with the
     renaming depth that produced each: the a_lambda_1-divisible classes,
     then the blocks and the positive-cone members at depth 0."""
-    if n < 2:
-        raise DegreeError("the a_lambda_0-divisible set needs n >= 2")
-    found = dict(_d_lambda1(n, d))
-    found.update(dict.fromkeys(_union(_blocks(n, d, pos=True)), 0))
-    return frozenset(found.items())
+    found = _D_LAMBDA0.get(d)
+    if found is None:
+        if d.n < 2:
+            raise DegreeError("the a_lambda_0-divisible set needs n >= 2")
+        pairs = dict(_d_lambda1(d.n, d))
+        pairs.update(dict.fromkeys(_union(_blocks(d.n, d, pos=True)), 0))
+        found = tuple(pairs.items())
+        c = _C_LAMBDA.setdefault(d.c_lambda, d.c_lambda)
+        _D_LAMBDA0[Degree(d.n, d.t, d.c_alpha, c)] = found
+    return found
 
 
-def _d_lambda1(n: int, d: Degree) -> frozenset[tuple[Monomial, int]]:
+def _d_lambda1(n: int, d: Degree) -> tuple[tuple[Monomial, int], ...]:
     """Classes infinitely divisible by a_lambda_1: rename the divisible set
     of the quotient group and restore the forced a_lambda_0 power.  For
     n = 2, the base of the recursion, the renamed set is the negative cone
@@ -183,14 +195,15 @@ def _d_lambda1(n: int, d: Degree) -> frozenset[tuple[Monomial, int]]:
         raise DegreeError(f"the engine's recursion needs n <= {MAX_N}, got n={n}")
     k, q = -d.c_lambda[0], strip_lambda0(d)
     if n == 2:
-        return frozenset((eps_rename(m, k), 0) for m in _b2(1, q))
-    return frozenset((eps_rename(m, k), dep + 1) for m, dep in _d_lambda0(n - 1, q))
+        return tuple((eps_rename(m, k), 0) for m in _b2(1, q))
+    return tuple((eps_rename(m, k), dep + 1) for m, dep in _d_lambda0(q))
 
 
 def d_divisible(n: int, generator: str, d: Degree) -> frozenset[Monomial]:
     """Divisible-class query for a_lambda_0 (n >= 2) or a_lambda_1 (n >= 3)."""
+    check_group(n, d)
     if generator == "aL0":
-        return frozenset(m for m, _ in _d_lambda0(n, d))
+        return frozenset(m for m, _ in _d_lambda0(d))
     if generator == "aL1":
         if n < 3:
             raise DegreeError("the a_lambda_1-divisible set needs n >= 3")

@@ -429,6 +429,22 @@ class TestCache:
         assert payload["summary"] == {
             "total": 3, "mismatches": 0, "skipped": 0, "cache_selftest_failures": 1}
 
+    def test_selftest_counts_a_refused_hit(self, capsys, tmp_path):
+        # a stale width of 1 lets the hit round a budget of 2 that the true
+        # width, 3, is over; the value itself is right, so only the re-check,
+        # which the budget refuses, can see it
+        key, args = "-2,1,2", ("verify", "--n", "2", "--box", "t=-2..-2,a=1..1,l0=2..2",
+                               "--budget", "2")
+        code, out, _ = run_cli(capsys, *args, "--no-cache")
+        assert code == 3 and json.loads(out)["summary"]["skipped"] == 1
+        line = {"k": key, "v": 1, "w": 1, "h": cli._line_hash(key, 1, 1)}
+        cache_path(tmp_path).write_text(json.dumps(line) + "\n")
+        code, out, _ = run_cli(capsys, *args, "--cache-dir", str(tmp_path), "--cache-selftest", "1")
+        payload = json.loads(out)
+        assert code == 1 and not payload["pass"]
+        assert payload["summary"] == {
+            "total": 1, "mismatches": 0, "skipped": 0, "cache_selftest_failures": 1}
+
     def test_stale_lines_are_not_decoded(self, capsys, tmp_path, monkeypatch):
         # lines of another fingerprint can never hit: their file is not opened
         args = ("verify", "--n", "2", "--box", "t=-1..1,a=0..0,l0=0..0",

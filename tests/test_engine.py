@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import itertools
 import json
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -163,6 +165,19 @@ class TestDivisible:
         with pytest.raises(Exception):
             d_divisible(3, "uA", zero_degree(3))
 
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_degree_over_another_group_refused(self, warm):
+        # the memo is keyed by the degree alone, so the group is checked
+        # before it is read: a warm n = 3 entry must not answer for n = 4
+        clear_memo()
+        d = make_degree(3, -2, 2, [1, 0])
+        if warm:
+            d_divisible(3, "aL0", d)
+            assert d in engine._D_LAMBDA0
+        for generator in ("aL0", "aL1"):
+            with pytest.raises(DegreeError, match=r"^degree is over n=3, expected 4$"):
+                d_divisible(4, generator, d)
+
     def test_recursion_bound(self):
         # every entry to the divisibility recursion refuses n past MAX_N
         d = zero_degree(engine.MAX_N + 1)
@@ -170,6 +185,77 @@ class TestDivisible:
                       lambda: d_divisible(d.n, "aL0", d), lambda: d_divisible(d.n, "aL1", d)):
             with pytest.raises(DegreeError, match=f"n <= {engine.MAX_N}"):
                 query()
+
+
+def clear_memo() -> None:
+    engine._D_LAMBDA0.clear()
+    engine._C_LAMBDA.clear()
+
+
+def memo_scan(seed: int) -> list:
+    """1000 seeded degrees for each of n = 5..8, over the boxes of the
+    engine-scan benchmark (n = 5 at t +-6, +-2; n = 6..8 at +-1)."""
+    rng = random.Random(seed)
+    boxes = ((5, 6, 2), (6, 6, 1), (7, 5, 1), (8, 4, 1))
+    return [make_degree(n, rng.randint(-t, t), rng.randint(-r, r),
+                        [rng.randint(-r, r) for _ in range(n - 1)])
+            for _ in range(1000) for n, t, r in boxes]
+
+
+class TestMemo:
+    """The a_lambda_0 memo, `engine._D_LAMBDA0`: unbounded, so what one
+    entry costs is the engine's memory over a long scan."""
+
+    def test_bytes_per_entry(self):
+        # what clearing the memo frees, per entry, after a seeded scan into
+        # an empty one: 213 B here, 530 B under the old lru_cache of frozensets
+        degrees = memo_scan(30)
+        clear_memo()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for d in degrees:
+                basis(d.n, d)
+            gc.collect()
+            held, entries = tracemalloc.get_traced_memory()[0], len(engine._D_LAMBDA0)
+            clear_memo()
+            gc.collect()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert entries > 5000
+        assert freed / entries <= 400, (freed, entries)
+
+    def test_cold_and_warm_answers_agree(self):
+        degrees = list(box_degrees(5, (-6, 6), (-1, 1), (-1, 1)))
+        cold = []
+        for d in degrees:
+            clear_memo()
+            cold.append(basis(5, d))
+        for d in degrees:
+            basis(5, d)
+        assert [basis(5, d) for d in degrees] == cold
+
+    def test_empty_answers_share_one_tuple(self):
+        clear_memo()
+        for d in memo_scan(31)[:2000]:
+            basis(d.n, d)
+        memo = engine._D_LAMBDA0
+        empty = [v for v in memo.values() if not v]
+        assert 2 * len(empty) > len(memo)
+        assert empty[0] == () and all(v is empty[0] for v in empty)
+        assert all(type(v) is tuple and all(type(p) is tuple for p in v) for v in memo.values())
+
+    def test_keys_share_c_lambda(self):
+        # one stored c_lambda tuple per coefficient list, and every key over
+        # the degree its own value answers
+        clear_memo()
+        for d in memo_scan(32)[:2000]:
+            basis(d.n, d)
+        keys = list(engine._D_LAMBDA0)
+        assert len({id(k.c_lambda) for k in keys}) == len({k.c_lambda for k in keys})
+        for k in keys[::50]:
+            assert all(degree_of(m) == k for m, _ in engine._D_LAMBDA0[k])
 
 
 class TestPartition:
