@@ -6,13 +6,7 @@ source basis vector).  Cohomology takes one elimination with clearing (the
 "twist" of Chen-Kerber): with d_in reduced first, a d_out column whose index
 j leads some boundary b equals d_out of b + e_j, which lies below j, so it is
 skipped; the kernel of the other columns is then a basis of cohomology, as
-none of its vectors leads at a boundary pivot.  In large slices
-`hf2.oracle` clears one degree further down before it hands the columns
-over: a d_in column at the top bit of a column of d_{s-2}, which would
-reduce to 0, and a d_out column at such a top bit of d_in come as 0 and
-are never built.  Neither changes a
-span or its pivots, so the representatives and every coordinate stay the
-same.
+none of its vectors leads at a boundary pivot.
 
 Elimination keys each stored row by its leading bit (its pivot), so reducing
 a vector costs one dictionary lookup per XOR it actually needs.  Every

@@ -7,35 +7,44 @@ transfer is the relative norm, and the graded Mackey functor of the sphere
 mapped into the Eilenberg-MacLane object is read off as cohomology of
 these complexes.
 
-Cell models: one copy of the rotation lambda_k contributes cells G/G,
-G/C_{2^k}, G/C_{2^k} with maps nu (orbit-sum inclusion) and 1 - gamma;
-m copies use the alternating minimal model nu, 1-gamma, N, 1-gamma, ...
-of length 2m, where N is the full orbit norm.  A copy of alpha contributes
-G/G, G/C_{2^{n-1}} with nu; further copies extend by 1 + gamma (which on a
-two-point orbit coincides with the norm).  Distinct representations are
-smashed, and the negative part of a virtual degree is dualized.
+Cell model (Hill-Hopkins-Ravenel, "The slice spectral sequence for certain
+RO(C_{p^n})-graded suspensions of HZ"; Zeng, "Equivariant Eilenberg-Mac Lane
+spectra in cyclic p-groups"): write d = t + P - N with P and N actual
+representations, and order the summands of each by decreasing kernel:
+alpha (kernel C_{2^{n-1}}), then lambda_{n-2}, ..., lambda_0.  The sphere of
+each then has one cell orbit per dimension: G/G in dimension 0, one cell
+G/C_{2^{n-1}} per copy of alpha and two cells G/C_{2^i} per copy of
+lambda_i.  The first cell of each summand bounds the whole previous cell
+orbit, and the second cell of a lambda bounds by 1 - gamma; as cochains the
+first is a whole-block move (nu out of the G/G cell, N between cells of one
+block) and the second 1 - gamma.  The model is C^*(S^P) tensor C_*(S^N), in
+cochain degree p - q: two chain factors (`_factors`), each with a block (the
+cell count of its orbit) per factor degree and a move kind per step, and
+the negative part dualized.  A one-representation factor, with the
+alternating moves nu, 1 - gamma, N, 1 - gamma, ..., is the one-summand case;
+the dual alpha cell pair (`_DUAL_ALPHA`) is one.
 
 Every entry point (`oracle_top_dim`, `oracle_pi`, `mult_a_alpha`,
 `verify_lemma_kernel`) reads the same way: it asks `_slices` for the level
 slices of one model (a factor list, `_Model`), or of a model and its smash
 with one extra factor, and reads groups (`_LevelSlice.reducer`) and maps
 (`_orbit_induced`) off them.  `_Model` computes once what the factors alone
-fix: the interval of degrees with cells, the signatures of a degree window
-with their blocks, shared by every level, and the orbit count of every
-degree at a level in closed form, from which `_slices` sizes the budget
-before `_Model.level`, the one slice constructor, builds anything.  A
-`_LevelSlice` is the level-j fixed subcomplex of a model in the three cochain
-degrees s-1, s, s+1 the answer reads, straight from orbit data.  A cell of
-the tensor model is a tuple of factor degrees plus one coordinate in Z/B per
-factor (B the factor's block, 1 in factor degree 0); gamma adds 1 to every
-coordinate, and level j is the action of gamma^(2^(n-j)).  A differential is
-emitted column by column, in the column-major form `gf2` takes, as the image
-of each source orbit sum: the coefficient of a target orbit O' in d(sum O)
-is the number of cells of O' that d(rep O) hits, times |O| / |O'|, mod 2, so
-no bottom-level vector is formed; a factor's move adds bit masks fixed by its
-differential's kind (nu and N hit the whole block, 1 - gamma and its
-transpose two cells).  A degree s outside the model's interval has group 0,
-lists no signature and is never refused by the budget.
+fix: the interval of degrees with cells and the signatures of a degree
+window with their blocks, shared by every level, from which `_slices` sizes
+the budget before `_Model.level`, the one slice constructor, builds
+anything.  A `_LevelSlice` is the level-j fixed subcomplex of a model in the
+three cochain degrees s-1, s, s+1 the answer reads, straight from orbit
+data.  A cell of the model is a tuple of factor degrees (a signature) plus
+one coordinate in Z/B per factor (B the factor's block at that degree);
+gamma adds 1 to every coordinate, and level j is the action of
+gamma^(2^(n-j)).  A differential is emitted column by column, in the
+column-major form `gf2` takes, as the image of each source orbit sum: the
+coefficient of a target orbit O' in d(sum O) is the number of cells of O'
+that d(rep O) hits, times |O| / |O'|, mod 2, so no bottom-level vector is
+formed; a factor's move adds bit masks fixed by its kind (a whole-block
+move hits the whole target block, 1 - gamma and its transpose two cells).
+A degree s outside the model's interval has group 0, lists no signature and
+is never refused by the budget.
 `oracle_pi` builds level 0 only when |d| = 0: level 0 is the underlying
 non-equivariant sphere of dimension |d|, whose mod-2 group at d is F_2 at
 |d| = 0 and 0 otherwise, so for |d| != 0 levels 1..n are built and the
@@ -44,40 +53,25 @@ res, tr, gamma and multiplication by a_alpha (the inclusion of the model
 into its smash with one dual alpha cell pair) act on orbit indices in closed
 form.
 
-Clearing across degrees (the Chen-Kerber twist, one degree further down
-than `CohomologyReducer` takes it): a column of d_deg at a position that is
-the top bit of a column of d_{deg-1} lies in the span of the lower columns,
-as d_deg d_{deg-1} = 0.  So it need not be built: at deg = s - 1 it would
-reduce to 0, at deg = s it lies at a pivot of the image of d_in, which the
-reducer skips.  The positions are read from signatures alone, so no degree
-outside s-1..s+1 is listed.  Classes are listed in product order, so the
-top bit of a class K's columns comes from its top move (its first +1 move,
-or with none its last -1 move), which lands in the class with the largest
-offset; that class T reads the top bits off its own coordinates in closed
-form, as a box per class fixed by the move's kind and where T's star lies
-(`_top_box`).  `cols(deg, clear=True)` leaves those columns 0 and walks
-only the representatives outside the box.  Below `CLEAR_FROM` columns a
-slice builds both differentials in full, where the boxes cost more than
-they save.
-
 Moves are compiled once per shape.  What a move adds to a class's columns
 (`_LevelSlice._add_move`) depends on the slice only through p, the blocks of
 its source and target classes, which fix their stars, periods, radices and
-strides (`_shape`, one table for every class), the factor f it moves, its
-kind (turn: 1 - gamma, its transpose, or nu and N) and the source's cleared
-box; the target's offset only shifts the masks.  So `cols` keys each move by
-(p, source blocks, target blocks, f, turn, box), builds its nonzero columns
-once at target offset 0 (`_template`), and from then on XORs them in shifted
-by the target's offset, with no walk or table built.  The key names all that
-`_add_move` reads, so a memo filled by any degree gives what a direct build
-gives.  Only moves out of classes of at most `TEMPLATE_MAX` orbits are kept,
-which bounds the memo's memory; a larger class's moves are built directly.
-The memo lives in the process, so no template outlives a code change.
+strides (`_shape`, one table for every class), the factor f it moves and its
+turn (1 - gamma, its transpose, or a whole-block move); the target's offset
+only shifts the masks.  So `cols` keys each move by (p, source blocks,
+target blocks, f, turn), builds its nonzero columns once at target offset 0
+(`_template`), and from then on XORs them in shifted by the target's
+offset, with no walk or table built.  The key names all that `_add_move`
+reads, so a memo filled by any degree gives what a direct build gives.
+Only moves out of classes of at most `TEMPLATE_MAX` orbits are kept, which
+bounds the memo's memory; a larger class's moves are built directly.  The
+memo lives in the process, so no template outlives a code change.
 
-The bottom-level route, which stores the whole complex at the trivial-
-subgroup level with the generator's permutation action, lives in the test
-suite (`tests/reference_oracle.py`) as the independent reference this
-builder is compared against.
+The bottom-level routes, which store the whole complex at the trivial-
+subgroup level with the generator's permutation action, live in the test
+suite (`tests/reference_oracle.py`) as the independent references this
+builder is compared against: the tensor product of one minimal model per
+representation, and the cell model above.
 """
 
 from __future__ import annotations
@@ -91,20 +85,10 @@ from .gf2 import CohomologyReducer, columns_to_bitstrings, nullspace, rank
 from .reps import DEFAULT_BUDGET, Degree, DegreeError, check_group
 from . import reps
 
-# Clearing costs a box per class (`_top_box`) and, per cleared shape, a
-# template of its own; below about this many columns in degrees s-1 and s
-# together that costs more than the columns it skips, so smaller slices build
-# both differentials in full.
-CLEAR_FROM = 192
 # Moves out of classes of at most this many orbits (256 at most: a template
 # stores a position in one byte) are compiled once per shape
-# (`_LevelSlice.cols`); a larger class's moves are built directly.  The cap
-# bounds memory and costs time.  With every move from a template instead,
-# oracle_top_dim over the box t = -6..6, other slots -1..1 took, in fresh
-# processes on 2 vCPU (Xeon): at n = 5, 2.1-2.6 s of CPU, not 4.1-5.1 s, for
-# a peak RSS of 37 MB, not 28 MB; at n = 6, 14 s, not 26 s, for 195 MB, not
-# 64 MB (7949 templates, not 5214).  Building each differential once in a
-# column walk could win the time back without the memory.
+# (`_LevelSlice.cols`); a larger class's moves are built directly, which
+# bounds the memo's memory.
 TEMPLATE_MAX = 64
 # the group of every empty slice, shared: a reducer is not changed once built
 _ZERO_GROUP = CohomologyReducer(0, [], [])
@@ -127,109 +111,122 @@ def _bits(mask: int):
         mask ^= low
 
 
-# -- level-direct truncated model ---------------------------------------------
+# -- level-direct cell model --------------------------------------------------
 
 
-def _factors(n: int, d: Degree) -> list[tuple[int, int, int]]:
-    """(block, length, sign) of the minimal model of each nonzero coefficient:
-    lambda_i in increasing i, then alpha.  sign -1 marks a factor of the
-    negative part, which enters dualized."""
+class _Factor(namedtuple("_Factor", "sign blocks kinds")):
+    """One chain factor: sign +1 for the cochains of P, -1 for the chains of
+    N, which enter dualized; blocks[u] the cell count of the orbit in factor
+    degree u (1 at u = 0); kinds[u] the move between factor degrees u and
+    u + 1: 0 for a whole-block move, 1 for 1 - gamma (between equal blocks).
+    A positive factor moves u to u + 1 by kind kinds[u], a negative one u to
+    u - 1 by the transpose of kinds[u - 1]."""
+
+    __slots__ = ()
+
+
+def _factors(n: int, d: Degree, s: int | None = None) -> list[_Factor]:
+    """The chain factors of d = t + P - N: P, then N, each left out when 0.
+    Summands come by decreasing kernel: a copy of alpha adds one cell of
+    block 2 by a whole-block move, a copy of lambda_i, for i = n-2 down to 0,
+    two cells of block 2^(n-i), by a whole-block move and 1 - gamma.
+
+    Given a query degree s, the coefficients decide first whether s lies in
+    -dim N..dim P, the interval with cells; outside it no chain is built and
+    [] is returned: the unit model, with cells in degree 0 only, has none at
+    s either (s != 0)."""
     check_group(n, d)
-    out = [
-        (1 << (n - i), 2 * abs(c), 1 if c > 0 else -1)
-        for i, c in enumerate(d.c_lambda)
-        if c
-    ]
-    if d.c_alpha:
-        out.append((2, abs(d.c_alpha), 1 if d.c_alpha > 0 else -1))
+    if s is not None:
+        net = d.c_alpha + 2 * sum(d.c_lambda)
+        span = abs(d.c_alpha) + 2 * sum(map(abs, d.c_lambda))
+        if not (net - span) // 2 <= s <= (net + span) // 2:
+            return []
+    summands = [(d.c_alpha, 2, (0,))]
+    summands += [(d.c_lambda[i], 1 << (n - i), (0, 1)) for i in range(n - 2, -1, -1)]
+    out = []
+    for sign in (1, -1):
+        blocks, kinds = [1], []
+        for c, block, moves in summands:
+            c *= sign
+            if c > 0:
+                blocks += [block] * (c * len(moves))
+                kinds += moves * c
+        if kinds:
+            out.append(_Factor(sign, tuple(blocks), tuple(kinds)))
     return out
 
 
 class _Model:
-    """What one factor list (as built by `_factors`) fixes for every degree
-    and level, each computed once.  Factor f adds sign * u for u in
-    0..length, so the factors add every degree of lo..hi, the interval of
-    cochain degrees with cells.  first is the index of the first positive
-    factor, -1 with none.  Blocks never increase along the list: `_factors`
-    lists lambda_i by increasing i, and alpha's and `_DUAL_ALPHA`'s 2 is the
-    least.
+    """What one factor list (`_factors`, with `_DUAL_ALPHA` appended for the
+    a_alpha target) fixes for every degree and level, each computed once.
+    Factor f adds sign * u for u in 0..length, its count of moves, so the
+    factors add every degree of lo..hi, the interval of cochain degrees with
+    cells.  Blocks may grow along a factor and differ between factors: a
+    signature's orbit count at a level is `_shape`'s, the pair formula.
     """
 
-    def __init__(self, n: int, factors: list[tuple[int, int, int]]):
+    def __init__(self, n: int, factors: list[_Factor]):
         self.n, self.factors = n, factors
         lo = hi = 0
-        for _, length, sign in factors:
+        for sign, _, kinds in factors:
             if sign > 0:
-                hi += length
+                hi += len(kinds)
             else:
-                lo -= length
+                lo -= len(kinds)
         self.lo, self.hi = lo, hi
         self._signatures: dict[int, dict[int, list]] = {}
-
-    @cached_property
-    def first(self) -> int:
-        return next((f for f, (_, _, sign) in enumerate(self.factors) if sign > 0), -1)
 
     def signatures(self, s: int) -> dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
         """(sig, blocks) of every factor-degree signature of cochain degrees
         s-1, s and s+1, in product order, listed once for every level; blocks
-        holds each factor's block, 1 where its factor degree is 0.  Grown one
-        factor at a time, a prefix stays while the factors after it, which
-        add every degree of lo..hi with the factors so far peeled off, can
-        bring it into s-1..s+1.  When s is outside lo..hi, nothing is listed."""
+        holds each factor's block at its factor degree.  Grown one factor at
+        a time, a prefix stays while the factors after it, which add every
+        degree of lo..hi with the factors so far peeled off, can bring it into
+        s-1..s+1; each prefix's factor degrees u of the next factor are that
+        range, so the listing costs what it lists.  When s is outside lo..hi,
+        nothing is listed."""
         if s in self._signatures:
             return self._signatures[s]
         by_degree = self._signatures[s] = {s - 1: [], s: [], s + 1: []}
         if self.lo <= s <= self.hi:
             prefixes, lo, hi = [((), 0)], self.lo, self.hi
-            for _, length, sign in self.factors:
+            for sign, _, kinds in self.factors:
+                length = len(kinds)
                 if sign > 0:
                     hi -= length
                 else:
                     lo += length
-                prefixes = [(sig + (u,), deg + sign * u) for sig, deg in prefixes for u in
-                            range(length + 1) if s - 1 - hi <= deg + sign * u <= s + 1 - lo]
+                grown = []
+                for sig, deg in prefixes:
+                    a, b = s - 1 - hi - deg, s + 1 - lo - deg  # sign * u in a..b
+                    if sign < 0:
+                        a, b = -b, -a
+                    grown += [(sig + (u,), deg + sign * u)
+                              for u in range(max(a, 0), min(b, length) + 1)]
+                prefixes = grown
             for sig, deg in prefixes:
-                blocks = tuple(b if u else 1 for (b, _, _), u in zip(self.factors, sig))
+                blocks = tuple(f.blocks[u] for f, u in zip(self.factors, sig))
                 by_degree[deg].append((sig, blocks))
         return by_degree
 
     def orbit_counts(self, p: int) -> dict[int, int]:
         """Orbits by cochain degree at the level whose orbits have at most p
-        cells; a degree with none is left out.
-
-        A signature's orbit count is the product of the blocks of its nonzero
-        factors, the first capped at p; the first is the largest, as blocks
-        never increase.  Over the signatures whose first nonzero factor is f,
-        by degree, that is min(b_f, p) A_f(z) prod_{g > f} (1 + b_g A_g(z))
-        with A_f = sum_{u = 1..L_f} z^(sign u): one right-to-left pass."""
-        counts = {0: 1}  # the all-zero signature
-        tail = {0: 1}  # orbit counts by degree of the signatures of the factors after f
-        for b, length, sign in reversed(self.factors):
-            moved, capped = {}, min(b, p)
-            for deg, count in tail.items():
-                for e in range(deg + sign, deg + sign * (length + 1), sign):
-                    moved[e] = moved.get(e, 0) + count
-            for e, count in moved.items():
-                counts[e] = counts.get(e, 0) + capped * count
-                tail[e] = tail.get(e, 0) + b * count
+        cells, over every signature; a degree with none is left out."""
+        counts = {}
+        for sig in product(*(range(len(f.blocks)) for f in self.factors)):
+            deg = sum(f.sign * u for f, u in zip(self.factors, sig))
+            blocks = tuple(f.blocks[u] for f, u in zip(self.factors, sig))
+            counts[deg] = counts.get(deg, 0) + _shape_of(blocks, p)[4]
         return counts
 
-    def width(self, s: int, p: int, cap: int) -> int:
+    def width(self, s: int, p: int) -> int:
         """The widest of cochain degrees s-1..s+1, in orbits, at the level
-        whose orbits have at most p cells: 0 when s is outside lo..hi.  When
-        the whole model's orbit count (`orbit_counts` at z = 1), which bounds
-        every width, fits under cap, that count is returned instead."""
+        whose orbits have at most p cells: 0 when s is outside lo..hi.  Only
+        the signatures of those degrees are read."""
         if not self.lo <= s <= self.hi:
             return 0
-        whole, rest = 1, 1
-        for b, length, _ in reversed(self.factors):
-            whole += min(b, p) * length * rest
-            rest *= 1 + b * length
-        if whole <= cap:
-            return whole
-        counts = self.orbit_counts(p)
-        return max(counts.get(deg, 0) for deg in (s - 1, s, s + 1))
+        return max(sum(_shape_of(blocks, p)[4] for _, blocks in sigs)
+                   for sigs in self.signatures(s).values())
 
     def level(self, j: int, s: int) -> _LevelSlice:
         """The level-j slice of degrees s-1..s+1: the one way a slice is made."""
@@ -238,7 +235,9 @@ class _Model:
 
 def _shape(blocks: tuple[int, ...], p: int) -> tuple:
     """(star, period, radices, strides, count) of the classes of `blocks` at
-    the level whose orbits have at most p cells: see `_CellClass`."""
+    the level whose orbits have at most p cells: see `_CellClass`.  count is
+    the product of the blocks with the largest capped at p; for a cell pair
+    with blocks b and b', min(max(b, b'), p) min(b, b')."""
     big = max(blocks, default=1)
     star = blocks.index(big) if big > p else -1
     radices = tuple(p if f == star else b for f, b in enumerate(blocks))
@@ -252,6 +251,13 @@ def _shape(blocks: tuple[int, ...], p: int) -> tuple:
 
 # (blocks, p) -> `_shape`, shared by every class, signature and level
 _SHAPES: dict[tuple, tuple] = {}
+
+
+def _shape_of(blocks: tuple[int, ...], p: int) -> tuple:
+    shape = _SHAPES.get((blocks, p))
+    if shape is None:
+        shape = _SHAPES[blocks, p] = _shape(blocks, p)
+    return shape
 
 
 class _CellClass:
@@ -268,102 +274,25 @@ class _CellClass:
         self.sig = sig
         self.blocks = blocks
         self.offset = offset
-        shape = _SHAPES.get((blocks, p))
-        if shape is None:
-            shape = _SHAPES[blocks, p] = _shape(blocks, p)
-        self.star, self.period, self.radices, self.strides, self.count = shape
+        self.star, self.period, self.radices, self.strides, self.count = _shape_of(blocks, p)
 
 
-def _top_box(model: _Model, p: int, cls: _CellClass) -> dict | None:
-    """The representatives of cls whose orbit indices are top bits of columns
-    of the differential into cls's degree, as a box: a range of values for
-    each coordinate it restricts ({}: the whole class); None when there are
-    none to read off.
-
-    Classes are listed in product order, so the top move of a class K, the
-    one whose target has the largest offset, is its first +1 move (sign > 0,
-    u < length) or, with none, its last -1 move (sign < 0, u > 0); every
-    other move lands lower, and the top bit of each of K's columns is that
-    of the top move's part.  cls is the top-move target of K = cls minus one
-    step of its first positive factor f or, with no positive factor, plus
-    one step of its last factor (other classes K may move into cls too).
-    The move adds nothing when K's period exceeds cls's.  With r = cls's
-    radix at f, the box restricts x[f] when the star (the coordinate fixed
-    below p) is off f: to 1..r-1 for 1 - gamma and its transpose (turn +-1),
-    to r - 1 for nu and N (turn 0; r = 1 for the transpose of nu, whose box
-    is the class).  With the star on f:
-    - turn +-1: x[f] in 1..p-1; at p = 1 every x[f] is 0 and the pair is
-      x and x -+ 1 on the other coordinates, so the first other coordinate
-      g of block > 1 has x[g] in 1..B_g-1 (with none, the move adds 0);
-    - turn 0: x[f] = p - 1 and the rest is the lexicographically largest
-      of its orbit under the shifts by multiples of p: each coordinate g
-      whose block exceeds q, the largest block before it (p at first),
-      lies in B_g-q..B_g-1.  N adds that orbit B_f / B times over, B the
-      largest block off f, so it adds 0 unless B = B_f.
-    """
-    sig, f = cls.sig, model.first
-    if f >= 0:
-        u = sig[f] - 1
-        if u < 0:
-            return None
-    elif sig:
-        f = len(sig) - 1
-        u = sig[f] + 1
-        if u > model.factors[f][1]:
-            return None
-    else:
-        return None
-    b, _, sign = model.factors[f]
-    if u and b > cls.period:  # K's period exceeds cls's
-        return None
-    turn = u % 2 if sign > 0 else u % 2 - 1
-    if cls.star != f:
-        r = cls.radices[f]
-        return {f: range(1, r)} if turn else {f: range(r - 1, r)} if r > 1 else {}
-    if turn:
-        if p > 1:
-            return {f: range(1, p)}
-        g = next((g for g, bg in enumerate(cls.blocks) if bg > 1 and g != f), None)
-        return None if g is None else {g: range(1, cls.blocks[g])}
-    if u and cls.blocks.count(b) == 1:  # N with B < B_f
-        return None
-    box, q = ({f: range(p - 1, p)} if p > 1 else {}), p
-    for g, bg in enumerate(cls.blocks):
-        if g != f and bg > q:
-            box[g], q = range(bg - q, bg), bg
-    return box
-
-
-def _outside(box: dict[int, range], radices: tuple[int, ...]) -> list[list]:
-    """The representatives of a class outside box, as disjoint walks: per
-    walk, the values each coordinate takes (None: all).  Walk i keeps the
-    box's first i coordinates inside it and takes its next one outside."""
-    walks, inside = [], [None] * len(radices)
-    for g, z in box.items():
-        walk = inside.copy()
-        walk[g] = [v for v in range(radices[g]) if v not in z]
-        walks.append(walk)
-        inside[g] = z
-    return walks
-
-
-# (p, source blocks, target blocks, f, turn, cleared box) -> one move's
-# nonzero columns at target offset 0 (`_LevelSlice._template`)
+# (p, source blocks, target blocks, f, turn) -> one move's nonzero columns at
+# target offset 0 (`_LevelSlice._template`)
 _TEMPLATES: dict[tuple, tuple] = {}
 
 
 class _LevelSlice:
-    """Level-j fixed subcomplex of the tensor model of a `_Model`'s factors
-    (a degree d giving s = -t), in cochain degrees s-1, s and s+1 only, with
+    """Level-j fixed subcomplex of the cell model of a `_Model`'s factors (a
+    degree d giving s = -t), in cochain degrees s-1, s and s+1 only, with
     orbit-sum bases.  Made by `_Model.level`.
 
-    dims[deg] is the orbit count of degree deg; at level 0 every orbit is a
-    single cell, so those are the bottom-level widths.  cols(deg) is the
-    differential deg -> deg + 1 in the column-major form `gf2` takes: one
-    column per degree-deg orbit sum, with the |O| / |O'| rule of the module
-    docstring applied per pair of classes.  cleared(deg) names the columns
-    that clearing across degrees (module docstring) leaves out, and
-    cols(deg, clear=True) leaves them 0.
+    classes[deg] holds the `_CellClass` of every signature of degree deg, by
+    signature, in index order.  dims[deg] is the orbit count of degree deg;
+    at level 0 every orbit is a single cell, so those are the bottom-level
+    widths.  cols(deg) is the differential deg -> deg + 1 in the
+    column-major form `gf2` takes: one column per degree-deg orbit sum, with
+    the |O| / |O'| rule of the module docstring applied per pair of classes.
     """
 
     def __init__(self, model: _Model, s: int, j: int):
@@ -396,102 +325,73 @@ class _LevelSlice:
             for x in product(*map(range, cls.radices))
         ]
 
-    def cleared(self, deg: int) -> dict[tuple[int, ...], dict[int, range]]:
-        """The positions of degree deg that are top bits of columns of the
-        differential into deg, as one box of representatives per class
-        (`_top_box`), keyed by signature; classes with none are left out.
-        Their columns out of deg are the ones clearing across degrees (module
-        docstring) need not build.  Only signatures are read, so degree
-        deg - 1 is never listed."""
-        boxes = {}
-        for sig, cls in self.classes[deg].items():
-            box = _top_box(self.model, self.p, cls)
-            if box is not None:
-                boxes[sig] = box
-        return boxes
-
-    def cols(self, deg: int, clear: bool = False) -> list[int]:
+    def cols(self, deg: int) -> list[int]:
         """The level differential from degree deg to deg + 1 as columns, one
         per degree-deg orbit O in index order: the image of the orbit sum.
-        With clear, the columns at the positions of `cleared(deg)` are not
-        built and come out 0; the span of the columns, their pivots and so
-        every answer stay the same.  Each move out of a class of at most
-        `TEMPLATE_MAX` orbits comes from its shape's template (module
-        docstring); a larger class's moves are built directly.
+        Each move out of a class of at most `TEMPLATE_MAX` orbits comes from
+        its shape's template (module docstring); a larger class's moves are
+        built directly.
 
         Counting pairs (x in O, y in O') with y in supp d(x) both ways, the
         coefficient of O' is |supp d(rep O) & O'| |O| / |O'| mod 2.  Orbit
         sizes (period / p per class) differ only where a move changes its
-        factor's block.  A dual factor leaving factor degree 1 may shrink
-        them; |O| / |O'| is then even and the move adds nothing.  nu leaving
-        factor degree 0 may grow them; its support is then a union of
+        factor's block.  A negative factor's move may shrink them; |O| / |O'|
+        is then even and the move adds nothing.  A whole-block move of a
+        positive factor may grow them; its support is then a union of
         stabilizer orbits of size |O'| / |O|, so it is counted modulo the
         source cell's stabilizer gamma^period.
         """
         dst = self.classes[deg + 1]
-        boxes = self.cleared(deg) if clear else {}
         p, out = self.p, []
         for sig, cls in self.classes[deg].items():
             cols = [0] * cls.count
-            box = boxes.get(sig)
-            if box == {}:  # the whole class is cleared
-                out.extend(cols)
-                continue
-            boxed = None if box is None else tuple(box.items())
-            walks = None if cls.count <= TEMPLATE_MAX else self._walks(cls, box)
-            for f, (_, length, sign) in enumerate(self.factors):
+            large = cls.count > TEMPLATE_MAX  # no template, to bound memory
+            for f, (sign, _, kinds) in enumerate(self.factors):
                 u = sig[f]
-                if sign > 0 and u < length:
-                    tgt = dst[sig[:f] + (u + 1,) + sig[f + 1:]]
-                    turn = u % 2  # 1 - gamma: cells x and x + 1
+                if sign > 0 and u < len(kinds):
+                    v, turn = u + 1, kinds[u]  # turn 1, 1 - gamma: cells x and x + 1
                 elif sign < 0 and u > 0:
-                    tgt = dst[sig[:f] + (u - 1,) + sig[f + 1:]]
-                    turn = u % 2 - 1  # its transpose: cells y and y - 1
+                    v, turn = u - 1, -kinds[u - 1]  # turn -1, its transpose: y and y - 1
                 else:
                     continue
+                tgt = dst[sig[:f] + (v,) + sig[f + 1:]]
                 if tgt.period < cls.period:  # no image
                     continue
-                if (not turn and tgt.star == f and cls.blocks[f] > 1
-                        and tgt.blocks.count(tgt.blocks[f]) == 1):
-                    continue  # N inside a star no other block reaches adds 0 (`_top_box`)
-                if walks is not None:  # a large class: no template, to bound memory
-                    self._add_move(cols, cls, tgt, f, turn, walks, tgt.offset)
+                bf = tgt.blocks[f]
+                if (not turn and tgt.star == f and cls.blocks[f] == bf
+                        and tgt.blocks.count(bf) == 1):
+                    continue  # N (equal blocks) inside a star no other block reaches adds 0
+                if large:
+                    self._add_move(cols, cls, tgt, f, turn, tgt.offset)
                     continue
-                key = (p, cls.blocks, tgt.blocks, f, turn, boxed)
+                key = (p, cls.blocks, tgt.blocks, f, turn)
                 template = _TEMPLATES.get(key)
                 if template is None:
-                    template = _TEMPLATES[key] = self._template(cls, tgt, f, turn, box)
+                    template = _TEMPLATES[key] = self._template(cls, tgt, f, turn)
                 o = tgt.offset
                 for i, m in zip(*template):
                     cols[i] ^= m << o
             out.extend(cols)
         return out
 
-    def _walks(self, cls: _CellClass, box: dict | None) -> list:
-        """The parts of cls that `_add_move` covers: every representative,
-        or those outside a cleared box."""
-        if box is None:
-            return [(None,) * len(self.factors)]
-        return _outside(box, cls.radices)
-
-    def _template(self, cls: _CellClass, tgt: _CellClass, f: int, turn: int,
-                  box: dict | None) -> tuple[bytes, tuple[int, ...]]:
+    def _template(self, cls: _CellClass, tgt: _CellClass, f: int,
+                  turn: int) -> tuple[bytes, tuple[int, ...]]:
         """One move compiled at target offset 0: the positions of its nonzero
         columns (below `TEMPLATE_MAX`, so one byte each) and their masks, to
         be shifted by the target's offset."""
         cols = [0] * cls.count
-        self._add_move(cols, cls, tgt, f, turn, self._walks(cls, box), 0)
+        self._add_move(cols, cls, tgt, f, turn, 0)
         positions = bytes(i for i, m in enumerate(cols) if m)
         return positions, tuple(cols[i] for i in positions)
 
     def _add_move(self, cols, cls: _CellClass, tgt: _CellClass, f: int, turn: int,
-                  walks, o: int) -> None:
+                  o: int) -> None:
         """XOR into cols (one per orbit of cls, in index order) the part of
         the differential that moves factor f into class tgt: source cell x
         meets the cells of tgt that agree with x off f and carry at f a c of
         the move's support: x[f] and x[f] + turn for turn = +-1 (1 - gamma,
         its transpose), every c below min(tgt block, cls period) for turn = 0
-        (nu, N, the transpose of nu onto block 1).
+        (a whole-block move, or its transpose).
 
         index(tgt, .) first shifts every coordinate by k = (star coordinate)
         // p * p.  With the star off f, k is fixed by the coordinates z off f,
@@ -501,13 +401,9 @@ class _LevelSlice:
         of its cs at offsets from the base, in closed form: one mask for
         every x[f] and k for a full support (the block, or [k, k + p) with
         the star on f), two bits for a pair.  At k = 0 with equal radices
-        the base is the position (the masks carry the offset o).
-
-        walks (`_walks`) are the parts of cls to cover, each with the values
-        every coordinate takes (None: all); positions outside them are
-        cleared and left alone.  o is the offset the masks are shifted to:
-        tgt's offset, or 0 when `_template` compiles the move once for every
-        class of its shape.
+        the base is the position (the masks carry the offset o).  o is the
+        offset the masks are shifted to: tgt's offset, or 0 when `_template`
+        compiles the move once for every class of its shape.
         """
         p, st = self.p, tgt.star
         wf, step, rf = tgt.strides[f], cls.strides[f], cls.radices[f]
@@ -537,30 +433,20 @@ class _LevelSlice:
         terms = [(g, r, s, bg, w) for g, (r, s, bg, w) in enumerate(
                  zip(cls.radices, cls.strides, tgt.blocks, tgt.strides))
                  if g != f and bg > 1]  # a block-1 factor adds 0 to both
-        for walk in walks:
-            if walk[f] is None:
-                moved = moves
-            else:
-                moved = {k: [(off, m) for off, m in masks if off // step in walk[f]]
-                         for k, masks in moves.items()}
-            for k, masks in moved.items():
-                direct = same and not k  # the base is the position
-                targets, bases = [0], [0]
-                for g, r, s, bg, w in terms:
-                    lo, hi = (k, k + p) if g == st else (0, r)
-                    if walk[g] is None:
-                        vs = range(lo, hi)
-                    else:
-                        vs = [v for v in walk[g] if lo <= v < hi]
-                    targets = [a + v * s for a in targets for v in vs]
-                    if not direct:
-                        bs = [(v - k) % bg * w for v in vs]
-                        bases = [a + b for a in bases for b in bs]
-                if direct:
-                    bases = targets
-                for t, b in zip(targets, bases):
-                    for off, m in masks:
-                        cols[t + off] ^= m << b
+        for k, masks in moves.items():
+            direct = same and not k  # the base is the position
+            targets, bases = [0], [0]
+            for g, r, s, bg, w in terms:
+                vs = range(k, k + p) if g == st else range(r)
+                targets = [a + v * s for a in targets for v in vs]
+                if not direct:
+                    bs = [(v - k) % bg * w for v in vs]
+                    bases = [a + b for a in bases for b in bs]
+            if direct:
+                bases = targets
+            for t, b in zip(targets, bases):
+                for off, m in masks:
+                    cols[t + off] ^= m << b
 
     @cached_property
     def reducer(self) -> CohomologyReducer:
@@ -569,8 +455,7 @@ class _LevelSlice:
         s = self.s
         if not self.dims[s]:
             return _ZERO_GROUP
-        clear = self.dims[s - 1] + self.dims[s] >= CLEAR_FROM
-        return CohomologyReducer(self.dims[s], self.cols(s - 1, clear), self.cols(s, clear))
+        return CohomologyReducer(self.dims[s], self.cols(s - 1), self.cols(s))
 
 
 def _shift(cls: _CellClass, x, m: int) -> list[int]:
@@ -675,15 +560,14 @@ class MackeyAnswer(namedtuple("MackeyAnswer", "n degree level_dims res tr gamma"
 
 def top_width(n: int, d: Degree) -> int:
     """The widest of cochain degrees s-1..s+1 of d's model at the top level,
-    in orbits and with no cap: 0 when degree s has no cells.  `_Model.width`
-    falls back to the whole model's count only under the cap, so
-    `oracle_top_dim` refuses d exactly when this exceeds the budget, and
-    reports it as the predicted width."""
-    return _Model(n, _factors(n, d)).width(-d.t, 1, -1)
+    in orbits: 0 when degree s has no cells.  `oracle_top_dim` refuses d
+    exactly when this exceeds the budget, and reports it as the predicted
+    width."""
+    return _Model(n, _factors(n, d, -d.t)).width(-d.t, 1)
 
 
 # The dual alpha cell pair: smashed on, it takes the model of d to that of d - alpha.
-_DUAL_ALPHA = (2, 1, -1)
+_DUAL_ALPHA = _Factor(-1, (1, 2), (0,))
 
 
 def _slices(n: int, d: Degree, levels, budget: int | None, extra=None) -> list[list[_LevelSlice]]:
@@ -693,13 +577,15 @@ def _slices(n: int, d: Degree, levels, budget: int | None, extra=None) -> list[l
     refuse d when the widest of degrees s-1..s+1 over the models at the
     lowest level in `levels` exceeds the budget.  Orbit counts only grow as
     the level drops.  A query whose degree s has no cells in any model is 0
-    wide and never refused."""
-    s, factors = -d.t, _factors(n, d)
+    wide and never refused; without an extra factor, whose smash may have
+    cells where d's model has none, it builds no chain either."""
+    s = -d.t
+    factors = _factors(n, d) if extra is not None else _factors(n, d, s)
     models = [_Model(n, factors)]
     if extra is not None:
         models.append(_Model(n, factors + [extra]))
     cap = DEFAULT_BUDGET if budget is None else budget
-    widest = max([model.width(s, 1 << (n - min(levels)), cap) for model in models])
+    widest = max([model.width(s, 1 << (n - min(levels))) for model in models])
     if widest > cap and widest:
         raise BudgetExceededError(d, widest, cap)
     return [[model.level(j, s) for j in levels] for model in models]

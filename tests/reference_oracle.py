@@ -7,17 +7,21 @@ per gamma^(2^(n-j))-orbit of coordinates.  Restriction is inclusion of
 fixed points, transfer is the relative norm, and multiplication by a_alpha
 is the inclusion of the model into its smash with one dual alpha cell pair.
 
-The package's level-direct builder (`hf2.oracle._LevelSlice`) never forms a
-bottom-level vector; the parity tests compare it against this module, and
-its differentials against `level_cols`, which forms d cell by cell.  The
-smash-of-one-copy-each route and the minimal models agree levelwise
-(tested), which also pins the orbit-sum convention for the first
-differential.  Nothing here is budgeted: callers keep to small degrees.
+Two cell structures are kept.  `sphere_complex` smashes one minimal model
+per representation (the smash-of-one-copy-each route and the minimal models
+agree levelwise, tested, which also pins the orbit-sum convention for the
+first differential).  `lean_sphere_complex` has one cell orbit per
+dimension, the structure the package's level-direct builder
+(`hf2.oracle._LevelSlice`) uses without ever forming a bottom-level vector.
+The parity tests compare the builder's dimensions and maps against the
+first, so the two sides differ in cell structure as well as in level, and
+its differentials column by column against the second (`lean_model`,
+`lean_level_cols`), in the builder's orbit order.  Nothing here is
+budgeted: callers keep to small degrees.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -454,75 +458,113 @@ def _lemma_report(d: Degree, dim_s: int, dim_t: int, a_cols, tr_cols, res_cols) 
     }
 
 
-# -- the level-direct differential, cell by cell ------------------------------
+# -- the cell model with one cell orbit per dimension -------------------------
 
 
-def _factor_d(block: int, u: int, x: int):
-    """Support of a minimal factor's differential from factor degree u to
-    u + 1, applied to the cell with coordinate x."""
-    if u % 2:  # 1 - gamma (on alpha's two points this is also the norm)
-        return (x, (x + 1) % block)
-    return range(block)  # nu at u = 0, the norm above
-
-
-def _factor_d_t(block: int, u: int, y: int):
-    """Support of the transpose of that differential, applied to the cell
-    with coordinate y in factor degree u + 1."""
-    if u == 0:
-        return (0,)
-    if u % 2:
-        return (y, (y - 1) % block)
-    return range(block)
-
-
-def level_cols(sl, deg: int) -> list[int]:
-    """`_LevelSlice.cols(deg)` from the cells: for each degree-deg orbit
-    representative x, the bottom-level support of d(x) (the factor maps
-    above, one factor moving at a time), its hits per target orbit,
-    and the coefficient hits * |O| / |O'| mod 2 of each target orbit sum.
-    Orbits and their sizes are listed by applying gamma^p to the slice's
-    representatives, so no index arithmetic of the slice is reused."""
-
-    def orbits(d: int):
-        """(class, representative) per orbit index, the orbit index of every
-        cell, and the size of every orbit."""
-        reps, where, sizes = [], {}, []
-        for cls in sl.classes[d].values():
-            for x in product(*map(range, cls.radices)):
-                i = len(reps)
-                reps.append((cls, x))
-                orbit, y = [], x
-                while not orbit or y != x:  # apply gamma^p until x comes back
-                    orbit.append(y)
-                    y = tuple((v + sl.p) % b for v, b in zip(y, cls.blocks))
-                for y in orbit:
-                    if where.setdefault((cls.sig, y), i) != i:
-                        raise AssertionError(f"representatives {where[cls.sig, y]} and {i} share an orbit")
-                sizes.append(len(orbit))
-        return reps, where, sizes
-
-    sources, _, src_sizes = orbits(deg)
-    _, where, tgt_sizes = orbits(deg + 1)
-    out = []
-    for (cls, x), size in zip(sources, src_sizes):
-        cells = Counter()
-        for f, (block, length, sign) in enumerate(sl.factors):
-            u = cls.sig[f]
-            if sign > 0 and u < length:
-                v, cs = u + 1, _factor_d(block, u, x[f])
-            elif sign < 0 and u > 0:
-                v, cs = u - 1, _factor_d_t(block, u - 1, x[f])
+def lean_sphere_complex(n: int, v: Degree) -> SphereComplex:
+    """Reduced cochain complex of the sphere of an actual representation on
+    its cell structure with one cell orbit per dimension: the summands by
+    decreasing kernel (alpha, then lambda_{n-2}, ..., lambda_0), G/G in
+    dimension 0, one cell orbit G/C_{2^(n-1)} per copy of alpha and two
+    G/C_{2^i} per copy of lambda_i.  The first cell of a summand bounds the
+    whole previous cell orbit, so its coboundary sends a cell to the sum of
+    its whole orbit; the second cell of a lambda bounds by 1 - gamma, cell x
+    to x and x + 1 as in `_rep_complex`."""
+    if v.n != n:
+        raise DegreeError(f"representation is over n={v.n}, expected {n}")
+    if v.t != 0 or v.c_alpha < 0 or any(c < 0 for c in v.c_lambda):
+        raise DegreeError("lean_sphere_complex needs t = 0 and nonnegative coefficients")
+    cells = [(1, None)]  # per dimension: (cosets of the cell orbit, how it bounds)
+    cells += [(2, "whole")] * v.c_alpha
+    for i in range(n - 2, -1, -1):
+        cells += [(1 << (n - i), "whole"), (1 << (n - i), "1-gamma")] * v.c_lambda[i]
+    dims = {s: size for s, (size, _) in enumerate(cells)}
+    gamma = {s: [(x + 1) % size for x in range(size)] for s, size in dims.items()}
+    diff = {s: [0] * size for s, size in dims.items()}
+    for s in range(1, len(cells)):
+        size, how = cells[s]
+        for x in range(dims[s - 1]):
+            if how == "whole":
+                diff[s - 1][x] = (1 << size) - 1
             else:
-                continue
-            sig = cls.sig[:f] + (v,) + cls.sig[f + 1:]
-            for c in cs:
-                cells[sig, x[:f] + (c,) + x[f + 1:]] ^= 1
-        hits = Counter(where[cell] for cell, odd in cells.items() if odd)
-        col = 0
-        for o, h in hits.items():
-            coeff, rest = divmod(h * size, tgt_sizes[o])
-            if rest:
-                raise AssertionError(f"{h} hits of an orbit of {tgt_sizes[o]} from one of {size}")
-            col |= (coeff & 1) << o
-        out.append(col)
-    return out
+                diff[s - 1][x] = (1 << x) | (1 << (x + 1) % size)
+    return SphereComplex(n, dims, gamma, diff)
+
+
+@dataclass
+class LeanModel:
+    """The bottom-level cell model of a degree, optionally smashed with the
+    dual alpha cell pair, and the way its cells are named: a signature (the
+    factor degrees of the nonzero parts P, N and the pair, in that order) and
+    one coset per factor."""
+
+    complex: SphereComplex
+    parts: list  # (sign, complex) of each factor, in order
+    offsets: list  # pair_offsets of each smash, in order
+
+    def cell(self, sig, x) -> int:
+        """Index of the cell (sig, x) in its degree of the smash."""
+        if not sig:  # the unit sphere's one cell
+            return 0
+        (sign, part), *rest = self.parts
+        deg, idx = sign * sig[0], x[0]
+        for (sign, part), offsets, u, y in zip(rest, self.offsets, sig[1:], x[1:]):
+            idx = offsets[deg, sign * u] + idx * part.dims[sign * u] + y
+            deg += sign * u
+        return idx
+
+
+def lean_model(n: int, d: Degree, dual_alpha: bool = False) -> LeanModel:
+    """C^*(S^P) tensor C_*(S^N) on the cells of `lean_sphere_complex`, with
+    the dual alpha pair smashed on when asked (d's t is not read)."""
+    p, nn = split_degree(d)
+    parts = [(1, lean_sphere_complex(n, p))] if p.c_alpha or any(p.c_lambda) else []
+    if nn.c_alpha or any(nn.c_lambda):
+        parts.append((-1, dualize(lean_sphere_complex(n, nn))))
+    if dual_alpha:
+        parts.append((-1, dualize(_alpha_complex(n, 1))))
+    if not parts:
+        parts = [(1, unit_complex(n))]
+    c, offsets = parts[0][1], []
+    for _, part in parts[1:]:
+        c = smash(c, part)
+        offsets.append(c.pair_offsets)
+    return LeanModel(c, parts, offsets)
+
+
+def lean_level_cols(sl, deg: int, model: LeanModel) -> list[int]:
+    """`_LevelSlice.cols(deg)` from the cells of the bottom-level model: for
+    each degree-deg orbit of the slice, the sum of its cells (the orbit of
+    its representative under gamma^p), mapped by the bottom-level
+    differential and written over the target level's orbit sums.  Only the
+    slice's representatives are read, to name its orbits in its index
+    order; that they name each orbit of the model once is checked.  Where
+    degree s has no cells, the slice lists none in any degree."""
+    c = model.complex
+    j = c.n - (sl.p.bit_length() - 1)
+    if sl.s not in c.dims:  # group 0: the slice lists no cell at all
+        if any(sl.dims.values()):
+            raise AssertionError(f"cells listed around degree {sl.s}, which has none")
+        return []
+
+    def slice_orbits(d: int) -> list[int]:
+        """The reference's orbit index of each of the slice's orbits."""
+        if d not in c.dims:
+            return []
+        lv = _level(c, j, d)
+        out = [lv.orbit_of[model.cell(cls.sig, x)]
+               for cls in sl.classes[d].values() for x in product(*map(range, cls.radices))]
+        if sorted(out) != list(range(lv.dim)):
+            raise AssertionError(f"the slice's representatives of degree {d} miss or repeat an orbit")
+        return out
+
+    where = {o: i for i, o in enumerate(slice_orbits(deg + 1))}
+    cols = []
+    for o in slice_orbits(deg):
+        img = 0
+        for b in _bits(_level(c, j, deg).orbits[o]):
+            img ^= c.diff[deg][b]
+        if img:  # deg + 1 has cells
+            img = sum(1 << where[t] for t in _bits(_level(c, j, deg + 1).to_level(img)))
+        cols.append(img)
+    return cols

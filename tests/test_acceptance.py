@@ -3,8 +3,8 @@ second test with the wider boxes of criterion 13.
 
 Every criterion prints a single PASS/FAIL line (run pytest with -s or read
 captured output).  All comparisons are exact; the boxes are the stated
-desk-scale boxes.  Criterion 12 (the n=4 box with radius 2, about 25 s) and
-the n=6,7 boxes of criterion 13 are opt-in: `pytest -m slow`.
+desk-scale boxes.  Criterion 12 (the n=4 box with radius 2, about 1 s) and
+the n=6,7 boxes of criterion 13 (about 10 s) are opt-in: `pytest -m slow`.
 """
 
 import itertools
@@ -175,7 +175,7 @@ def test_criterion_9_structural_invariants():
         for w in (v, make_degree(n, 0, -v.c_alpha, [-x for x in v.c_lambda])):
             factors = oracle._factors(n, w)
             model = oracle._Model(n, factors)
-            top = sum(length for _, length, _ in factors)
+            top = sum(len(f.kinds) for f in factors)
             for j in range(n + 1):
                 for s in range(-top - 1, top + 2):
                     sl = model.level(j, s)

@@ -90,6 +90,7 @@ CSV_REPORTS = [
     ("verify --n 2 --box t=-1..1,a=0..0,l0=-1..1", None),
     ("verify --n 2 --box t=-1..1,a=0..0,l0=-1..1", lambda mp: fault_at(mp, "-1,0,-1")),
     ("verify --n 2 --box t=-2..-2,a=1..1,l0=1..2 --budget 2", None),
+    ("verify --n 2 --box t=-2..-2,a=2..2,l0=-2..-1 --budget 2", None),
     ("duality-scan --n 2 --box t=-1..1,a=0..0", duality_fault),
     ("slice-check --n 3 --box t=0..0,a=0..0", slice_fault),
 ]
@@ -187,7 +188,7 @@ class TestVerify:
 
     def test_budget_exit_3(self, capsys):
         code, out, _ = run_cli(
-            capsys, "verify", "--n", "2", "--box", "t=-2..-2,a=1..1,l0=2..2",
+            capsys, "verify", "--n", "2", "--box", "t=-2..-2,a=2..2,l0=-1..-1",
             "--budget", "2",
         )
         payload = json.loads(out)
@@ -300,7 +301,7 @@ class TestCache:
 
     def test_cached_values_obey_budget(self, capsys, tmp_path):
         # a default-budget run fills the cache; a tight budget still refuses
-        args = ("verify", "--n", "2", "--box", "t=-2..-2,a=1..1,l0=2..2",
+        args = ("verify", "--n", "2", "--box", "t=-2..-2,a=2..2,l0=-1..-1",
                 "--cache-dir", str(tmp_path))
         runs = [run_cli(capsys, *args, *extra) for extra in (("--budget", "2"), (), ("--budget", "2"))]
         assert [code for code, _, _ in runs] == [3, 0, 3]
@@ -433,8 +434,8 @@ class TestCache:
         # a stale width of 1 lets the hit round a budget of 2 that the true
         # width, 3, is over; the value itself is right, so only the re-check,
         # which the budget refuses, can see it
-        key, args = "-2,1,2", ("verify", "--n", "2", "--box", "t=-2..-2,a=1..1,l0=2..2",
-                               "--budget", "2")
+        key, args = "-2,2,-1", ("verify", "--n", "2", "--box", "t=-2..-2,a=2..2,l0=-1..-1",
+                                "--budget", "2")
         code, out, _ = run_cli(capsys, *args, "--no-cache")
         assert code == 3 and json.loads(out)["summary"]["skipped"] == 1
         line = {"k": key, "v": 1, "w": 1, "h": cli._line_hash(key, 1, 1)}
@@ -748,8 +749,8 @@ class TestInternalFault:
         # the oracle builds both differentials itself, so a wrong shape is
         # its own defect, not a usage error
         real = oracle._LevelSlice.cols
-        monkeypatch.setattr(oracle._LevelSlice, "cols", lambda self, deg, clear=False: (
-            real(self, deg, clear)[:-1] if deg == self.s else real(self, deg, clear)))
+        monkeypatch.setattr(oracle._LevelSlice, "cols", lambda self, deg: (
+            real(self, deg)[:-1] if deg == self.s else real(self, deg)))
         code, out, err = run_cli(capsys, "mackey", "--n", "3", "--deg", "-3,0,0,2")
         assert code == 4 and out == ""
         assert "internal error" in err and "one column per basis vector" in err

@@ -4,12 +4,11 @@ import pickle
 import random
 import time
 from itertools import product
-from operator import mul
 
 import pytest
 
 from hf2 import engine, oracle
-from hf2.gf2 import Span, rank
+from hf2.gf2 import rank
 from hf2.oracle import (
     BudgetExceededError,
     MackeyAnswer,
@@ -201,6 +200,23 @@ class TestComplexes:
             for s in range(underlying_dim(v) + 1):
                 assert level_cohomology(c, j, s).h_dim == level_cohomology(cc, j, s).h_dim
 
+    @pytest.mark.parametrize(
+        "n,coords", SAMPLE_REPS + [(3, (0, 1, (2, 1))), (4, (0, 1, (1, 0, 1)))])
+    def test_lean_complex_is_the_sphere(self, n, coords):
+        """The cell model with one cell orbit per dimension: d d = 0 and
+        gamma-naturality, one orbit per degree at the top level, and at
+        every level the cohomology of the minimal tensor model."""
+        v = make_degree(n, *coords[:2], coords[2])
+        lean, tensor = ref.lean_sphere_complex(n, v), sphere_complex(n, v)
+        lean.validate()
+        dualize(lean).validate()
+        assert lean.degrees() == list(range(underlying_dim(v) + 1))
+        assert all(level_cohomology(lean, n, s).dim == 1 for s in lean.degrees())
+        for j in range(n + 1):
+            for s in range(-1, underlying_dim(v) + 2):
+                expected = level_cohomology(tensor, j, s).h_dim
+                assert level_cohomology(lean, j, s).h_dim == expected, (j, s)
+
 
 class TestOraclePi:
     def test_tower_example(self):
@@ -370,25 +386,34 @@ class TestLevelDirectParity:
         assert nontrivial >= 10  # the sample exercises nonzero maps
 
 
+def _models(n: int, d):
+    """The `_Model` of d and of its a_alpha target, each with its bottom-level
+    cell model from the reference."""
+    for extra in (False, True):
+        factors = oracle._factors(n, d) + ([oracle._DUAL_ALPHA] if extra else [])
+        yield oracle._Model(n, factors), ref.lean_model(n, d, extra)
+
+
 def _check_cols(n: int, degrees) -> int:
-    """Compare `_LevelSlice.cols` with the cell-by-cell reference at every
+    """Compare `_LevelSlice.cols` with the bottom-level cell model at every
     level, at both degrees the reducer reads, for each degree's model and the
-    a_alpha target model (two alpha factors); returns the nonzero matrices."""
+    a_alpha target model (one more dual alpha factor); returns the nonzero
+    matrices."""
     nonzero = 0
     for d in degrees:
-        for factors in (oracle._factors(n, d), oracle._factors(n, d) + [(2, 1, -1)]):
-            model = oracle._Model(n, factors)
+        for model, cells in _models(n, d):
             for j in range(n + 1):
                 sl = model.level(j, -d.t)
                 for deg in (sl.s - 1, sl.s):
                     cols = sl.cols(deg)
-                    assert cols == ref.level_cols(sl, deg), (str(d), factors, j, deg)
+                    expected = ref.lean_level_cols(sl, deg, cells)
+                    assert cols == expected, (str(d), model.factors, j, deg)
                     nonzero += any(cols)
     return nonzero
 
 
 class TestColumns:
-    """The level differentials against the cell-by-cell reference."""
+    """The level differentials against the bottom-level cell model."""
 
     @pytest.mark.parametrize("n,t_range,r,sample", [
         (1, (-6, 6), (-3, 3), None), (2, (-5, 5), (-2, 2), None), (3, (-5, 5), (-1, 1), 80),
@@ -400,20 +425,23 @@ class TestColumns:
         assert _check_cols(n, degrees) >= 50
 
 
-# n = 4 degrees with c_lambda0 = +-2: at the top level lambda_0's moves between
-# factor degrees 2 and 3 (N, and its transpose in the dual) run inside the
-# block-16 star, through all 16 star shifts, which no n <= 3 degree reaches.
-# The seeded +-1 sample adds nu into that star from classes of period 8.
-N4_FULL_STAR = [(-3, 0, (2, 1, 0)), (2, 0, (-2, 1, 0))]
+# n = 4 degrees whose positive part ends in lambda_0: at the top level its
+# whole-block move from a smaller block into the block-16 star runs through 8
+# star shifts (the source's period is 8), with the source's star on that
+# factor (-6,1,1,1,1: from lambda_1's block 8) or off it (-3,1,1,-1,1: from
+# lambda_2's block 4, with the star on N = lambda_1's block 8); no n <= 3
+# degree reaches either.
+N4_STAR_ENTRY = [(-6, 1, (1, 1, 1)), (-3, 1, (1, -1, 1))]
 
 
 def test_cols_n4_seeded():
-    degrees = [make_degree(4, t, a, lam) for t, a, lam in N4_FULL_STAR]
+    degrees = [make_degree(4, t, a, lam) for t, a, lam in N4_STAR_ENTRY]
     for d in degrees:
         top = oracle._Model(4, oracle._factors(4, d)).level(4, -d.t)
-        u = 2 if d.c_lambda[0] > 0 else 3  # the source's factor degree of that move
-        sources = [cls for deg in (top.s - 1, top.s) for cls in top.classes[deg].values()]
-        assert any(cls.sig[0] == u for cls in sources)
+        [positive, *_] = top.factors
+        moves = [cls for deg in (top.s - 1, top.s) for cls in top.classes[deg].values()
+                 if positive.blocks[cls.sig[0]:cls.sig[0] + 2] in ((8, 16), (4, 16))]
+        assert moves, str(d)
     degrees += random.Random(2031).sample(list(box_degrees(4, (-6, 6), (-1, 1), (-1, 1))), 6)
     assert _check_cols(4, degrees) >= 50
 
@@ -431,84 +459,18 @@ def _column_degrees() -> dict[int, list]:
         1: list(box_degrees(1, (-6, 6), (-3, 3), (-3, 3))),
         2: list(box_degrees(2, (-5, 5), (-2, 2), (-2, 2))),
         3: random.Random(2029).sample(list(box_degrees(3, (-5, 5), (-1, 1), (-1, 1))), 80),
-        4: [make_degree(4, t, a, lam) for t, a, lam in N4_FULL_STAR]
+        4: [make_degree(4, t, a, lam) for t, a, lam in N4_STAR_ENTRY]
         + random.Random(2031).sample(list(box_degrees(4, (-6, 6), (-1, 1), (-1, 1))), 6),
     }
-
-
-def _positions(sl, deg: int) -> set[int]:
-    """The orbit indices in the boxes of `sl.cleared(deg)`."""
-    out = set()
-    for sig, box in sl.cleared(deg).items():
-        cls = sl.classes[deg][sig]
-        values = [box.get(g, range(r)) for g, r in enumerate(cls.radices)]
-        out.update(cls.offset + sum(map(mul, x, cls.strides)) for x in product(*values))
-    return out
-
-
-def _check_clearing(n: int, degrees) -> list[int]:
-    """`_LevelSlice.cleared` against the differential it reads, built here
-    in full from a slice one degree lower, at every level, for each degree's
-    model and the a_alpha target model: the cleared positions are top bits
-    of d_{deg-1}'s columns, the cleared columns are the full ones with 0 at
-    those positions, and at deg = s they lie at pivots of d_in.  Returns the
-    d_in columns cleared and those that reduce to 0, then the d_out columns
-    cleared and those at pivots of d_in."""
-    counts = [0, 0, 0, 0]
-    for d in degrees:
-        for factors in (oracle._factors(n, d), oracle._factors(n, d) + [oracle._DUAL_ALPHA]):
-            model = oracle._Model(n, factors)
-            for j in range(n + 1):
-                sl = model.level(j, -d.t)
-                cleared = {}
-                for deg in (sl.s - 1, sl.s):
-                    cleared[deg] = _positions(sl, deg)
-                    below = model.level(j, deg)  # degrees deg-1..deg+1
-                    tops = {c.bit_length() - 1 for c in below.cols(deg - 1) if c}
-                    assert cleared[deg] <= tops, (str(d), factors, j, deg)
-                    expected = [0 if k in cleared[deg] else c for k, c in enumerate(sl.cols(deg))]
-                    assert sl.cols(deg, clear=True) == expected, (str(d), factors, j, deg)
-                span = Span()
-                span.absorb(sl.cols(sl.s - 1))
-                assert cleared[sl.s] <= span.pivots.keys(), (str(d), factors, j)
-                counts[0] += len(cleared[sl.s - 1])
-                counts[1] += sl.dims[sl.s - 1] - span.dim
-                counts[2] += len(cleared[sl.s])
-                counts[3] += span.dim
-    return counts
-
-
-class TestClearing:
-    """Clearing across degrees: the top-move rule against the differential
-    one degree lower, on the degrees `TestColumns` and the n = 4 column
-    tests read, and a floor on how much of what could be cleared it clears
-    (zero-reducing d_in columns, d_out columns at pivots of d_in), so that a
-    rule which silently clears nothing fails."""
-
-    def test_boxes(self):
-        degrees = _column_degrees()
-        counts = [sum(c) for c in zip(*(_check_clearing(n, ds) for n, ds in degrees.items()))]
-        cleared_in, zero_in, cleared_out, pivots_out = counts
-        # measured 0.82 and 0.87
-        assert cleared_in >= 0.8 * zero_in and cleared_out >= 0.8 * pivots_out, counts
-
-    @pytest.mark.slow
-    def test_n4_sample(self):
-        degrees = random.Random(2030).sample(list(box_degrees(4, (-6, 6), (-1, 1), (-1, 1))), 200)
-        counts = _check_clearing(4, degrees)
-        cleared_in, zero_in, cleared_out, pivots_out = counts
-        # measured 0.91 and 0.92
-        assert cleared_in >= 0.9 * zero_in and cleared_out >= 0.9 * pivots_out, counts
 
 
 class TestMoveTemplates:
     """Moves compiled once per shape (`_LevelSlice.cols`), on the degrees of
     `_column_degrees` at every level, for each degree's model and the
-    a_alpha target model, with clearing off and on.  Each move is built three
-    ways: directly, with the memo bypassed; from an emptied memo; and from
-    one kept warm across every slice.  The key is complete when no key
-    gets two templates, and the warm memo gives what the direct build
-    does."""
+    a_alpha target model.  Each move is built three ways: directly, with the
+    memo bypassed; from an emptied memo; and from one kept warm across every
+    slice.  The key is complete when no key gets two templates, and the warm
+    memo gives what the direct build and the bottom-level cell model do."""
 
     @pytest.fixture(scope="class")
     def runs(self):
@@ -526,20 +488,18 @@ class TestMoveTemplates:
         try:
             for n, degrees in _column_degrees().items():
                 for d in degrees:
-                    for factors in (oracle._factors(n, d), oracle._factors(n, d) + [oracle._DUAL_ALPHA]):
-                        model = oracle._Model(n, factors)
+                    for model, cells in _models(n, d):
                         for j in range(n + 1):
                             sl = model.level(j, -d.t)
-                            for deg, clear in product((sl.s - 1, sl.s), (False, True)):
+                            for deg in (sl.s - 1, sl.s):
                                 out = []
                                 for memo in (Bypass(), {}, warm):
                                     oracle._TEMPLATES = memo
-                                    out.append(sl.cols(deg, clear))
-                                if not clear:
-                                    out.append(ref.level_cols(sl, deg))
-                                    compared += 1
+                                    out.append(sl.cols(deg))
+                                out.append(ref.lean_level_cols(sl, deg, cells))
+                                compared += 1
                                 if any(cols != out[0] for cols in out):
-                                    mismatches.append((str(d), factors, j, deg, clear))
+                                    mismatches.append((str(d), model.factors, j, deg))
         finally:
             oracle._TEMPLATES = saved
         return built, warm, mismatches, compared
@@ -548,10 +508,10 @@ class TestMoveTemplates:
         built, _, _, _ = runs
         conflicts = [key for key, templates in built.items() if len(set(templates)) > 1]
         assert not conflicts, conflicts[:5]
-        # shapes repeat (measured 16580 moves over 2348 keys), which is what
+        # shapes repeat (measured 5241 moves over 739 keys), which is what
         # the memo rests on
         moves = sum(map(len, built.values()))
-        assert len(built) >= 1000 and moves >= 5 * len(built), (len(built), moves)
+        assert len(built) >= 700 and moves >= 5 * len(built), (len(built), moves)
 
     def test_cold_equals_warm(self, runs):
         _, _, mismatches, compared = runs
@@ -654,31 +614,36 @@ def _product_signatures(factors, s):
     factor-degree ranges, when degree s has cells: the reference for
     `oracle._Model.signatures`, order included."""
     by_degree = {deg: [] for deg in (s - 1, s, s + 1)}
-    lo = -sum(length for _, length, sign in factors if sign < 0)
-    if lo <= s <= lo + sum(length for _, length, _ in factors):
+    lengths = [len(f.kinds) for f in factors]
+    lo = -sum(length for f, length in zip(factors, lengths) if f.sign < 0)
+    if lo <= s <= lo + sum(lengths):
         degrees = [0]  # of every signature, in product order
-        for _, length, sign in factors:
-            degrees = [deg + sign * u for deg in degrees for u in range(length + 1)]
-        for sig, deg in zip(product(*(range(length + 1) for _, length, _ in factors)), degrees):
+        for f, length in zip(factors, lengths):
+            degrees = [deg + f.sign * u for deg in degrees for u in range(length + 1)]
+        for sig, deg in zip(product(*(range(length + 1) for length in lengths)), degrees):
             if deg in by_degree:
                 by_degree[deg].append(sig)
     return by_degree
 
 
 def test_signatures_in_product_order():
-    rng = random.Random(1403)
+    rng, cells = random.Random(1403), random.Random(1404)
     nonempty = 0
     for _ in range(20000):
-        factors = [(rng.choice((1, 2, 4, 8)), rng.randint(1, 4), rng.choice((1, -1)))
-                   for _ in range(rng.randint(0, 5))]
-        lo = -sum(length for _, length, sign in factors if sign < 0)
-        hi = sum(length for _, length, sign in factors if sign > 0)
+        factors = []
+        for _ in range(rng.randint(0, 5)):
+            block, length, sign = rng.choice((1, 2, 4, 8)), rng.randint(1, 4), rng.choice((1, -1))
+            blocks = sorted(cells.choice((2, block, 2 * block)) for _ in range(length))
+            kinds = tuple(cells.randint(0, 1) for _ in range(length))
+            factors.append(oracle._Factor(sign, (1, *blocks), kinds))
+        lo = -sum(len(f.kinds) for f in factors if f.sign < 0)
+        hi = sum(len(f.kinds) for f in factors if f.sign > 0)
         s = rng.randint(lo - 2, hi + 2)
         expected = _product_signatures(factors, s)
         listed = oracle._Model(3, factors).signatures(s)
         sigs = {deg: [sig for sig, _ in pairs] for deg, pairs in listed.items()}
         assert sigs == expected, (factors, s)
-        assert all(blocks == tuple(b if u else 1 for (b, _, _), u in zip(factors, sig))
+        assert all(blocks == tuple(f.blocks[u] for f, u in zip(factors, sig))
                    for pairs in listed.values() for sig, blocks in pairs), (factors, s)
         nonempty += any(expected.values())
     assert nonempty >= 11000
@@ -705,7 +670,7 @@ class TestWorkFollowsTheAnswer:
 
 class TestBudget:
     def test_budget_error(self):
-        d = make_degree(3, -2, 2, [2, 2])  # level-3 widths 3, 11, 26
+        d = make_degree(3, -2, 2, [-2, 2])  # level-3 widths 15, 17, 13
         with pytest.raises(BudgetExceededError) as err:
             oracle_top_dim(3, d, budget=3)
         assert err.value.predicted > 3
@@ -750,10 +715,8 @@ class TestBudget:
 
 def test_widths_closed_form():
     """`oracle._Model.width` and `orbit_counts` against the built tables: the
-    closed form (forced by a cap below every count) equals the widest built
-    degree, the whole-model count (returned under a cap above it) bounds it,
-    and the orbit counts are the built dimensions of degrees s-1..s+1 (0
-    when degree s has no cells)."""
+    width equals the widest built degree, and the orbit counts are the built
+    dimensions of degrees s-1..s+1 (0 when degree s has no cells)."""
     rng = random.Random(1501)
     slices = nonempty = 0
     for n in range(1, 5):
@@ -764,8 +727,7 @@ def test_widths_closed_form():
                 *_, levels = oracle._slices(n, d, range(n + 1), 10 ** 9, extra)
                 for sl in levels:
                     model, built = sl.model, max(sl.dims.values())
-                    assert model.width(sl.s, sl.p, -1) == built, (str(d), extra)
-                    assert model.width(sl.s, sl.p, 10 ** 9) >= built
+                    assert model.width(sl.s, sl.p) == built, (str(d), extra)
                     counts, live = model.orbit_counts(sl.p), model.lo <= sl.s <= model.hi
                     for deg in (sl.s - 1, sl.s, sl.s + 1):
                         expected = counts.get(deg, 0) if live else 0
@@ -804,7 +766,7 @@ def test_top_width_decides_the_top_level_budget(monkeypatch):
                 else:
                     with pytest.raises(Accepted):
                         oracle_top_dim(n, d, cap)
-    assert (checked, refused) == (6300, 1299)
+    assert (checked, refused) == (6104, 1103)
 
 
 def test_oracle_pi_budget_at_its_lowest_built_level(monkeypatch):
@@ -825,7 +787,7 @@ def test_oracle_pi_budget_at_its_lowest_built_level(monkeypatch):
     for n, (t_range, r) in boxes.items():
         for d in box_degrees(n, t_range, (-r, r), (-r, r)):
             low = 1 if underlying_dim(d) else 0
-            w = oracle._Model(n, oracle._factors(n, d)).width(-d.t, 1 << (n - low), -1)
+            w = oracle._Model(n, oracle._factors(n, d)).width(-d.t, 1 << (n - low))
             for cap in {0, w - 1, w, w + 1, oracle.DEFAULT_BUDGET} - {-1}:
                 checked += 1
                 if w > cap:
@@ -840,19 +802,20 @@ def test_oracle_pi_budget_at_its_lowest_built_level(monkeypatch):
     assert (checked, refused) == (4860, 1134)
 
 
-@pytest.mark.parametrize("call, last, predicted", [
-    pytest.param(oracle_top_dim, 20, 798892080, id="oracle_top_dim-798892080"),
-    pytest.param(oracle_pi, 20, 12782259840, id="oracle_pi-12782259840"),
-    pytest.param(oracle_pi, -30, 15729320704, id="oracle_pi-15729320704"),
+@pytest.mark.parametrize("call, t, c, predicted", [
+    pytest.param(oracle_top_dim, 0, 700, 22401, id="oracle_top_dim-22401"),
+    pytest.param(oracle_pi, -1, 100, 51201, id="oracle_pi-51201"),
+    pytest.param(oracle_pi, 0, 100, 102401, id="oracle_pi-102401"),
 ])
-def test_refusal_builds_nothing(call, last, predicted):
-    """Degree s = 80 lies in the middle of the model's degrees 0..180
-    (-60..140 with the last slot -30), where millions of signatures meet:
-    the budget refuses it before listing any.  oracle_pi sizes its lowest
-    built level: level 1 at |d| = 100, level 0 at |d| = 0 (last slot -30)."""
+def test_refusal_builds_nothing(call, t, c, predicted):
+    """lambda_0 = c and lambda_1 = -c give two factors of 2c cells each, and
+    degree s = -t near the middle of the model's degrees -2c..2c meets about
+    2c signatures: the budget refuses it on their count alone, listing no
+    other degree's.  oracle_pi sizes its lowest built level: level 1 at
+    |d| = -1, level 0 at |d| = 0."""
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError) as err:
-        call(5, make_degree(5, -80, 20, [20, 20, 20, last]))
+        call(5, make_degree(5, t, 0, [c, -c, 0, 0]))
     assert time.perf_counter() - start < 1
     assert (err.value.predicted, err.value.cap) == (predicted, oracle.DEFAULT_BUDGET)
 
@@ -880,6 +843,20 @@ def test_levels_are_subgroup_top_dims_n4():
     assert _check_levels_against_subgroups(4, (-6, 6), 1) == (4212, 786)
 
 
+def test_factors_left_out_exactly_outside_the_interval():
+    """`_factors(n, d, s)`, which reads the interval off the coefficients,
+    builds no chain exactly where d's model has no cells at s."""
+    rng = random.Random(1601)
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        d = make_degree(n, 0, rng.randint(-3, 3), [rng.randint(-3, 3) for _ in range(n - 1)])
+        full = oracle._factors(n, d)
+        model = oracle._Model(n, full)
+        for s in range(model.lo - 2, model.hi + 3):
+            expected = full if model.lo <= s <= model.hi else []
+            assert oracle._factors(n, d, s) == expected, (str(d), s)
+
+
 def test_empty_degree_builds_nothing(monkeypatch):
     """Degree s = -12 has no cells in the model of 12,1,1 over C_4 (degrees
     0..3) nor in its a_alpha target model (-1..3): every entry point answers
@@ -905,20 +882,56 @@ def test_empty_degree_builds_nothing(monkeypatch):
     assert rep["pass"] and rep["dim_pi_d"] == rep["dim_pi_d_minus_alpha"] == 0
 
 
-@pytest.mark.slow
-def test_n5_box_against_engine():
-    # top slices up to 9472 columns wide, all within the default budget
-    mismatches, skipped = [], 0
-    for d in box_degrees(5, (-6, 6), (-1, 1), (-1, 1)):
+def _box_against_engine(n, t_range, r):
+    """oracle_top_dim against engine.dimension over a box (t in t_range, the
+    other coefficients in -r..r): the degrees, the mismatches and the count
+    over the default budget, which the lean model's widths keep at 0."""
+    mismatches, over_budget, total = [], 0, 0
+    for d in box_degrees(n, t_range, (-r, r), (-r, r)):
+        total += 1
         try:
-            o = oracle_top_dim(5, d)
+            o = oracle_top_dim(n, d)
         except BudgetExceededError:
-            skipped += 1
+            over_budget += 1
             continue
-        if o != engine.dimension(5, d):
+        if o != engine.dimension(n, d):
             mismatches.append(str(d))
-    print(f"n=5 box: 3159 degrees, {len(mismatches)} mismatches, {skipped} over budget")
-    assert not mismatches and not skipped, (mismatches, skipped)
+    print(f"n={n} box: {total} degrees, {len(mismatches)} mismatches, {over_budget} over budget")
+    return total, mismatches, over_budget
+
+
+@pytest.mark.parametrize("n, t_range, r, total", [
+    pytest.param(5, (-6, 6), 1, 3159, id="n5"),
+    pytest.param(6, (-6, 6), 1, 9477, id="n6"),
+    pytest.param(7, (-4, 4), 1, 19683, id="n7", marks=pytest.mark.slow),
+    pytest.param(8, (-4, 4), 1, 59049, id="n8", marks=pytest.mark.slow),
+])
+def test_box_against_engine(n, t_range, r, total):
+    assert _box_against_engine(n, t_range, r) == (total, [], 0)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, t_range, sample, seed", [
+    (5, (-6, 6), 3159, None), (6, (-6, 6), 1500, 2033), (7, (-4, 4), 500, 2034),
+])
+def test_oracle_pi_levels_against_engine(n, t_range, sample, seed):
+    """oracle_pi at every level j against the engine at restrict(d, j) (level
+    0: F_2 exactly at |d| = 0) over the box with the other coefficients in
+    -1..1, whole or as a seeded sample; none over the default budget."""
+    degrees = list(box_degrees(n, t_range, (-1, 1), (-1, 1)))
+    if seed is not None:
+        degrees = random.Random(seed).sample(degrees, sample)
+    mismatches, nonzero = [], 0
+    for d in degrees:
+        expected = [1 if underlying_dim(d) == 0 else 0]
+        expected += [engine.dimension(j, restrict(d, j)) for j in range(1, n + 1)]
+        dims = oracle_pi(n, d).level_dims
+        if dims != expected:
+            mismatches.append((str(d), dims, expected))
+        nonzero += any(dims)
+    print(f"n={n} oracle_pi sample: {len(degrees)} degrees, {len(mismatches)} mismatches")
+    assert len(degrees) == sample and not mismatches, mismatches[:5]
+    assert nonzero >= sample // 10
 
 
 @pytest.mark.slow
