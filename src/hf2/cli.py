@@ -107,7 +107,7 @@ class JsonlCache:
     """Append-only JSON-lines cache of oracle values, one file per group and
     per fingerprint of the oracle's code (`_fingerprint`), so lines of other
     code are never opened.  A line {"k", "v", "w", "h"} holds a degree
-    (`reps.format_degree`), its value, its budget width (`oracle.top_width`)
+    (`reps.format_degree`), its value and budget width (`oracle.oracle_top`)
     and a checksum of all three, so a hit faces the budget without the
     oracle.  Given one `key`, only the lines that hold it are decoded.  Of
     several valid lines for a key, the last wins."""
@@ -202,7 +202,7 @@ def _oracle_value(task):
     from . import oracle
 
     try:
-        return (oracle.oracle_top_dim(n, d, budget), oracle.top_width(n, d)), None
+        return oracle.oracle_top(n, d, budget), None
     except oracle.BudgetExceededError as exc:
         return None, (exc.predicted, exc.cap)
 

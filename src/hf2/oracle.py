@@ -29,15 +29,17 @@ Every entry point (`oracle_top_dim`, `oracle_pi`, `mult_a_alpha`,
 slices of one model (a factor list, `_Model`), or of a model and its smash
 with one extra factor, and reads groups (`_LevelSlice.reducer`) and maps
 (`_orbit_induced`) off them.  `_Model` computes once what the factors alone
-fix: the interval of degrees with cells and the signatures of a degree
-window with their blocks, shared by every level, from which `_slices` sizes
-the budget before `_Model.level`, the one slice constructor, builds
-anything.  A `_LevelSlice` is the level-j fixed subcomplex of a model in the
-three cochain degrees s-1, s, s+1 the answer reads, straight from orbit
-data.  A cell of the model is a tuple of factor degrees (a signature) plus
-one coordinate in Z/B per factor (B the factor's block at that degree);
-gamma adds 1 to every coordinate, and level j is the action of
-gamma^(2^(n-j)).  A differential is emitted column by column, in the
+fix: the interval of degrees with cells, the signatures of a degree window
+with their blocks, shared by every level, and, once per window and level,
+the class table of those signatures with the orbit count of each degree.
+`_slices` sizes the budget from that table before `_Model.level`, the one
+slice constructor, builds anything, and the slice takes the same table, so
+each query sizes its window once.  A `_LevelSlice` is the level-j fixed
+subcomplex of a model in the three cochain degrees s-1, s, s+1 the answer
+reads, straight from orbit data.  A cell of the model is a tuple of factor
+degrees (a signature) plus one coordinate in Z/B per factor (B the factor's
+block at that degree); gamma adds 1 to every coordinate, and level j is the
+action of gamma^(2^(n-j)).  A differential is emitted column by column, in the
 column-major form `gf2` takes, as the image of each source orbit sum: the
 coefficient of a target orbit O' in d(sum O) is the number of cells of O'
 that d(rep O) hits, times |O| / |O'|, mod 2, so no bottom-level vector is
@@ -163,6 +165,7 @@ class _Model:
     factors add every degree of lo..hi, the interval of cochain degrees with
     cells.  Blocks may grow along a factor and differ between factors: a
     signature's orbit count at a level is `_shape`'s, the pair formula.
+    `table`, built once per window and level, serves budget and slice alike.
     """
 
     def __init__(self, n: int, factors: list[_Factor]):
@@ -174,7 +177,7 @@ class _Model:
             else:
                 lo -= len(kinds)
         self.lo, self.hi = lo, hi
-        self._signatures: dict[int, dict[int, list]] = {}
+        self._signatures, self._tables = {}, {}  # by s, by (s, p)
 
     def signatures(self, s: int) -> dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
         """(sig, blocks) of every factor-degree signature of cochain degrees
@@ -219,14 +222,30 @@ class _Model:
             counts[deg] = counts.get(deg, 0) + _shape_of(blocks, p)[4]
         return counts
 
+    def table(self, s: int, p: int) -> tuple[dict, dict]:
+        """(classes, dims) of degrees s-1..s+1 at the level whose orbits have
+        at most p cells, once per (s, p): classes[deg] the `_CellClass` of each
+        signature of degree deg, in index order, dims[deg] their orbits."""
+        if not self.lo <= s <= self.hi:  # no signature: three empty degrees
+            return {s - 1: {}, s: {}, s + 1: {}}, {s - 1: 0, s: 0, s + 1: 0}
+        table = self._tables.get((s, p))
+        if table is None:
+            classes, dims = {}, {}
+            for deg, sigs in self.signatures(s).items():
+                row, offset = {}, 0
+                for sig, blocks in sigs:
+                    row[sig] = cls = _CellClass(sig, blocks, p, offset)
+                    offset += cls.count
+                classes[deg], dims[deg] = row, offset
+            table = self._tables[s, p] = classes, dims
+        return table
+
     def width(self, s: int, p: int) -> int:
         """The widest of cochain degrees s-1..s+1, in orbits, at the level
-        whose orbits have at most p cells: 0 when s is outside lo..hi.  Only
-        the signatures of those degrees are read."""
+        whose orbits have at most p cells: 0, with no table, outside lo..hi."""
         if not self.lo <= s <= self.hi:
             return 0
-        return max(sum(_shape_of(blocks, p)[4] for _, blocks in sigs)
-                   for sigs in self.signatures(s).values())
+        return max(self.table(s, p)[1].values())
 
     def level(self, j: int, s: int) -> _LevelSlice:
         """The level-j slice of degrees s-1..s+1: the one way a slice is made."""
@@ -271,9 +290,7 @@ class _CellClass:
     __slots__ = ("sig", "blocks", "star", "period", "radices", "strides", "offset", "count")
 
     def __init__(self, sig: tuple[int, ...], blocks: tuple[int, ...], p: int, offset: int):
-        self.sig = sig
-        self.blocks = blocks
-        self.offset = offset
+        self.sig, self.blocks, self.offset = sig, blocks, offset
         self.star, self.period, self.radices, self.strides, self.count = _shape_of(blocks, p)
 
 
@@ -287,26 +304,18 @@ class _LevelSlice:
     degree d giving s = -t), in cochain degrees s-1, s and s+1 only, with
     orbit-sum bases.  Made by `_Model.level`.
 
-    classes[deg] holds the `_CellClass` of every signature of degree deg, by
-    signature, in index order.  dims[deg] is the orbit count of degree deg;
-    at level 0 every orbit is a single cell, so those are the bottom-level
-    widths.  cols(deg) is the differential deg -> deg + 1 in the
-    column-major form `gf2` takes: one column per degree-deg orbit sum, with
-    the |O| / |O'| rule of the module docstring applied per pair of classes.
+    classes and dims are the model's table of (s, p) (`_Model.table`), as
+    the budget read it; at level 0 every orbit is a single cell, so dims
+    are the bottom-level widths.  cols(deg) is the differential deg ->
+    deg + 1 in the column-major form `gf2` takes: one column per degree-deg
+    orbit sum, with the |O| / |O'| rule of the module docstring applied per
+    pair of classes.
     """
 
     def __init__(self, model: _Model, s: int, j: int):
         self.model, self.factors, self.s = model, model.factors, s
         self.p = 1 << (model.n - j)
-        self.classes: dict[int, dict[tuple[int, ...], _CellClass]] = {}
-        self.dims: dict[int, int] = {}
-        for deg, sigs in model.signatures(s).items():
-            table, offset = {}, 0
-            for sig, blocks in sigs:
-                table[sig] = cls = _CellClass(sig, blocks, self.p, offset)
-                offset += cls.count
-            self.classes[deg] = table
-            self.dims[deg] = offset
+        self.classes, self.dims = model.table(s, self.p)
 
     def index(self, cls: _CellClass, x) -> int:
         """Orbit index of the cell with coordinates x in class cls."""
@@ -357,10 +366,6 @@ class _LevelSlice:
                 tgt = dst[sig[:f] + (v,) + sig[f + 1:]]
                 if tgt.period < cls.period:  # no image
                     continue
-                bf = tgt.blocks[f]
-                if (not turn and tgt.star == f and cls.blocks[f] == bf
-                        and tgt.blocks.count(bf) == 1):
-                    continue  # N (equal blocks) inside a star no other block reaches adds 0
                 if large:
                     self._add_move(cols, cls, tgt, f, turn, tgt.offset)
                     continue
@@ -400,10 +405,9 @@ class _LevelSlice:
         over z are outer sums of per-factor terms, and each x[f] adds a mask
         of its cs at offsets from the base, in closed form: one mask for
         every x[f] and k for a full support (the block, or [k, k + p) with
-        the star on f), two bits for a pair.  At k = 0 with equal radices
-        the base is the position (the masks carry the offset o).  o is the
-        offset the masks are shifted to: tgt's offset, or 0 when `_template`
-        compiles the move once for every class of its shape.
+        the star on f), two bits for a pair.  o is the offset the masks are
+        shifted to: tgt's offset, or 0 when `_template` compiles the move
+        once for every class of its shape.
         """
         p, st = self.p, tgt.star
         wf, step, rf = tgt.strides[f], cls.strides[f], cls.radices[f]
@@ -429,21 +433,16 @@ class _LevelSlice:
             else:
                 ks = range(0, cls.radices[st], p) if st >= 0 else (0,)
             moves = dict.fromkeys(ks, [(y * step, m) for y in range(rf)])
-        same = tgt.radices == cls.radices
         terms = [(g, r, s, bg, w) for g, (r, s, bg, w) in enumerate(
                  zip(cls.radices, cls.strides, tgt.blocks, tgt.strides))
                  if g != f and bg > 1]  # a block-1 factor adds 0 to both
         for k, masks in moves.items():
-            direct = same and not k  # the base is the position
             targets, bases = [0], [0]
             for g, r, s, bg, w in terms:
                 vs = range(k, k + p) if g == st else range(r)
                 targets = [a + v * s for a in targets for v in vs]
-                if not direct:
-                    bs = [(v - k) % bg * w for v in vs]
-                    bases = [a + b for a in bases for b in bs]
-            if direct:
-                bases = targets
+                bs = [(v - k) % bg * w for v in vs]
+                bases = [a + b for a in bases for b in bs]
             for t, b in zip(targets, bases):
                 for off, m in masks:
                     cols[t + off] ^= m << b
@@ -558,14 +557,6 @@ class MackeyAnswer(namedtuple("MackeyAnswer", "n degree level_dims res tr gamma"
         }
 
 
-def top_width(n: int, d: Degree) -> int:
-    """The widest of cochain degrees s-1..s+1 of d's model at the top level,
-    in orbits: 0 when degree s has no cells.  `oracle_top_dim` refuses d
-    exactly when this exceeds the budget, and reports it as the predicted
-    width."""
-    return _Model(n, _factors(n, d, -d.t)).width(-d.t, 1)
-
-
 # The dual alpha cell pair: smashed on, it takes the model of d to that of d - alpha.
 _DUAL_ALPHA = _Factor(-1, (1, 2), (0,))
 
@@ -591,10 +582,17 @@ def _slices(n: int, d: Degree, levels, budget: int | None, extra=None) -> list[l
     return [[model.level(j, s) for j in levels] for model in models]
 
 
+def oracle_top(n: int, d: Degree, budget: int | None = None) -> tuple[int, int]:
+    """Top-level dimension at degree d and the width of its slice, the widest
+    of degrees s-1..s+1 in orbits (0 when s has no cells): d is refused, with
+    this width predicted, exactly when it exceeds the budget."""
+    [[top]] = _slices(n, d, [n], budget)
+    return top.reducer.h_dim, max(top.dims.values())
+
+
 def oracle_top_dim(n: int, d: Degree, budget: int | None = None) -> int:
     """Top-level dimension of the graded Mackey functor at degree d."""
-    [[top]] = _slices(n, d, [n], budget)
-    return top.reducer.h_dim
+    return oracle_top(n, d, budget)[0]
 
 
 def oracle_pi(n: int, d: Degree, budget: int | None = None) -> MackeyAnswer:

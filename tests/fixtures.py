@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from itertools import product
 
+from hf2 import oracle
 from hf2.monomial import Monomial, degree_of
 from hf2.reps import Degree, make_degree
 
@@ -250,3 +251,15 @@ def box_degrees(n: int, t_range, a_range, lam_range):
         for a in range(a_range[0], a_range[1] + 1):
             for c in product(range(lam_range[0], lam_range[1] + 1), repeat=n - 1):
                 yield make_degree(n, t, a, c)
+
+
+def closed_top_width(n: int, d: Degree) -> int:
+    """The budget width of d at the top level, read off the orbit counts of
+    its whole model (`oracle._Model.orbit_counts`) rather than the slice's
+    class table: the widest of cochain degrees s-1..s+1, 0 when degree s
+    has no cells."""
+    model, s = oracle._Model(n, oracle._factors(n, d)), -d.t
+    if not model.lo <= s <= model.hi:
+        return 0
+    counts = model.orbit_counts(1)
+    return max(counts.get(deg, 0) for deg in (s - 1, s, s + 1))

@@ -14,6 +14,8 @@ import pytest
 
 from hf2 import cli, duality, engine, gf2, oracle, reps
 
+from fixtures import closed_top_width
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -340,7 +342,7 @@ class TestCache:
         cache_file = cache_path(tmp_path)
         [rec] = [json.loads(line) for line in cache_file.read_text().splitlines()]
         key, width = rec["k"], rec["w"]
-        assert (rec["v"], width) == (1, oracle.top_width(2, reps.zero_degree(2)))
+        assert (rec["v"], width) == (1, closed_top_width(2, reps.zero_degree(2)))
         computed = spy(monkeypatch, cli, "_oracle_value")
         # each line's checksum is valid; "1" even has the checksum of the int 1
         cases = [(v, width) for v in ("1", True, 1.0, [1])]
@@ -573,7 +575,7 @@ class TestOracleCache:
         rec = json.loads(line)
         assert code == 0 and cold == plain
         assert (rec["v"], rec["w"]) == (json.loads(plain)["oracle_dimension"],
-                                        oracle.top_width(2, reps.zero_degree(2)))
+                                        closed_top_width(2, reps.zero_degree(2)))
         monkeypatch.setattr(cli, "_oracle_value", None)  # a hit must not compute
         monkeypatch.setenv("HF2_CACHE_DIR", str(tmp_path))
         code, warm, _ = run_cli(capsys, *self.DEG)
@@ -595,6 +597,21 @@ class TestOracleCache:
         assert code == 0 and json.loads(out)["oracle_dimension"] == 1
         assert cache_file.read_text() == before
 
+    def test_verify_stores_each_value_and_width(self, capsys, tmp_path):
+        # the width stored with each answer is the degree's budget width
+        box = "t=-2..0,a=-1..1,l0=-1..1,l1=-1..1"
+        code, _, _ = run_cli(capsys, "verify", "--n", "3", "--box", box,
+                             "--cache-dir", str(tmp_path))
+        degrees = {reps.format_degree(d): d for d in cli.parse_box(box, 3)}
+        lines = [json.loads(line) for line in cache_path(tmp_path, 3).read_text().splitlines()]
+        assert code == 0 and sorted(rec["k"] for rec in lines) == sorted(degrees)
+        for rec in lines:
+            d = degrees[rec["k"]]
+            assert (rec["v"], rec["w"]) == (oracle.oracle_top_dim(3, d),
+                                            closed_top_width(3, d)), rec["k"]
+        widths = {rec["w"] for rec in lines}
+        assert 0 in widths and max(widths) > 1, widths
+
     def test_last_valid_line_wins(self, tmp_path):
         key = "0,0,0"
         lines = [json.dumps({"k": key, "v": v, "w": w, "h": cli._line_hash(key, v, w)})
@@ -615,7 +632,7 @@ class TestOracleCache:
     def test_recomputed_entry_replaces_a_stale_width(self, capsys, tmp_path, monkeypatch):
         # a width too wide for the budget sends the degree to the oracle;
         # the fresh entry is appended, and as the last line it hits from then on
-        key, width = "0,0,0", oracle.top_width(2, reps.zero_degree(2))
+        key, width = "0,0,0", closed_top_width(2, reps.zero_degree(2))
         lines = [json.dumps({"k": key, "v": 1, "w": w, "h": cli._line_hash(key, 1, w)})
                  for w in (width + 5, width)]
         cache_file = cache_path(tmp_path)
@@ -628,7 +645,7 @@ class TestOracleCache:
 
     def test_over_budget_hit_refuses_as_cold(self, capsys, tmp_path):
         deg = ("oracle", "--n", "2", "--deg=-2,1,2")
-        width = oracle.top_width(2, reps.make_degree(2, -2, 1, [2]))
+        width = closed_top_width(2, reps.make_degree(2, -2, 1, [2]))
         tight = ("--budget", str(width - 1))
         cold = run_cli(capsys, *deg, *tight, "--no-cache")
         code, _, _ = run_cli(capsys, *deg, "--cache-dir", str(tmp_path))
@@ -641,7 +658,7 @@ class TestOracleCache:
     def test_no_cache_neither_reads_nor_writes(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("HF2_CACHE_DIR", str(tmp_path))
         key = "0,0,0"
-        width = oracle.top_width(2, reps.zero_degree(2))
+        width = closed_top_width(2, reps.zero_degree(2))
         wrong = json.dumps({"k": key, "v": 9, "w": width, "h": cli._line_hash(key, 9, width)})
         cache_file = cache_path(tmp_path)
         cache_file.write_text(wrong + "\n")

@@ -28,7 +28,7 @@ from hf2.reps import (
 )
 
 import reference_oracle as ref
-from fixtures import box_degrees
+from fixtures import box_degrees, closed_top_width
 from reference_oracle import (
     OrbitModule,
     dualize,
@@ -716,7 +716,8 @@ class TestBudget:
 def test_widths_closed_form():
     """`oracle._Model.width` and `orbit_counts` against the built tables: the
     width equals the widest built degree, and the orbit counts are the built
-    dimensions of degrees s-1..s+1 (0 when degree s has no cells)."""
+    dimensions of degrees s-1..s+1 (0 when degree s has no cells).  The
+    width `oracle_top` returns with its answer is the top-level one."""
     rng = random.Random(1501)
     slices = nonempty = 0
     for n in range(1, 5):
@@ -734,15 +735,17 @@ def test_widths_closed_form():
                         assert sl.dims[deg] == expected, (str(d), extra, deg)
                     slices += 1
                     nonempty += built > 0
+            assert oracle.oracle_top(n, d, 10 ** 9)[1] == closed_top_width(n, d), str(d)
     assert (slices, nonempty) == (11200, 4535)
 
 
 def test_top_width_decides_the_top_level_budget(monkeypatch):
-    """A cache stores `top_width` beside each value and answers a hit only
-    where the width fits the budget.  Over every degree of n = 2..4 boxes,
-    at budgets around the width (the CLI takes none below 0), the width
-    exceeds the budget exactly where `oracle_top_dim` refuses, before it
-    builds a slice, and it is the width it predicts."""
+    """A cache stores the top-level width (`oracle_top`'s second value)
+    beside each value and answers a hit only where it fits the budget.
+    Over every degree of n = 2..4 boxes, at budgets around the width (the
+    CLI takes none below 0), the width exceeds the budget exactly where
+    `oracle_top_dim` refuses, before it builds a slice, and it is the width
+    it predicts."""
 
     class Accepted(Exception):
         pass
@@ -755,7 +758,7 @@ def test_top_width_decides_the_top_level_budget(monkeypatch):
     boxes = {2: ((-8, 8), 2), 3: ((-6, 6), 1), 4: ((-5, 5), 1)}
     for n, (t_range, r) in boxes.items():
         for d in box_degrees(n, t_range, (-r, r), (-r, r)):
-            w = oracle.top_width(n, d)
+            w = oracle._Model(n, oracle._factors(n, d, -d.t)).width(-d.t, 1)
             for cap in {0, w - 1, w, w + 1, oracle.DEFAULT_BUDGET} - {-1}:
                 checked += 1
                 if w > cap:
@@ -917,7 +920,8 @@ def test_box_against_engine(n, t_range, r, total):
 def test_oracle_pi_levels_against_engine(n, t_range, sample, seed):
     """oracle_pi at every level j against the engine at restrict(d, j) (level
     0: F_2 exactly at |d| = 0) over the box with the other coefficients in
-    -1..1, whole or as a seeded sample; none over the default budget."""
+    -1..1, whole or as a seeded sample; none over the default budget.  The
+    move templates kept meanwhile stay small: `TEMPLATE_MAX` bounds them."""
     degrees = list(box_degrees(n, t_range, (-1, 1), (-1, 1)))
     if seed is not None:
         degrees = random.Random(seed).sample(degrees, sample)
@@ -932,6 +936,9 @@ def test_oracle_pi_levels_against_engine(n, t_range, sample, seed):
     print(f"n={n} oracle_pi sample: {len(degrees)} degrees, {len(mismatches)} mismatches")
     assert len(degrees) == sample and not mismatches, mismatches[:5]
     assert nonzero >= sample // 10
+    mask_bytes = sum(m.bit_length() for _, ms in oracle._TEMPLATES.values() for m in ms) // 8
+    print(f"template masks: {len(oracle._TEMPLATES)} templates, {mask_bytes} bytes")
+    assert mask_bytes < 2 * 10 ** 6  # 0.67 MB at most in the slow suite; 62 MB uncapped
 
 
 @pytest.mark.slow

@@ -19,7 +19,7 @@ from hf2.reps import (
     underlying_dim,
     zero_degree,
 )
-from hf2.oracle import mult_a_alpha, oracle_pi, oracle_top_dim, top_width, verify_lemma_kernel
+from hf2.oracle import mult_a_alpha, oracle_pi, oracle_top, oracle_top_dim, verify_lemma_kernel
 from hf2.tate import hb_basis, hh_basis, ht_basis, perp_hb_basis
 
 
@@ -194,9 +194,9 @@ class TestValueType:
     lambda d: oracle_pi(1, d),
     lambda d: mult_a_alpha(3, d, 3),
     lambda d: verify_lemma_kernel(3, d),
-    lambda d: top_width(1, d),
+    lambda d: oracle_top(1, d),
 ], ids=["hh_basis", "ht_basis", "hb_basis", "perp_hb_basis", "oracle_top_dim", "oracle_pi",
-        "mult_a_alpha", "verify_lemma_kernel", "top_width"])
+        "mult_a_alpha", "verify_lemma_kernel", "oracle_top"])
 def test_degree_over_another_group_refused(query):
     with pytest.raises(DegreeError, match=r"^degree is over n=2, expected [13]$"):
         query(make_degree(2, 0, 0, [5]))
