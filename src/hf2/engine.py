@@ -12,12 +12,18 @@ the rows of `hf2.tate`, read at the class's first nonzero orientation
 power (over u_lambda_0, ..., u_lambda_{n-2}, then u_alpha): B2 is the
 orbit row's class when that power is negative, part (4) the Borel row's
 class when it is positive and u_alpha or a u_lambda above it is negative.
-Every renaming is one call of `eps_rename(m, k)`, which moves a class of
-the quotient group one group up and multiplies it by the a_lambda_0^k its
-degree forces.  One assembly path serves every n: for the group of order
-2 there are no blocks and part (2) is its negative cone, the B2 window of
-its orbit row, which renamed is the depth-0 base of the recursion at
-order 4.
+Both come from one solve of the row pair.  Every renaming is one call of
+`eps_rename(m, k)`, which moves a class of the quotient group one group up
+and multiplies it by the a_lambda_0^k its degree forces.  One assembly path
+serves every n: for the group of order 2 there are no blocks and part (2)
+is its negative cone, the B2 window of its orbit row, which renamed is the
+depth-0 base of the recursion at order 4.
+
+The induction runs through one memo keyed by the quotient degree q: its
+entry holds all that q hands up to a degree above it (its divisible
+classes with their depths, and the sources of B1 and of B3), so a degree
+renames one entry and solves its own row pair and positive cone.  The
+memo is cleared whole once the group orders it holds pass a cap.
 
 Every family is solved degreewise: given a target degree, the lambda
 slots and the alpha slot force all but finitely many exponents.  The
@@ -39,12 +45,17 @@ from collections import namedtuple
 
 from .reps import Degree, DegreeError, check_group, strip_lambda0
 from .monomial import Monomial, MonomialError, eps_rename, positive_cone_basis
-from .tate import basis_of, hb_row, hh_row
+from .tate import rows
 
 # The a_lambda_0/a_lambda_1 recursion descends one group order per frame
 # pair, so its depth grows with n; this bound keeps it well inside Python's
 # default recursion limit.
 MAX_N = 256
+
+
+def _too_deep(n: int) -> DegreeError:
+    """The refusal of an n past MAX_N, raised before the memo is read."""
+    return DegreeError(f"the engine's recursion needs n <= {MAX_N}, got n={n}")
 
 
 class PartOverlapError(RuntimeError):
@@ -86,6 +97,16 @@ def part_pos(n: int, d: Degree) -> frozenset[Monomial]:
     return positive_cone_basis(n, d)
 
 
+def _cone(n: int, d: Degree):
+    """The positive cone of degree d, solved only where it can be nonempty:
+    its classes have nonnegative exponents, so no coefficient of d is
+    positive.  Most degrees a scan meets fail this, and the test is much
+    cheaper than the solve."""
+    if d.c_alpha <= 0 and max(d.c_lambda, default=0) <= 0:
+        return positive_cone_basis(n, d)
+    return ()
+
+
 def _lowest(row: tuple) -> tuple[int, tuple[int, ...]]:
     """The first nonzero orientation power of a class with the exponents
     row (as `hf2.tate` gives them), read over u_lambda_0, ...,
@@ -98,53 +119,131 @@ def _lowest(row: tuple) -> tuple[int, tuple[int, ...]]:
     return 0, ()
 
 
-def _b2(n: int, d: Degree) -> frozenset[Monomial]:
-    """The suspension families with a negative a_lambda_0 power: the orbit
-    row's class if its first nonzero orientation power is negative.  For
-    n = 1 this is the negative cone of C_2, S a_alpha^-i u_alpha^-j with
-    i, j >= 1.  The window is read off the exponents, so a class is built
-    only when it is in."""
-    row = hb_row(n, d)
-    if row is not None and _lowest(row)[0] <= -1:
-        return basis_of(n, row)
-    return frozenset()
+def _windows(n: int, d: Degree) -> tuple[tuple[Monomial, ...], tuple[Monomial, ...]]:
+    """B2 and part (4) of degree d, from one solve of the Tate row pair.
+    B2, the suspension families with a negative a_lambda_0 power, is the
+    orbit row's class if its first nonzero orientation power is negative;
+    for n = 1 this is the negative cone of C_2, S a_alpha^-i u_alpha^-j with
+    i, j >= 1.  Part (4), the families outside the divisible part, is the
+    Borel row's class if its first nonzero orientation power is positive
+    while u_alpha or some u_lambda above it is inverted.  The windows are
+    read off the exponents, so a class is built only when it is in."""
+    borel, orbit = rows(n, d)
+    b2 = p4 = ()
+    if orbit is not None and _lowest(orbit)[0] <= -1:
+        b2 = (Monomial(n, *orbit),)
+    if borel is not None:
+        low, after = _lowest(borel)
+        if low >= 1 and min(after, default=0) < 0:
+            p4 = (Monomial(n, *borel),)
+    return b2, p4
 
 
 def part4(n: int, d: Degree) -> frozenset[Monomial]:
-    """Families outside the divisible part: the Borel row's class if its
-    first nonzero orientation power is positive while u_alpha or some
-    u_lambda above it is inverted."""
-    row = hh_row(n, d)
-    if row is not None:
-        low, after = _lowest(row)
-        if low >= 1 and min(after, default=0) < 0:
-            return basis_of(n, row)
-    return frozenset()
+    """Families outside the divisible part: the Borel row's window."""
+    return frozenset(_windows(n, d)[1])
+
+
+# -- the quotient memo ------------------------------------------------------
+
+
+# One entry per quotient degree q the engine has reached, keyed by the
+# degree alone (it carries n): a scan revisits the same quotient degrees,
+# and a 4096-entry LRU halved its throughput.  An entry is the tuple
+# (div, deps, b1, b3) of what q hands to each degree above it, as classes
+# of degree q that are renamed there by eps_rename(m, k): div, its
+# a_lambda_0-divisible classes, with deps the depth each carries once
+# renamed; b1, its positive-cone classes containing a_alpha^2 or some
+# a_lambda_i, the sources of B1; and b3, its part-(4) classes carrying
+# a_lambda_0, the sources of B3.  A class may sit in div and in b1, so the
+# roles are kept apart (as one shared object).
+#
+# The memo is cleared whole once the n of its keys sum past _MEMO_CAP,
+# which bounds it by what it stores, since an entry's classes carry O(n)
+# exponents.  The engine-scan benchmark reaches about half the cap, and a
+# scan at n = 128 peaks near 58 MB (89 MB under a cap of 2^20).  Every
+# empty tuple is the one shared (), every entry with nothing to hand on is
+# the one _NOTHING, and the stored keys' c_lambda and the deps share one
+# tuple per list of ints through _INTS.
+_MEMO_CAP = 1 << 19
+_NOTHING = ((), (), (), ())
+
+
+class _Memo(dict):
+    """A dict of quotient entries with `weight`, the sum of its keys' n."""
+
+    weight = 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.weight = 0
+
+
+_QUOTIENTS: _Memo = _Memo()
+_INTS: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
+def _quotient(q: Degree) -> tuple:
+    """The memo entry of degree q, built on a miss.  Over C_2 the divisible
+    classes are the negative cone, the B2 window; over a larger group they
+    are the renamed a_lambda_1-divisible classes, then the blocks with their
+    positive-cone members, which start at depth 0.  Each is stored with the
+    depth it carries once renamed: 0 for the negative cone of C_2, one more
+    than its depth in q otherwise."""
+    found = _QUOTIENTS.get(q)
+    if found is None:
+        if q.n == 1:
+            pairs, b3 = dict.fromkeys(_windows(1, q)[0], 0), ()
+        else:
+            tagged, p2 = _blocks(q.n, q, pos=True)
+            pairs = {m: dep + 1 for m, dep in p2}
+            for _, fam in tagged[:3]:
+                pairs.update(dict.fromkeys(fam, 1))
+            b3 = tuple([m for m in tagged[3][1] if m.e_a_lambda[0] >= 1])
+        shared = {m: m for m in pairs}
+        b1 = tuple([shared.get(m, m) for m in _cone(q.n, q)
+                    if m.e_a_alpha >= 2 or any(a >= 1 for a in m.e_a_lambda)])
+        if pairs or b1 or b3:
+            deps = tuple(pairs.values())
+            found = (tuple(pairs), _INTS.setdefault(deps, deps), b1, b3)
+        else:
+            found = _NOTHING
+        if _QUOTIENTS.weight + q.n > _MEMO_CAP:
+            _QUOTIENTS.clear()
+            _INTS.clear()
+        c = _INTS.setdefault(q.c_lambda, q.c_lambda)
+        _QUOTIENTS[q if c is q.c_lambda else Degree(q.n, q.t, q.c_alpha, c)] = found
+        _QUOTIENTS.weight += q.n
+    return found
 
 
 def _blocks(n: int, d: Degree, pos: bool = False) -> tuple:
-    """The explicit a_lambda_0-divisible blocks of degree d (n >= 2), as
-    (tag, monomials) pairs.
+    """The explicit families of degree d (n >= 2) as (tag, monomials)
+    pairs, B1, B2, B3 and then P4, with the a_lambda_1-divisible classes
+    as (monomial, depth) pairs, renamed as they are read: one read of the
+    quotient memo and one solve of the Tate row pair.  Every entry to the
+    recursion passes here first.
 
-    B2 is a window of the orbit row (`_b2`).  B1 and B3 are renamings
-    eps_rename(m, k) of quotient-group classes m, with k the a_lambda_0
-    power the degree forces: B1 comes from the quotient's positive-cone
-    classes containing a_alpha^2 or a rotation Euler class, B3 from its
-    part-(4) classes carrying a_lambda_0.  The renamed cone is B1 when c_lambda_0 >= 1.
-    Otherwise it is the set of positive-cone classes of d containing
-    a_alpha^2 or a_lambda_i (i >= 1), which gold keeps free of u_lambda_0,
-    and it is listed only if `pos` asks for it.
+    B2 and P4 are the windows of the row pair (`_windows`).  B1, B3 and the
+    divisible classes are renamings eps_rename(m, k) of the memo entry of
+    the quotient degree, with k the a_lambda_0 power the degree forces.
+    The renamed cone is B1 when c_lambda_0 >= 1.  Otherwise it is the set of
+    positive-cone classes of d containing a_alpha^2 or a_lambda_i (i >= 1),
+    which gold keeps free of u_lambda_0, and it is listed only if `pos`
+    asks for it.
     """
-    k, q = -d.c_lambda[0], strip_lambda0(d)
-    cone = frozenset()
-    if k < 0 or pos:
-        cone = frozenset(
-            eps_rename(m, k)
-            for m in positive_cone_basis(n - 1, q)
-            if m.e_a_alpha >= 2 or any(a >= 1 for a in m.e_a_lambda)
-        )
-    b3 = frozenset(eps_rename(m, k) for m in part4(n - 1, q) if m.e_a_lambda[0] >= 1)
-    return (("P3.B1", cone), ("P3.B2", _b2(n, d)), ("P3.B3", b3))
+    if n > MAX_N:
+        raise _too_deep(n)
+    # a Degree equals the plain tuple of its fields, so a hit needs no Degree
+    k = -d.c_lambda[0]
+    div, deps, b1, b3 = (_QUOTIENTS.get((n - 1, d.t, d.c_alpha, d.c_lambda[1:]))
+                         or _quotient(strip_lambda0(d)))
+    b2, p4 = _windows(n, d)
+    return ((("P3.B1", tuple([eps_rename(m, k) for m in b1]) if b1 and (k < 0 or pos) else ()),
+             ("P3.B2", b2),
+             ("P3.B3", tuple([eps_rename(m, k) for m in b3]) if b3 else ()),
+             ("P4", p4)),
+            ((eps_rename(m, k), dep) for m, dep in zip(div, deps)) if div else ())
 
 
 def _union(tagged) -> frozenset[Monomial]:
@@ -158,56 +257,24 @@ def part3(n: int, d: Degree) -> frozenset[Monomial]:
     """The literal three blocks, solved in degree d (n >= 3)."""
     if n < 3:
         raise DegreeError("part3 blocks need n >= 3")
-    return _union(_blocks(n, d))
-
-
-# The a_lambda_0-divisible set of each degree the recursion has reached,
-# keyed by the degree alone (it carries n) and unbounded: a scan revisits
-# the same quotient degrees, and a 4096-entry LRU halved its throughput.
-# Values are tuples, so every empty answer is the one shared (); a stored
-# key shares one c_lambda tuple per coefficient list through _C_LAMBDA.
-_D_LAMBDA0: dict[Degree, tuple[tuple[Monomial, int], ...]] = {}
-_C_LAMBDA: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-
-def _d_lambda0(d: Degree) -> tuple[tuple[Monomial, int], ...]:
-    """All classes of degree d infinitely divisible by a_lambda_0, with the
-    renaming depth that produced each: the a_lambda_1-divisible classes,
-    then the blocks and the positive-cone members at depth 0."""
-    found = _D_LAMBDA0.get(d)
-    if found is None:
-        if d.n < 2:
-            raise DegreeError("the a_lambda_0-divisible set needs n >= 2")
-        pairs = dict(_d_lambda1(d.n, d))
-        pairs.update(dict.fromkeys(_union(_blocks(d.n, d, pos=True)), 0))
-        found = tuple(pairs.items())
-        c = _C_LAMBDA.setdefault(d.c_lambda, d.c_lambda)
-        _D_LAMBDA0[Degree(d.n, d.t, d.c_alpha, c)] = found
-    return found
-
-
-def _d_lambda1(n: int, d: Degree) -> tuple[tuple[Monomial, int], ...]:
-    """Classes infinitely divisible by a_lambda_1: rename the divisible set
-    of the quotient group and restore the forced a_lambda_0 power.  For
-    n = 2, the base of the recursion, the renamed set is the negative cone
-    of C_2, at depth 0.  Every entry to the recursion passes here first."""
-    if n > MAX_N:
-        raise DegreeError(f"the engine's recursion needs n <= {MAX_N}, got n={n}")
-    k, q = -d.c_lambda[0], strip_lambda0(d)
-    if n == 2:
-        return tuple((eps_rename(m, k), 0) for m in _b2(1, q))
-    return tuple((eps_rename(m, k), dep + 1) for m, dep in _d_lambda0(q))
+    return _union(_blocks(n, d)[0][:3])
 
 
 def d_divisible(n: int, generator: str, d: Degree) -> frozenset[Monomial]:
-    """Divisible-class query for a_lambda_0 (n >= 2) or a_lambda_1 (n >= 3)."""
+    """Divisible-class query for a_lambda_0 (n >= 2) or a_lambda_1 (n >= 3):
+    the first is the memo entry of d itself, the second the renamed entry
+    of its quotient degree."""
     check_group(n, d)
     if generator == "aL0":
-        return frozenset(m for m, _ in _d_lambda0(d))
+        if n < 2:
+            raise DegreeError("the a_lambda_0-divisible set needs n >= 2")
+        if n > MAX_N:
+            raise _too_deep(n)
+        return frozenset(_quotient(d)[0])
     if generator == "aL1":
         if n < 3:
             raise DegreeError("the a_lambda_1-divisible set needs n >= 3")
-        return frozenset(m for m, _ in _d_lambda1(n, d))
+        return frozenset(m for m, _ in _blocks(n, d)[1])
     raise MonomialError(f"unsupported divisibility generator {generator!r}")
 
 
@@ -216,8 +283,9 @@ def part2(n: int, d: Degree) -> frozenset[Monomial]:
     the positive cone or in the explicit blocks."""
     if n < 3:
         raise DegreeError("part2 needs n >= 3")
-    listed = positive_cone_basis(n, d) | part3(n, d)
-    return frozenset(m for m, _ in _d_lambda1(n, d) if m not in listed)
+    tagged, p2 = _blocks(n, d)
+    listed = positive_cone_basis(n, d) | _union(tagged[:3])
+    return frozenset(m for m, _ in p2 if m not in listed)
 
 
 def part2_closed(n: int, d: Degree) -> frozenset[Monomial]:
@@ -227,7 +295,8 @@ def part2_closed(n: int, d: Degree) -> frozenset[Monomial]:
     Stage m contributes the blocks of C_{2^m} with their positive-cone
     members (for m = 1 the negative cone of C_2), renamed n-m times; the
     a_{lambda_j} exponents freed by the renamings are pinned by the target
-    degree.  Agreement with part2 is a consistency check on the induction
+    degree.  It reads the blocks but never the divisible classes the memo
+    holds, so agreement with part2 is a consistency check on the induction
     bookkeeping.
     """
     if n < 4:
@@ -239,9 +308,9 @@ def part2_closed(n: int, d: Degree) -> frozenset[Monomial]:
         base_deg = strip_lambda0(base_deg)
         m_group = n - renames
         if m_group == 1:
-            fams = _b2(1, base_deg)
+            fams = _windows(1, base_deg)[0]
         else:
-            fams = _union(_blocks(m_group, base_deg, pos=True))
+            fams = _union(_blocks(m_group, base_deg, pos=True)[0][:3])
         for y in fams:
             for j in reversed(range(renames)):
                 y = eps_rename(y, -d.c_lambda[j])
@@ -258,11 +327,11 @@ def basis(n: int, d: Degree) -> AnswerBasis:
     less what the first three already list.  For n = 1 there are no blocks
     and part (2) is the negative cone of C_2."""
     check_group(n, d)
-    found = {m: BasisElement(m, "POS", 0) for m in positive_cone_basis(n, d)}
+    found = {m: BasisElement(m, "POS", 0) for m in _cone(n, d)}
     if n == 1:
-        blocks, p2 = (), ((m, 0) for m in _b2(1, d))
+        blocks, p2 = (), ((m, 0) for m in _windows(1, d)[0])
     else:
-        blocks, p2 = _blocks(n, d) + (("P4", part4(n, d)),), _d_lambda1(n, d)
+        blocks, p2 = _blocks(n, d)
     for tag, fam in blocks:
         for m in fam:
             if m in found:

@@ -26,43 +26,38 @@ def group_cohomology_dim(n: int, s: int) -> int:
     return 1 if s >= 0 else 0
 
 
-def _row(n: int, d: Degree, sigma: int) -> tuple:
+def _solve(n: int, d: Degree) -> tuple[tuple, tuple]:
     """The exponents (sigma, e_a_alpha, e_u_alpha, e_a_lambda, e_u_lambda)
-    of the Tate class of degree d + sigma, desuspended sigma times: for
-    n = 1 a_alpha^(-c_alpha - s) u_alpha^s with s = t + sigma, otherwise
+    of the Tate classes of degrees d and d + 1, the second desuspended once:
+    for n = 1 a_alpha^(-c_alpha - s) u_alpha^s with s = t + sigma, otherwise
     a_alpha^eps u_alpha^s a_lambda_0^k u_lambda_0^s0 prod_{p>0} u_lambda_p^(-c_p)
     with eps = (t + sigma + c_alpha) mod 2, s = -c_alpha - eps, s0 forced by
-    t + sigma and k = -c_lambda_0 - s0.  Callers test a window on them
-    before a `Monomial` is built."""
+    t + sigma and k = -c_lambda_0 - s0.  The two share every u_lambda_p
+    power above p = 0, so both are solved at once; callers test a window
+    on them before a `Monomial` is built."""
     check_group(n, d)
-    t, a = d.t + sigma, d.c_alpha
+    t, a = d.t, d.c_alpha
     if n == 1:
-        return sigma, -a - t, t, (), ()
-    eps = (t + a) % 2
+        return (0, -a - t, t, (), ()), (1, -a - t - 1, t + 1, (), ())
     upper = tuple([-c for c in d.c_lambda[1:]])
+    zeros, k = (0,) * (n - 2), -d.c_lambda[0]
+    eps = (t + a) % 2
     s0 = (t + a + eps) // 2 - sum(upper)
-    eal = (-d.c_lambda[0] - s0,) + (0,) * (n - 2)
-    return sigma, eps, -a - eps, eal, (s0,) + upper
+    s1 = s0 + 1 - eps  # t + 1 flips eps; s0 moves up only when t + c_alpha is even
+    return ((0, eps, -a - eps, (k - s0,) + zeros, (s0,) + upper),
+            (1, 1 - eps, eps - a - 1, (k - s1,) + zeros, (s1,) + upper))
 
 
-def _euler_power(n: int, row: tuple) -> int:
-    """The exponent of the localized Euler class in a row's exponents."""
-    return row[1] if n == 1 else row[3][0]
-
-
-def hh_row(n: int, d: Degree) -> tuple | None:
-    """The exponents of the Borel row's class: the Tate class, if its power
-    of the localized Euler class is nonnegative; else None."""
-    row = _row(n, d, 0)
-    return row if _euler_power(n, row) >= 0 else None
-
-
-def hb_row(n: int, d: Degree) -> tuple | None:
-    """The exponents of the orbit row's class: the Tate class of degree
-    d + 1, desuspended once, if its power of the localized Euler class is
-    negative; else None."""
-    row = _row(n, d, 1)
-    return row if _euler_power(n, row) <= -1 else None
+def rows(n: int, d: Degree) -> tuple[tuple | None, tuple | None]:
+    """The exponents of the Borel and the orbit row's classes of degree d,
+    from one solve: the Tate class of d if its power of the localized Euler
+    class (a_alpha for n = 1, a_lambda_0 otherwise) is nonnegative, and the
+    Tate class of d + 1, desuspended once, if its power is negative; None
+    for a row with no class."""
+    borel, orbit = _solve(n, d)
+    if n == 1:
+        return borel if borel[1] >= 0 else None, orbit if orbit[1] <= -1 else None
+    return borel if borel[3][0] >= 0 else None, orbit if orbit[3][0] <= -1 else None
 
 
 def basis_of(n: int, row: tuple | None) -> frozenset[Monomial]:
@@ -71,20 +66,20 @@ def basis_of(n: int, row: tuple | None) -> frozenset[Monomial]:
 
 
 def hh_basis(n: int, d: Degree) -> frozenset[Monomial]:
-    """Homotopy fixed points: the class of `hh_row`."""
-    return basis_of(n, hh_row(n, d))
+    """Homotopy fixed points: the Borel row's class."""
+    return basis_of(n, rows(n, d)[0])
 
 
 def ht_basis(n: int, d: Degree) -> frozenset[Monomial]:
     """Tate: one class per degree.  All orientation classes and the
     localized Euler class are inverted; a_alpha is square-zero for n >= 2
     and a_lambda_0 is Laurent."""
-    return basis_of(n, _row(n, d, 0))
+    return basis_of(n, _solve(n, d)[0])
 
 
 def hb_basis(n: int, d: Degree) -> frozenset[Monomial]:
-    """Homotopy orbits: the class of `hb_row`."""
-    return basis_of(n, hb_row(n, d))
+    """Homotopy orbits: the orbit row's class."""
+    return basis_of(n, rows(n, d)[1])
 
 
 def perp_hb_basis(n: int, d: Degree) -> frozenset[Monomial]:

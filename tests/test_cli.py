@@ -748,16 +748,22 @@ class TestInternalFault:
         assert "internal error" in err and "not a cocycle" in err
 
     def test_part_overlap_exit_4(self, capsys, monkeypatch):
-        monkeypatch.setattr(engine, "part4", engine.positive_cone_basis)
+        # part (4) offering the positive cone trips the first overlap check;
+        # a fresh memo keeps the faulty entries from outliving the test
+        monkeypatch.setattr(engine, "_QUOTIENTS", engine._Memo())
+        monkeypatch.setattr(
+            engine, "_windows", lambda n, d: ((), tuple(engine.positive_cone_basis(n, d)))
+        )
         code, out, err = run_cli(capsys, "basis", "--n", "3", "--deg", "0,0,0,0")
         assert code == 4 and out == ""
         assert "internal error" in err
 
     def test_divisible_class_in_part2_exit_4(self, capsys, monkeypatch):
         # part (2) offering a part-(4) class trips the second overlap check
-        monkeypatch.setattr(
-            engine, "_d_lambda1", lambda n, d: ((m, 1) for m in engine.part4(n, d))
-        )
+        blocks = engine._blocks
+        monkeypatch.setattr(engine, "_QUOTIENTS", engine._Memo())
+        monkeypatch.setattr(engine, "_blocks", lambda n, d, pos=False: (
+            blocks(n, d, pos)[0], tuple((m, 1) for m in engine.part4(n, d))))
         code, out, err = run_cli(capsys, "basis", "--n", "3", "--deg", "0,-3,-3,2")
         assert code == 4 and out == ""
         assert "is divisible yet tagged P4" in err

@@ -4,7 +4,10 @@ import itertools
 import json
 import pickle
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -173,7 +176,7 @@ class TestDivisible:
         d = make_degree(3, -2, 2, [1, 0])
         if warm:
             d_divisible(3, "aL0", d)
-            assert d in engine._D_LAMBDA0
+            assert d in engine._QUOTIENTS
         for generator in ("aL0", "aL1"):
             with pytest.raises(DegreeError, match=r"^degree is over n=3, expected 4$"):
                 d_divisible(4, generator, d)
@@ -188,8 +191,8 @@ class TestDivisible:
 
 
 def clear_memo() -> None:
-    engine._D_LAMBDA0.clear()
-    engine._C_LAMBDA.clear()
+    engine._QUOTIENTS.clear()
+    engine._INTS.clear()
 
 
 def memo_scan(seed: int) -> list:
@@ -202,29 +205,61 @@ def memo_scan(seed: int) -> list:
             for _ in range(1000) for n, t, r in boxes]
 
 
-class TestMemo:
-    """The a_lambda_0 memo, `engine._D_LAMBDA0`: unbounded, so what one
-    entry costs is the engine's memory over a long scan."""
+def seeded_scan(n: int, count: int, seed: int) -> list:
+    """count seeded degrees of one n: t in -10..10, every other slot in -2..2."""
+    rng = random.Random(seed)
+    return [make_degree(n, rng.randint(-10, 10), rng.randint(-2, 2),
+                        [rng.randint(-2, 2) for _ in range(n - 1)])
+            for _ in range(count)]
 
-    def test_bytes_per_entry(self):
-        # what clearing the memo frees, per entry, after a seeded scan into
-        # an empty one: 213 B here, 530 B under the old lru_cache of frozensets
-        degrees = memo_scan(30)
+
+def memo_bytes(degrees) -> tuple[int, int, int]:
+    """What clearing the memo frees after a scan of degrees into an empty
+    one, with its entries and weight just before the clear."""
+    clear_memo()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for d in degrees:
+            basis(d.n, d)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        entries, weight = len(engine._QUOTIENTS), engine._QUOTIENTS.weight
         clear_memo()
         gc.collect()
-        tracemalloc.start()
-        try:
-            for d in degrees:
-                basis(d.n, d)
-            gc.collect()
-            held, entries = tracemalloc.get_traced_memory()[0], len(engine._D_LAMBDA0)
-            clear_memo()
-            gc.collect()
-            freed = held - tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        return held - tracemalloc.get_traced_memory()[0], entries, weight
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemo:
+    """The quotient memo, `engine._QUOTIENTS`: what one entry costs, and the
+    cap that bounds the engine's memory over a long scan."""
+
+    def test_bytes_per_entry(self):
+        # 231 B here; the a_lambda_0 memo this one replaced, which held the
+        # divisible classes alone, took 213 B, and an lru_cache of
+        # frozensets before it 530 B
+        freed, entries, _ = memo_bytes(memo_scan(30))
         assert entries > 5000
         assert freed / entries <= 400, (freed, entries)
+
+    def test_bounded_after_n64_scan(self):
+        # 400 degrees of n = 64 reach a weight (the sum of the keys' n) of
+        # about 8e5, past the cap of 2^19, so the memo has been cleared on
+        # the way: it retains 16 MB here, and would retain 46 MB unbounded
+        freed, entries, weight = memo_bytes(seeded_scan(64, 400, 64))
+        assert 0 < weight <= 1 << 19 and entries > 0
+        assert freed <= 32 << 20, freed
+        assert freed <= 64 * weight, (freed, weight)
+
+    def test_weight_is_the_sum_of_key_n(self):
+        clear_memo()
+        for d in memo_scan(33)[:400]:
+            basis(d.n, d)
+        assert engine._QUOTIENTS.weight == sum(k.n for k in engine._QUOTIENTS) > 0
+        clear_memo()
+        assert engine._QUOTIENTS.weight == 0 and not engine._QUOTIENTS
 
     def test_cold_and_warm_answers_agree(self):
         degrees = list(box_degrees(5, (-6, 6), (-1, 1), (-1, 1)))
@@ -236,36 +271,80 @@ class TestMemo:
             basis(5, d)
         assert [basis(5, d) for d in degrees] == cold
 
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_divisible_cold_and_warm_agree(self, n):
+        # both divisibility queries read the memo: aL0 the entry of d itself,
+        # aL1 the entry of its quotient degree
+        degrees = seeded_scan(n, 150, n)
+        for generator in ("aL0", "aL1"):
+            cold = []
+            for d in degrees:
+                clear_memo()
+                cold.append(d_divisible(n, generator, d))
+            for d in degrees:
+                d_divisible(n, generator, d)
+            assert [d_divisible(n, generator, d) for d in degrees] == cold
+            assert sum(map(bool, cold)) > 10, generator
+
     def test_empty_answers_share_one_tuple(self):
+        # every entry with nothing to hand on is the one _NOTHING, and every
+        # empty field is the one ()
         clear_memo()
         for d in memo_scan(31)[:2000]:
             basis(d.n, d)
-        memo = engine._D_LAMBDA0
-        empty = [v for v in memo.values() if not v]
+        memo = engine._QUOTIENTS
+        empty = [v for v in memo.values() if not any(v)]
         assert 2 * len(empty) > len(memo)
-        assert empty[0] == () and all(v is empty[0] for v in empty)
-        assert all(type(v) is tuple and all(type(p) is tuple for p in v) for v in memo.values())
+        assert all(v is engine._NOTHING for v in empty)
+        fields = [f for v in memo.values() for f in v]
+        blank = [f for f in fields if not f]
+        assert all(type(f) is tuple for f in fields)
+        assert blank[0] == () and all(f is blank[0] for f in blank)
+        assert all(len(v) == 4 and len(v[0]) == len(v[1]) for v in memo.values())
 
     def test_keys_share_c_lambda(self):
         # one stored c_lambda tuple per coefficient list, and every key over
-        # the degree its own value answers
+        # the degree of the classes its own entry holds
         clear_memo()
         for d in memo_scan(32)[:2000]:
             basis(d.n, d)
-        keys = list(engine._D_LAMBDA0)
+        keys = list(engine._QUOTIENTS)
         assert len({id(k.c_lambda) for k in keys}) == len({k.c_lambda for k in keys})
         for k in keys[::50]:
-            assert all(degree_of(m) == k for m, _ in engine._D_LAMBDA0[k])
+            div, _, b1, b3 = engine._QUOTIENTS[k]
+            assert all(degree_of(m) == k for m in div + b1 + b3)
+
+    @pytest.mark.slow
+    def test_n128_scan_peak_rss(self):
+        # a seeded n = 128 scan in a fresh process: 564 MB max RSS when the
+        # memo was unbounded, about 58 MB under the cap
+        code = (
+            "import resource, sys\n"
+            f"sys.path[:0] = {[str(Path(__file__).parent), str(Path(engine.__file__).parents[1])]!r}\n"
+            "from test_engine import seeded_scan\n"
+            "from hf2.engine import basis\n"
+            "for d in seeded_scan(128, 1000, 128):\n"
+            "    basis(d.n, d)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 100 * 1024, proc.stdout  # ru_maxrss is in KiB on Linux
 
 
 class TestPartition:
     def test_parts_disjoint_and_exhaustive(self):
-        for d in box_degrees(3, (-5, 5), (-2, 2), (-2, 2)):
-            sets = [part_pos(3, d), part2(3, d), part3(3, d), part4(3, d)]
-            for a, b in itertools.combinations(sets, 2):
-                assert not (a & b), str(d)
-            union = frozenset().union(*sets)
-            assert union == basis(3, d).monomials(), str(d)
+        # the n = 3 box, then small n = 4 and n = 5 boxes, whose blocks and
+        # part (2) are renamed from memo entries one and two groups down
+        boxes = ((3, (-5, 5), (-2, 2), (-2, 2)), (4, (-5, 5), (-1, 1), (-1, 1)),
+                 (5, (-4, 4), (-1, 1), (-1, 1)))
+        for n, *box in boxes:
+            for d in box_degrees(n, *box):
+                sets = [part_pos(n, d), part2(n, d), part3(n, d), part4(n, d)]
+                for a, b in itertools.combinations(sets, 2):
+                    assert not (a & b), str(d)
+                union = frozenset().union(*sets)
+                assert union == basis(n, d).monomials(), str(d)
 
     def test_tags_partition(self):
         for d in box_degrees(3, (-5, 5), (-2, 2), (-2, 2)):

@@ -714,10 +714,11 @@ class TestBudget:
 
 
 def test_widths_closed_form():
-    """`oracle._Model.width` and `orbit_counts` against the built tables: the
-    width equals the widest built degree, and the orbit counts are the built
-    dimensions of degrees s-1..s+1 (0 when degree s has no cells).  The
-    width `oracle_top` returns with its answer is the top-level one."""
+    """`oracle._Model.width` and the built tables against `orbit_counts`,
+    which counts orbits over every signature without a table: the width is
+    the largest count of degrees s-1..s+1, and the built dimensions are the
+    counts (all 0 when degree s has no cells).  The width `oracle_top`
+    returns with its answer is the top-level one."""
     rng = random.Random(1501)
     slices = nonempty = 0
     for n in range(1, 5):
@@ -728,11 +729,12 @@ def test_widths_closed_form():
                 *_, levels = oracle._slices(n, d, range(n + 1), 10 ** 9, extra)
                 for sl in levels:
                     model, built = sl.model, max(sl.dims.values())
-                    assert model.width(sl.s, sl.p) == built, (str(d), extra)
                     counts, live = model.orbit_counts(sl.p), model.lo <= sl.s <= model.hi
-                    for deg in (sl.s - 1, sl.s, sl.s + 1):
-                        expected = counts.get(deg, 0) if live else 0
-                        assert sl.dims[deg] == expected, (str(d), extra, deg)
+                    expected = {deg: counts.get(deg, 0) if live else 0
+                                for deg in (sl.s - 1, sl.s, sl.s + 1)}
+                    assert model.width(sl.s, sl.p) == max(expected.values()), (str(d), extra)
+                    for deg, count in expected.items():
+                        assert sl.dims[deg] == count, (str(d), extra, deg)
                     slices += 1
                     nonempty += built > 0
             assert oracle.oracle_top(n, d, 10 ** 9)[1] == closed_top_width(n, d), str(d)
