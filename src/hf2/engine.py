@@ -161,10 +161,10 @@ def part4(n: int, d: Degree) -> frozenset[Monomial]:
 # The memo is cleared whole once the n of its keys sum past _MEMO_CAP,
 # which bounds it by what it stores, since an entry's classes carry O(n)
 # exponents.  The engine-scan benchmark reaches about half the cap, and a
-# scan at n = 128 peaks near 58 MB (89 MB under a cap of 2^20).  Every
+# scan at n = 128 peaks near 59 MB (89 MB under a cap of 2^20).  Every
 # empty tuple is the one shared (), every entry with nothing to hand on is
-# the one _NOTHING, and the stored keys' c_lambda and the deps share one
-# tuple per list of ints through _INTS.
+# the one _NOTHING, and the stored keys' c_lambda, the deps and the stored
+# classes' lambda exponents share one tuple per list of ints through _INTS.
 _MEMO_CAP = 1 << 19
 _NOTHING = ((), (), (), ())
 
@@ -183,6 +183,15 @@ _QUOTIENTS: _Memo = _Memo()
 _INTS: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
+def _interned(m: Monomial) -> Monomial:
+    """m, with its lambda exponent tuples taken from _INTS."""
+    a = _INTS.setdefault(m.e_a_lambda, m.e_a_lambda)
+    u = _INTS.setdefault(m.e_u_lambda, m.e_u_lambda)
+    if a is m.e_a_lambda and u is m.e_u_lambda:
+        return m
+    return Monomial(m.n, m.sigma, m.e_a_alpha, m.e_u_alpha, a, u)
+
+
 def _quotient(q: Degree) -> tuple:
     """The memo entry of degree q, built on a miss.  Over C_2 the divisible
     classes are the negative cone, the B2 window; over a larger group they
@@ -199,13 +208,15 @@ def _quotient(q: Degree) -> tuple:
             pairs = {m: dep + 1 for m, dep in p2}
             for _, fam in tagged[:3]:
                 pairs.update(dict.fromkeys(fam, 1))
-            b3 = tuple([m for m in tagged[3][1] if m.e_a_lambda[0] >= 1])
-        shared = {m: m for m in pairs}
-        b1 = tuple([shared.get(m, m) for m in _cone(q.n, q)
-                    if m.e_a_alpha >= 2 or any(a >= 1 for a in m.e_a_lambda)])
+            b3 = [m for m in tagged[3][1] if m.e_a_lambda[0] >= 1]
+        b1 = [m for m in _cone(q.n, q)
+              if m.e_a_alpha >= 2 or any(a >= 1 for a in m.e_a_lambda)]
         if pairs or b1 or b3:
-            deps = tuple(pairs.values())
-            found = (tuple(pairs), _INTS.setdefault(deps, deps), b1, b3)
+            div, deps = tuple(map(_interned, pairs)), tuple(pairs.values())
+            shared = {m: m for m in div}
+            found = (div, _INTS.setdefault(deps, deps),
+                     tuple([shared.get(m) or _interned(m) for m in b1]),
+                     tuple(map(_interned, b3)))
         else:
             found = _NOTHING
         if _QUOTIENTS.weight + q.n > _MEMO_CAP:

@@ -237,7 +237,7 @@ class TestMemo:
     cap that bounds the engine's memory over a long scan."""
 
     def test_bytes_per_entry(self):
-        # 231 B here; the a_lambda_0 memo this one replaced, which held the
+        # 191 B here; the a_lambda_0 memo this one replaced, which held the
         # divisible classes alone, took 213 B, and an lru_cache of
         # frozensets before it 530 B
         freed, entries, _ = memo_bytes(memo_scan(30))
@@ -317,7 +317,7 @@ class TestMemo:
     @pytest.mark.slow
     def test_n128_scan_peak_rss(self):
         # a seeded n = 128 scan in a fresh process: 564 MB max RSS when the
-        # memo was unbounded, about 58 MB under the cap
+        # memo was unbounded, about 59 MB under the cap
         code = (
             "import resource, sys\n"
             f"sys.path[:0] = {[str(Path(__file__).parent), str(Path(engine.__file__).parents[1])]!r}\n"
