@@ -156,7 +156,7 @@ def part4(n: int, d: Degree) -> frozenset[Monomial]:
 # renamed; b1, its positive-cone classes containing a_alpha^2 or some
 # a_lambda_i, the sources of B1; and b3, its part-(4) classes carrying
 # a_lambda_0, the sources of B3.  A class may sit in div and in b1, so the
-# roles are kept apart (as one shared object).
+# roles are kept apart.
 #
 # The memo is cleared whole once the n of its keys sum past _MEMO_CAP,
 # which bounds it by what it stores, since an entry's classes carry O(n)
@@ -212,11 +212,9 @@ def _quotient(q: Degree) -> tuple:
         b1 = [m for m in _cone(q.n, q)
               if m.e_a_alpha >= 2 or any(a >= 1 for a in m.e_a_lambda)]
         if pairs or b1 or b3:
-            div, deps = tuple(map(_interned, pairs)), tuple(pairs.values())
-            shared = {m: m for m in div}
-            found = (div, _INTS.setdefault(deps, deps),
-                     tuple([shared.get(m) or _interned(m) for m in b1]),
-                     tuple(map(_interned, b3)))
+            deps = tuple(pairs.values())
+            found = (tuple(map(_interned, pairs)), _INTS.setdefault(deps, deps),
+                     tuple(map(_interned, b1)), tuple(map(_interned, b3)))
         else:
             found = _NOTHING
         if _QUOTIENTS.weight + q.n > _MEMO_CAP:

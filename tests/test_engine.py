@@ -237,7 +237,7 @@ class TestMemo:
     cap that bounds the engine's memory over a long scan."""
 
     def test_bytes_per_entry(self):
-        # 191 B here; the a_lambda_0 memo this one replaced, which held the
+        # 194 B here; the a_lambda_0 memo this one replaced, which held the
         # divisible classes alone, took 213 B, and an lru_cache of
         # frozensets before it 530 B
         freed, entries, _ = memo_bytes(memo_scan(30))
