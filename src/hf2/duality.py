@@ -26,8 +26,8 @@ def dual_degree(n: int, d: Degree) -> Degree:
     if n < 2:
         raise DegreeError("duality needs n >= 2")
     check_group(n, d)
-    c0, *rest = d.c_lambda
-    return Degree(n, -2 - d.t, -d.c_alpha, (1 - c0, *(-c for c in rest)))
+    c = d.c_lambda
+    return Degree(n, -2 - d.t, -d.c_alpha, (1 - c[0],) + tuple([-x for x in c[1:]]))
 
 
 def _is_unit_shape(m: Monomial) -> bool:

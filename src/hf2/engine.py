@@ -12,7 +12,8 @@ the rows of `hf2.tate`, read at the class's first nonzero orientation
 power (over u_lambda_0, ..., u_lambda_{n-2}, then u_alpha): B2 is the
 orbit row's class when that power is negative, part (4) the Borel row's
 class when it is positive and u_alpha or a u_lambda above it is negative.
-Both come from one solve of the row pair.  Every renaming is one call of
+Both are decided on the scalars of one solve of the row pair, and a class
+is built only when it is in its window.  Every renaming is one call of
 `eps_rename(m, k)`, which moves a class of the quotient group one group up
 and multiplies it by the a_lambda_0^k its degree forces.  One assembly path
 serves every n: for the group of order 2 there are no blocks and part (2)
@@ -45,7 +46,7 @@ from collections import namedtuple
 
 from .reps import Degree, DegreeError, check_group, strip_lambda0
 from .monomial import Monomial, MonomialError, eps_rename, positive_cone_basis
-from .tate import rows
+from .tate import exponents, solve
 
 # The a_lambda_0/a_lambda_1 recursion descends one group order per frame
 # pair, so its depth grows with n; this bound keeps it well inside Python's
@@ -97,45 +98,36 @@ def part_pos(n: int, d: Degree) -> frozenset[Monomial]:
     return positive_cone_basis(n, d)
 
 
-def _cone(n: int, d: Degree):
-    """The positive cone of degree d, solved only where it can be nonempty:
-    its classes have nonnegative exponents, so no coefficient of d is
-    positive.  Most degrees a scan meets fail this, and the test is much
-    cheaper than the solve."""
-    if d.c_alpha <= 0 and max(d.c_lambda, default=0) <= 0:
-        return positive_cone_basis(n, d)
-    return ()
-
-
-def _lowest(row: tuple) -> tuple[int, tuple[int, ...]]:
-    """The first nonzero orientation power of a class with the exponents
-    row (as `hf2.tate` gives them), read over u_lambda_0, ...,
-    u_lambda_{n-2} and then u_alpha, and the powers after it; (0, ()) if
-    every orientation power is 0."""
-    us = row[4] + (row[2],)
-    for r, u in enumerate(us):
-        if u:
-            return u, us[r + 1:]
-    return 0, ()
+def _lead(d: Degree, u: int) -> int:
+    """The first nonzero orientation power, read over u_lambda_0, ...,
+    u_lambda_{n-2} and then u_alpha, of a Tate class of d whose lead power
+    s (`hf2.tate.solve`) is 0: the first nonzero -c_p (p >= 1), else its
+    u_alpha power u; 0 if every power is 0."""
+    for c in d.c_lambda[1:]:
+        if c:
+            return -c
+    return u
 
 
 def _windows(n: int, d: Degree) -> tuple[tuple[Monomial, ...], tuple[Monomial, ...]]:
-    """B2 and part (4) of degree d, from one solve of the Tate row pair.
-    B2, the suspension families with a negative a_lambda_0 power, is the
-    orbit row's class if its first nonzero orientation power is negative;
-    for n = 1 this is the negative cone of C_2, S a_alpha^-i u_alpha^-j with
-    i, j >= 1.  Part (4), the families outside the divisible part, is the
-    Borel row's class if its first nonzero orientation power is positive
-    while u_alpha or some u_lambda above it is inverted.  The windows are
-    read off the exponents, so a class is built only when it is in."""
-    borel, orbit = rows(n, d)
+    """B2 and part (4) of degree d, decided on the scalars of one solve of
+    the Tate row pair (`hf2.tate.solve`).  B2, the suspension families with
+    a negative a_lambda_0 power, is the orbit row's class (k < s1) if its
+    first nonzero orientation power is negative; for n = 1 this is the
+    negative cone of C_2, S a_alpha^-i u_alpha^-j with i, j >= 1.  Part (4),
+    the families outside the divisible part, is the Borel row's class
+    (k >= s0) if that power is positive while u_alpha or some u_lambda
+    above it is inverted.  That first power is s, or `_lead` when s = 0.
+    Whatever it is, a power after it is negative exactly when u < 0 or some
+    c_p > 0 (p >= 1), since the powers before a first -c_p are 0 and for
+    n = 1 nothing follows s.  A class's exponent tuples and its Monomial
+    are built only when it is in."""
+    k, s0, u0, s1, u1 = solve(n, d)
     b2 = p4 = ()
-    if orbit is not None and _lowest(orbit)[0] <= -1:
-        b2 = (Monomial(n, *orbit),)
-    if borel is not None:
-        low, after = _lowest(borel)
-        if low >= 1 and min(after, default=0) < 0:
-            p4 = (Monomial(n, *borel),)
+    if k < s1 and (s1 or _lead(d, u1)) < 0:
+        b2 = (Monomial(n, *exponents(n, d, 1, s1, u1)),)
+    if k >= s0 and (s0 or _lead(d, u0)) > 0 and (u0 < 0 or max(d.c_lambda[1:], default=0) > 0):
+        p4 = (Monomial(n, *exponents(n, d, 0, s0, u0)),)
     return b2, p4
 
 
@@ -209,7 +201,7 @@ def _quotient(q: Degree) -> tuple:
             for _, fam in tagged[:3]:
                 pairs.update(dict.fromkeys(fam, 1))
             b3 = [m for m in tagged[3][1] if m.e_a_lambda[0] >= 1]
-        b1 = [m for m in _cone(q.n, q)
+        b1 = [m for m in positive_cone_basis(q.n, q)
               if m.e_a_alpha >= 2 or any(a >= 1 for a in m.e_a_lambda)]
         if pairs or b1 or b3:
             deps = tuple(pairs.values())
@@ -336,7 +328,7 @@ def basis(n: int, d: Degree) -> AnswerBasis:
     less what the first three already list.  For n = 1 there are no blocks
     and part (2) is the negative cone of C_2."""
     check_group(n, d)
-    found = {m: BasisElement(m, "POS", 0) for m in _cone(n, d)}
+    found = {m: BasisElement(m, "POS", 0) for m in positive_cone_basis(n, d)}
     if n == 1:
         blocks, p2 = (), ((m, 0) for m in _windows(1, d)[0])
     else:

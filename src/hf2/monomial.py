@@ -114,10 +114,10 @@ def positive_cone_basis(n: int, d: Degree) -> frozenset[Monomial]:
     a degree has at most n classes, and each is solved, not searched for.
     """
     check_group(n, d)
+    if d.c_alpha > 0 or max(d.c_lambda, default=0) > 0:
+        return frozenset()  # most degrees a scan meets, and cheaper than the solve
     a_tot = -d.c_alpha
-    lam = tuple(-c for c in d.c_lambda)
-    if a_tot < 0 or min(lam, default=0) < 0:
-        return frozenset()
+    lam = tuple([-c for c in d.c_lambda])
     out = []
     if 0 <= d.t <= a_tot:
         out.append(Monomial(n, 0, a_tot - d.t, d.t, lam, (0,) * (n - 1)))

@@ -53,7 +53,7 @@ class Degree(namedtuple("Degree", "n t c_alpha c_lambda")):
 def make_degree(n: int, t: int, c_alpha: int, c_lambda) -> Degree:
     if n < 1:
         raise DegreeError(f"n: group exponent must be >= 1, got {n}")
-    c_lambda = tuple(int(c) for c in c_lambda)
+    c_lambda = tuple(map(int, c_lambda))
     if len(c_lambda) != n - 1:
         raise DegreeError(
             f"c_lambda: expected {n - 1} lambda coefficients for n={n}, got {len(c_lambda)}"

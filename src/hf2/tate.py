@@ -10,7 +10,8 @@ cofibre sequence Sigma X_hG -> X^hG -> X^tG makes the other two rows
 windows of it: the Borel row is the class if its localized power is
 nonnegative, and the orbit row the once-desuspended class if it is
 negative, so their dimensions are 0 or 1.  The engine's block B2 and
-part (4) are in turn windows of the orbit and Borel rows.
+part (4) are in turn windows of the orbit and Borel rows, which it
+decides on the scalars of `solve` before `exponents` builds a class.
 """
 
 from __future__ import annotations
@@ -26,26 +27,37 @@ def group_cohomology_dim(n: int, s: int) -> int:
     return 1 if s >= 0 else 0
 
 
-def _solve(n: int, d: Degree) -> tuple[tuple, tuple]:
-    """The exponents (sigma, e_a_alpha, e_u_alpha, e_a_lambda, e_u_lambda)
-    of the Tate classes of degrees d and d + 1, the second desuspended once:
-    for n = 1 a_alpha^(-c_alpha - s) u_alpha^s with s = t + sigma, otherwise
-    a_alpha^eps u_alpha^s a_lambda_0^k u_lambda_0^s0 prod_{p>0} u_lambda_p^(-c_p)
-    with eps = (t + sigma + c_alpha) mod 2, s = -c_alpha - eps, s0 forced by
-    t + sigma and k = -c_lambda_0 - s0.  The two share every u_lambda_p
-    power above p = 0, so both are solved at once; callers test a window
-    on them before a `Monomial` is built."""
+def solve(n: int, d: Degree) -> tuple[int, int, int, int, int]:
+    """The scalars (k, s0, u0, s1, u1) of the Tate classes of degrees d and
+    d + 1, the second desuspended once; `exponents` builds either from them.
+    k is minus d's coefficient of the localized slot (alpha for n = 1,
+    lambda_0 otherwise), s the class's lead orientation power (u_alpha for
+    n = 1, u_lambda_0 otherwise) and k - s its localized power.  For n = 1
+    the class is a_alpha^(-c_alpha - s) u_alpha^s with s = t + sigma, and u
+    is 0, as no orientation power follows s.  Otherwise it is
+    a_alpha^eps u_alpha^u a_lambda_0^(k - s) u_lambda_0^s prod_{p>0}
+    u_lambda_p^(-c_p) with eps = (t + sigma + c_alpha) mod 2, u =
+    -c_alpha - eps and s forced by t + sigma; the two classes share every
+    u_lambda_p power above p = 0.  Callers test a window on the scalars
+    before any exponent tuple is built."""
     check_group(n, d)
-    t, a = d.t, d.c_alpha
+    t, a, c = d.t, d.c_alpha, d.c_lambda
     if n == 1:
-        return (0, -a - t, t, (), ()), (1, -a - t - 1, t + 1, (), ())
-    upper = tuple([-c for c in d.c_lambda[1:]])
-    zeros, k = (0,) * (n - 2), -d.c_lambda[0]
+        return -a, t, 0, t + 1, 0
     eps = (t + a) % 2
-    s0 = (t + a + eps) // 2 - sum(upper)
-    s1 = s0 + 1 - eps  # t + 1 flips eps; s0 moves up only when t + c_alpha is even
-    return ((0, eps, -a - eps, (k - s0,) + zeros, (s0,) + upper),
-            (1, 1 - eps, eps - a - 1, (k - s1,) + zeros, (s1,) + upper))
+    s0 = (t + a + eps) // 2 + sum(c) - c[0]
+    # t + 1 flips eps; s moves up only when t + c_alpha is even
+    return -c[0], s0, -a - eps, s0 + 1 - eps, eps - a - 1
+
+
+def exponents(n: int, d: Degree, sigma: int, s: int, u: int) -> tuple:
+    """The exponents (sigma, e_a_alpha, e_u_alpha, e_a_lambda, e_u_lambda)
+    of the Tate class of degree d + sigma, desuspended sigma times, with
+    the scalars s and u that `solve` gives it."""
+    if n == 1:
+        return sigma, -d.c_alpha - s, s, (), ()
+    return (sigma, -d.c_alpha - u, u, (-d.c_lambda[0] - s,) + (0,) * (n - 2),
+            (s,) + tuple([-c for c in d.c_lambda[1:]]))
 
 
 def rows(n: int, d: Degree) -> tuple[tuple | None, tuple | None]:
@@ -54,10 +66,9 @@ def rows(n: int, d: Degree) -> tuple[tuple | None, tuple | None]:
     class (a_alpha for n = 1, a_lambda_0 otherwise) is nonnegative, and the
     Tate class of d + 1, desuspended once, if its power is negative; None
     for a row with no class."""
-    borel, orbit = _solve(n, d)
-    if n == 1:
-        return borel if borel[1] >= 0 else None, orbit if orbit[1] <= -1 else None
-    return borel if borel[3][0] >= 0 else None, orbit if orbit[3][0] <= -1 else None
+    k, s0, u0, s1, u1 = solve(n, d)
+    return (exponents(n, d, 0, s0, u0) if k >= s0 else None,
+            exponents(n, d, 1, s1, u1) if k < s1 else None)
 
 
 def basis_of(n: int, row: tuple | None) -> frozenset[Monomial]:
@@ -74,7 +85,8 @@ def ht_basis(n: int, d: Degree) -> frozenset[Monomial]:
     """Tate: one class per degree.  All orientation classes and the
     localized Euler class are inverted; a_alpha is square-zero for n >= 2
     and a_lambda_0 is Laurent."""
-    return basis_of(n, _solve(n, d)[0])
+    _, s0, u0, _, _ = solve(n, d)
+    return basis_of(n, exponents(n, d, 0, s0, u0))
 
 
 def hb_basis(n: int, d: Degree) -> frozenset[Monomial]:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hf2 import engine
+from hf2 import engine, tate
 from hf2.engine import (
     AnswerBasis,
     BasisElement,
@@ -27,7 +27,7 @@ from hf2.engine import (
     summand_audit,
     summand_count,
 )
-from hf2.monomial import degree_of, parse_monomial, times_a_lambda
+from hf2.monomial import Monomial, degree_of, parse_monomial, times_a_lambda
 from hf2.reps import DegreeError, lambda_degree, make_degree, zero_degree
 
 from fixtures import box_degrees, c2_closed_form, c4_closed_form, c8_closed_form
@@ -128,6 +128,75 @@ class TestParts:
     def test_part2_needs_n3(self):
         with pytest.raises(DegreeError):
             part2(2, zero_degree(2))
+
+
+def rows_windows(n, d):
+    """B2 and part (4) read off the exponent tuples of both rows
+    (`tate.rows`): a row's class is in when its first nonzero orientation
+    power, over u_lambda_0, ..., u_lambda_{n-2} and then u_alpha, is
+    negative (B2, orbit row) or positive with a negative power after it
+    (part (4), Borel row)."""
+    def lowest(row):
+        us = row[4] + (row[2],)
+        for r, u in enumerate(us):
+            if u:
+                return u, us[r + 1:]
+        return 0, ()
+
+    borel, orbit = tate.rows(n, d)
+    b2 = p4 = ()
+    if orbit is not None and lowest(orbit)[0] < 0:
+        b2 = (Monomial(n, *orbit),)
+    if borel is not None:
+        low, after = lowest(borel)
+        if low > 0 and any(u < 0 for u in after):
+            p4 = (Monomial(n, *borel),)
+    return b2, p4
+
+
+def window_degrees() -> list:
+    """Every degree of boxes n = 1, 2 (t +-8, others +-3), n = 3, 4 (t +-6,
+    +-2) and n = 5 (t +-4, +-1), then 2000 seeded degrees of n = 6..24."""
+    boxes = ((1, 8, 3), (2, 8, 3), (3, 6, 2), (4, 6, 2), (5, 4, 1))
+    out = [d for n, t, r in boxes for d in box_degrees(n, (-t, t), (-r, r), (-r, r))]
+    rng = random.Random(34)
+    for _ in range(2000):
+        n = rng.randint(6, 24)
+        out.append(make_degree(n, rng.randint(-10, 10), rng.randint(-2, 2),
+                               [rng.randint(-2, 2) for _ in range(n - 1)]))
+    return out
+
+
+class TestWindows:
+    """`engine._windows` decides B2 and part (4) on the scalars of the row
+    solve; these read them off both rows' exponent tuples instead."""
+
+    def test_matches_rows(self):
+        degrees = window_degrees()
+        fired = [0, 0]
+        for d in degrees:
+            got = engine._windows(d.n, d)
+            assert got == rows_windows(d.n, d), str(d)
+            fired[0] += bool(got[0])
+            fired[1] += bool(got[1])
+        assert len(degrees) == 119 + 833 + 1625 + 8125 + 2187 + 2000
+        assert min(fired) > 500, fired
+
+    def test_builds_nothing_outside(self, monkeypatch):
+        rng = random.Random(35)
+        degrees = []
+        while len(degrees) < 500:
+            n = rng.randint(1, 8)
+            d = make_degree(n, rng.randint(-8, 8), rng.randint(-2, 2),
+                            [rng.randint(-2, 2) for _ in range(n - 1)])
+            if rows_windows(n, d) == ((), ()):
+                degrees.append(d)
+        built = []
+        monkeypatch.setattr(engine, "Monomial", lambda *a: built.append(a))
+        monkeypatch.setattr(engine, "exponents", lambda *a: built.append(a))
+        for d in degrees:
+            assert engine._windows(d.n, d) == ((), ())
+        assert built == []
 
 
 class TestDivisible:
