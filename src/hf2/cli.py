@@ -70,7 +70,7 @@ class DegreeBox:
         return ",".join(f"{name}={lo}..{hi}" for name, (lo, hi) in zip(names, self.ranges))
 
 
-_RANGE_RE = re.compile(r"(t|a|l(\d+))=(-?\d+)\.\.(-?\d+)\Z")
+_RANGE_RE = re.compile(r"(t|a|l(\d+))=(-?\d+)\.\.(-?\d+)\Z", re.ASCII)
 
 
 def parse_box(text: str, n: int) -> DegreeBox:

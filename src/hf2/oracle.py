@@ -26,27 +26,27 @@ the dual alpha cell pair (`_DUAL_ALPHA`) is one.
 
 Every entry point (`oracle_top_dim`, `oracle_pi`, `mult_a_alpha`,
 `verify_lemma_kernel`) reads the same way: it asks `_slices` for the level
-slices of one model (a factor list, `_Model`), or of a model and its smash
-with one extra factor, and reads groups (`_LevelSlice.reducer`) and maps
-(`_orbit_induced`) off them.  `_Model` computes once what the factors alone
-fix: the interval of degrees with cells, the signatures of a degree window
-with their blocks, shared by every level, and, once per window and level,
-the class table of those signatures with the orbit count of each degree.
-`_slices` sizes the budget from that table before `_Model.level`, the one
-slice constructor, builds anything, and the slice takes the same table, so
-each query sizes its window once.  A `_LevelSlice` is the level-j fixed
-subcomplex of a model in the three cochain degrees s-1, s, s+1 the answer
-reads, straight from orbit data.  A cell of the model is a tuple of factor
-degrees (a signature) plus one coordinate in Z/B per factor (B the factor's
-block at that degree); gamma adds 1 to every coordinate, and level j is the
-action of gamma^(2^(n-j)).  A differential is emitted column by column, in the
-column-major form `gf2` takes, as the image of each source orbit sum: the
-coefficient of a target orbit O' in d(sum O) is the number of cells of O'
-that d(rep O) hits, times |O| / |O'|, mod 2, so no bottom-level vector is
-formed; a factor's move adds bit masks fixed by its kind (a whole-block
-move hits the whole target block, 1 - gamma and its transpose two cells).
-A degree s outside the model's interval has group 0, lists no signature and
-is never refused by the budget.
+slices of one model, or of a model and its smash with the dual alpha pair,
+and reads groups (`_LevelSlice.reducer`) and maps (`_orbit_induced`) off
+them.  A model (`_Model`) is one factor list fixed at the query's degree s,
+the window s-1..s+1: it lists the signatures of the window with their
+blocks once, for every level, and keeps per level the class table of those
+signatures with the orbit count of each degree.  `_slices` sizes the budget
+from that table before any slice is built, and the slice takes the same
+table, so each query sizes its window once.  A `_LevelSlice` is the level-j
+fixed subcomplex of a model in the window, straight from orbit data.  A
+cell of the model is a tuple of factor degrees (a signature) plus one
+coordinate in Z/B per factor (B the factor's block at that degree); gamma
+adds 1 to every coordinate, and level j is the action of gamma^(2^(n-j)).
+A differential is emitted column by column, in the column-major form `gf2`
+takes, as the image of each source orbit sum: the coefficient of a target
+orbit O' in d(sum O) is the number of cells of O' that d(rep O) hits, times
+|O| / |O'|, mod 2, so no bottom-level vector is formed; a factor's move adds
+bit masks fixed by its kind (a whole-block move hits the whole target
+block, 1 - gamma and its transpose two cells).
+`_slices` decides emptiness once, on the coefficients: a degree s where no
+model it reads has cells has group 0, builds no factor, lists no signature
+and is never refused by the budget.
 `oracle_pi` builds level 0 only when |d| = 0: level 0 is the underlying
 non-equivariant sphere of dimension |d|, whose mod-2 group at d is F_2 at
 |d| = 0 and 0 otherwise, so for |d| != 0 levels 1..n are built and the
@@ -55,13 +55,14 @@ res, tr, gamma and multiplication by a_alpha (the inclusion of the model
 into its smash with one dual alpha cell pair) act on orbit indices in closed
 form.
 
-Moves are compiled once per shape.  What a move adds to a class's columns
-(`_LevelSlice._add_move`) depends on the slice only through p, the blocks of
-its source and target classes, which fix their stars, periods, radices and
-strides (`_shape`, one table for every class), the factor f it moves and its
-turn (1 - gamma, its transpose, or a whole-block move); the target's offset
-only shifts the masks.  So `cols` keys each move by (p, source blocks,
-target blocks, f, turn), builds its nonzero columns once at target offset 0
+Moves are compiled once per pair of classes.  A `_CellClass`, one object
+per (blocks, p) in the process, fixes the star, period, radices and strides
+of every signature with those blocks at that level.  What a move adds to a
+class's columns (`_LevelSlice._add_move`) depends on the slice only through
+its source and target classes, the factor f it moves and its turn (1 -
+gamma, its transpose, or a whole-block move); the target's offset only
+shifts the masks.  So `cols` keys each move by (source class, target class,
+f, turn), builds its nonzero columns once at target offset 0
 (`_template`), and from then on XORs them in shifted by the target's
 offset, with no walk or table built.  The key names all that `_add_move`
 reads, so a memo filled by any degree gives what a direct build gives.
@@ -88,7 +89,7 @@ from .reps import DEFAULT_BUDGET, Degree, DegreeError, check_group
 from . import reps
 
 # Moves out of classes of at most this many orbits (256 at most: a template
-# stores a position in one byte) are compiled once per shape
+# stores a position in one byte) are compiled once per pair of classes
 # (`_LevelSlice.cols`); a larger class's moves are built directly, which
 # bounds the memo's memory.
 TEMPLATE_MAX = 64
@@ -127,22 +128,11 @@ class _Factor(namedtuple("_Factor", "sign blocks kinds")):
     __slots__ = ()
 
 
-def _factors(n: int, d: Degree, s: int | None = None) -> list[_Factor]:
+def _factors(n: int, d: Degree) -> list[_Factor]:
     """The chain factors of d = t + P - N: P, then N, each left out when 0.
     Summands come by decreasing kernel: a copy of alpha adds one cell of
     block 2 by a whole-block move, a copy of lambda_i, for i = n-2 down to 0,
-    two cells of block 2^(n-i), by a whole-block move and 1 - gamma.
-
-    Given a query degree s, the coefficients decide first whether s lies in
-    -dim N..dim P, the interval with cells; outside it no chain is built and
-    [] is returned: the unit model, with cells in degree 0 only, has none at
-    s either (s != 0)."""
-    check_group(n, d)
-    if s is not None:
-        net = d.c_alpha + 2 * sum(d.c_lambda)
-        span = abs(d.c_alpha) + 2 * sum(map(abs, d.c_lambda))
-        if not (net - span) // 2 <= s <= (net + span) // 2:
-            return []
+    two cells of block 2^(n-i), by a whole-block move and 1 - gamma."""
     summands = [(d.c_alpha, 2, (0,))]
     summands += [(d.c_lambda[i], 1 << (n - i), (0, 1)) for i in range(n - 2, -1, -1)]
     out = []
@@ -159,17 +149,25 @@ def _factors(n: int, d: Degree, s: int | None = None) -> list[_Factor]:
 
 
 class _Model:
-    """What one factor list (`_factors`, with `_DUAL_ALPHA` appended for the
-    a_alpha target) fixes for every degree and level, each computed once.
-    Factor f adds sign * u for u in 0..length, its count of moves, so the
-    factors add every degree of lo..hi, the interval of cochain degrees with
-    cells.  Blocks may grow along a factor and differ between factors: a
-    signature's orbit count at a level is `_shape`'s, the pair formula.
-    `table`, built once per window and level, serves budget and slice alike.
+    """The window of one query: the model of one factor list (`_factors`,
+    with `_DUAL_ALPHA` appended for the a_alpha target) in cochain degrees
+    s-1, s and s+1.  Factor f adds sign * u for u in 0..length, its count of
+    moves, so the factors add every degree of lo..hi, the interval of
+    cochain degrees with cells.  `signatures` lists, once, the (sig, blocks)
+    of every factor-degree signature of the window, in product order; blocks
+    holds each factor's block at its factor degree.  Grown one factor at a
+    time, a prefix stays while the factors after it, which add every degree
+    of lo..hi with the factors so far peeled off, can bring it into
+    s-1..s+1; each prefix's factor degrees u of the next factor are that
+    range, so the listing costs what it lists.  When s is outside lo..hi,
+    nothing is listed.  `table`, built once per level, serves budget and
+    slice alike.
     """
 
-    def __init__(self, n: int, factors: list[_Factor]):
-        self.n, self.factors = n, factors
+    __slots__ = ("n", "factors", "s", "lo", "hi", "signatures", "_tables")
+
+    def __init__(self, n: int, factors: list[_Factor], s: int):
+        self.n, self.factors, self.s = n, factors, s
         lo = hi = 0
         for sign, _, kinds in factors:
             if sign > 0:
@@ -177,23 +175,11 @@ class _Model:
             else:
                 lo -= len(kinds)
         self.lo, self.hi = lo, hi
-        self._signatures, self._tables = {}, {}  # by s, by (s, p)
-
-    def signatures(self, s: int) -> dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
-        """(sig, blocks) of every factor-degree signature of cochain degrees
-        s-1, s and s+1, in product order, listed once for every level; blocks
-        holds each factor's block at its factor degree.  Grown one factor at
-        a time, a prefix stays while the factors after it, which add every
-        degree of lo..hi with the factors so far peeled off, can bring it into
-        s-1..s+1; each prefix's factor degrees u of the next factor are that
-        range, so the listing costs what it lists.  When s is outside lo..hi,
-        nothing is listed."""
-        if s in self._signatures:
-            return self._signatures[s]
-        by_degree = self._signatures[s] = {s - 1: [], s: [], s + 1: []}
-        if self.lo <= s <= self.hi:
-            prefixes, lo, hi = [((), 0)], self.lo, self.hi
-            for sign, _, kinds in self.factors:
+        self.signatures = {s - 1: [], s: [], s + 1: []}
+        self._tables = {}  # by p
+        if lo <= s <= hi:
+            prefixes = [((), 0)]
+            for sign, _, kinds in factors:
                 length = len(kinds)
                 if sign > 0:
                     hi -= length
@@ -208,129 +194,119 @@ class _Model:
                               for u in range(max(a, 0), min(b, length) + 1)]
                 prefixes = grown
             for sig, deg in prefixes:
-                blocks = tuple(f.blocks[u] for f, u in zip(self.factors, sig))
-                by_degree[deg].append((sig, blocks))
-        return by_degree
+                blocks = tuple(f.blocks[u] for f, u in zip(factors, sig))
+                self.signatures[deg].append((sig, blocks))
 
     def orbit_counts(self, p: int) -> dict[int, int]:
         """Orbits by cochain degree at the level whose orbits have at most p
-        cells, over every signature; a degree with none is left out."""
+        cells, over every signature of every degree; a degree with none is
+        left out."""
         counts = {}
         for sig in product(*(range(len(f.blocks)) for f in self.factors)):
             deg = sum(f.sign * u for f, u in zip(self.factors, sig))
             blocks = tuple(f.blocks[u] for f, u in zip(self.factors, sig))
-            counts[deg] = counts.get(deg, 0) + _shape_of(blocks, p)[4]
+            counts[deg] = counts.get(deg, 0) + _cell_class(blocks, p).count
         return counts
 
-    def table(self, s: int, p: int) -> tuple[dict, dict]:
-        """(classes, dims) of degrees s-1..s+1 at the level whose orbits have
-        at most p cells, once per (s, p): classes[deg] the `_CellClass` of each
-        signature of degree deg, in index order, dims[deg] their orbits."""
-        if not self.lo <= s <= self.hi:  # no signature: three empty degrees
-            return {s - 1: {}, s: {}, s + 1: {}}, {s - 1: 0, s: 0, s + 1: 0}
-        table = self._tables.get((s, p))
+    def table(self, p: int) -> tuple[dict, dict]:
+        """(classes, dims) of the window at the level whose orbits have at
+        most p cells, once per p: classes[deg] maps each signature of degree
+        deg, in index order, to its `_CellClass` and the index of its first
+        orbit; dims[deg] is the degree's orbit count."""
+        table = self._tables.get(p)
         if table is None:
             classes, dims = {}, {}
-            for deg, sigs in self.signatures(s).items():
+            for deg, sigs in self.signatures.items():
                 row, offset = {}, 0
                 for sig, blocks in sigs:
-                    row[sig] = cls = _CellClass(sig, blocks, p, offset)
+                    cls = _cell_class(blocks, p)
+                    row[sig] = cls, offset
                     offset += cls.count
                 classes[deg], dims[deg] = row, offset
-            table = self._tables[s, p] = classes, dims
+            table = self._tables[p] = classes, dims
         return table
-
-    def width(self, s: int, p: int) -> int:
-        """The widest of cochain degrees s-1..s+1, in orbits, at the level
-        whose orbits have at most p cells: 0, with no table, outside lo..hi."""
-        if not self.lo <= s <= self.hi:
-            return 0
-        return max(self.table(s, p)[1].values())
-
-    def level(self, j: int, s: int) -> _LevelSlice:
-        """The level-j slice of degrees s-1..s+1: the one way a slice is made."""
-        return _LevelSlice(self, s, j)
-
-
-def _shape(blocks: tuple[int, ...], p: int) -> tuple:
-    """(star, period, radices, strides, count) of the classes of `blocks` at
-    the level whose orbits have at most p cells: see `_CellClass`.  count is
-    the product of the blocks with the largest capped at p; for a cell pair
-    with blocks b and b', min(max(b, b'), p) min(b, b')."""
-    big = max(blocks, default=1)
-    star = blocks.index(big) if big > p else -1
-    radices = tuple(p if f == star else b for f, b in enumerate(blocks))
-    strides, step = [], 1
-    for r in reversed(radices):
-        strides.append(step)
-        step *= r
-    # gamma^period fixes every cell; orbit size period / p
-    return star, max(big, p), radices, tuple(reversed(strides)), step
-
-
-# (blocks, p) -> `_shape`, shared by every class, signature and level
-_SHAPES: dict[tuple, tuple] = {}
-
-
-def _shape_of(blocks: tuple[int, ...], p: int) -> tuple:
-    shape = _SHAPES.get((blocks, p))
-    if shape is None:
-        shape = _SHAPES[blocks, p] = _shape(blocks, p)
-    return shape
 
 
 class _CellClass:
-    """The orbits of one factor-degree signature at one level.
+    """The orbits of every signature with the given blocks, one per factor,
+    at the level whose orbits have at most p cells, one object per (blocks,
+    p) (`_cell_class`).
 
     Representatives fix the coordinate of the first factor with the largest
-    block to [0, p) when that block exceeds p; every other coordinate is
-    free.  Orbit index = offset + mixed radix of the representative.
+    block (the star) to [0, p) when that block exceeds p; every other
+    coordinate is free.  The mixed radix of the representative, over radices
+    (the blocks with the star's capped at p) and strides, numbers the count
+    orbits, the product of the radices: for a cell pair with blocks b and
+    b', min(max(b, b'), p) min(b, b').  gamma^period fixes every cell;
+    orbit size period / p.
     """
 
-    __slots__ = ("sig", "blocks", "star", "period", "radices", "strides", "offset", "count")
+    __slots__ = ("blocks", "star", "period", "radices", "strides", "count")
 
-    def __init__(self, sig: tuple[int, ...], blocks: tuple[int, ...], p: int, offset: int):
-        self.sig, self.blocks, self.offset = sig, blocks, offset
-        self.star, self.period, self.radices, self.strides, self.count = _shape_of(blocks, p)
+    def __init__(self, blocks: tuple[int, ...], p: int):
+        self.blocks = blocks
+        big = max(blocks, default=1)
+        self.star = blocks.index(big) if big > p else -1
+        self.period = max(big, p)
+        self.radices = tuple(p if f == self.star else b for f, b in enumerate(blocks))
+        strides, step = [], 1
+        for r in reversed(self.radices):
+            strides.append(step)
+            step *= r
+        self.strides, self.count = tuple(reversed(strides)), step
 
 
-# (p, source blocks, target blocks, f, turn) -> one move's nonzero columns at
+# (blocks, p) -> its `_CellClass`, shared by every signature, model and level
+_CLASSES: dict[tuple, _CellClass] = {}
+
+
+def _cell_class(blocks: tuple[int, ...], p: int) -> _CellClass:
+    cls = _CLASSES.get((blocks, p))
+    if cls is None:
+        cls = _CLASSES[blocks, p] = _CellClass(blocks, p)
+    return cls
+
+
+# (source class, target class, f, turn) -> one move's nonzero columns at
 # target offset 0 (`_LevelSlice._template`)
 _TEMPLATES: dict[tuple, tuple] = {}
 
 
 class _LevelSlice:
     """Level-j fixed subcomplex of the cell model of a `_Model`'s factors (a
-    degree d giving s = -t), in cochain degrees s-1, s and s+1 only, with
-    orbit-sum bases.  Made by `_Model.level`.
+    degree d giving s = -t), in the model's cochain degrees s-1, s and s+1,
+    with orbit-sum bases.
 
-    classes and dims are the model's table of (s, p) (`_Model.table`), as
-    the budget read it; at level 0 every orbit is a single cell, so dims
+    classes and dims are the model's table at this level (`_Model.table`),
+    as the budget read it; at level 0 every orbit is a single cell, so dims
     are the bottom-level widths.  cols(deg) is the differential deg ->
     deg + 1 in the column-major form `gf2` takes: one column per degree-deg
     orbit sum, with the |O| / |O'| rule of the module docstring applied per
     pair of classes.
     """
 
-    def __init__(self, model: _Model, s: int, j: int):
-        self.model, self.factors, self.s = model, model.factors, s
+    def __init__(self, model: _Model, j: int):
+        self.factors, self.s = model.factors, model.s
         self.p = 1 << (model.n - j)
-        self.classes, self.dims = model.table(s, self.p)
+        self.classes, self.dims = model.table(self.p)
 
-    def index(self, cls: _CellClass, x) -> int:
-        """Orbit index of the cell with coordinates x in class cls."""
+    def index(self, sig: tuple[int, ...], x) -> int:
+        """Orbit index of the degree-s cell with signature sig and
+        coordinates x."""
+        cls, offset = self.classes[self.s][sig]
         if cls.star >= 0:
             k = x[cls.star] // self.p * self.p
             if k:
                 x = [(v - k) % b for v, b in zip(x, cls.blocks)]
-        return cls.offset + sum(map(mul, x, cls.strides))
+        return offset + sum(map(mul, x, cls.strides))
 
     @cached_property
     def orbits(self) -> list:
-        """(class, representative) of every degree-s orbit, in index order."""
+        """(signature, class, representative) of every degree-s orbit, in
+        index order."""
         return [
-            (cls, x)
-            for cls in self.classes[self.s].values()
+            (sig, cls, x)
+            for sig, (cls, _) in self.classes[self.s].items()
             for x in product(*map(range, cls.radices))
         ]
 
@@ -338,8 +314,8 @@ class _LevelSlice:
         """The level differential from degree deg to deg + 1 as columns, one
         per degree-deg orbit O in index order: the image of the orbit sum.
         Each move out of a class of at most `TEMPLATE_MAX` orbits comes from
-        its shape's template (module docstring); a larger class's moves are
-        built directly.
+        its template (module docstring); a larger class's moves are built
+        directly.
 
         Counting pairs (x in O, y in O') with y in supp d(x) both ways, the
         coefficient of O' is |supp d(rep O) & O'| |O| / |O'| mod 2.  Orbit
@@ -351,8 +327,8 @@ class _LevelSlice:
         source cell's stabilizer gamma^period.
         """
         dst = self.classes[deg + 1]
-        p, out = self.p, []
-        for sig, cls in self.classes[deg].items():
+        out = []
+        for sig, (cls, _) in self.classes[deg].items():
             cols = [0] * cls.count
             large = cls.count > TEMPLATE_MAX  # no template, to bound memory
             for f, (sign, _, kinds) in enumerate(self.factors):
@@ -363,17 +339,16 @@ class _LevelSlice:
                     v, turn = u - 1, -kinds[u - 1]  # turn -1, its transpose: y and y - 1
                 else:
                     continue
-                tgt = dst[sig[:f] + (v,) + sig[f + 1:]]
+                tgt, o = dst[sig[:f] + (v,) + sig[f + 1:]]
                 if tgt.period < cls.period:  # no image
                     continue
                 if large:
-                    self._add_move(cols, cls, tgt, f, turn, tgt.offset)
+                    self._add_move(cols, cls, tgt, f, turn, o)
                     continue
-                key = (p, cls.blocks, tgt.blocks, f, turn)
+                key = (cls, tgt, f, turn)
                 template = _TEMPLATES.get(key)
                 if template is None:
                     template = _TEMPLATES[key] = self._template(cls, tgt, f, turn)
-                o = tgt.offset
                 for i, m in zip(*template):
                     cols[i] ^= m << o
             out.extend(cols)
@@ -407,7 +382,7 @@ class _LevelSlice:
         every x[f] and k for a full support (the block, or [k, k + p) with
         the star on f), two bits for a pair.  o is the offset the masks are
         shifted to: tgt's offset, or 0 when `_template` compiles the move
-        once for every class of its shape.
+        once for every pair of signatures with these classes.
         """
         p, st = self.p, tgt.star
         wf, step, rf = tgt.strides[f], cls.strides[f], cls.radices[f]
@@ -472,9 +447,8 @@ def _res(hi: _LevelSlice, lo: _LevelSlice):
     one term if they coincide."""
 
     def image(b: int) -> int:
-        cls, x = hi.orbits[b]
-        lo_cls = lo.classes[lo.s][cls.sig]
-        return (1 << lo.index(lo_cls, x)) | (1 << lo.index(lo_cls, _shift(cls, x, hi.p)))
+        sig, cls, x = hi.orbits[b]
+        return (1 << lo.index(sig, x)) | (1 << lo.index(sig, _shift(cls, x, hi.p)))
 
     return image
 
@@ -484,10 +458,10 @@ def _tr(lo: _LevelSlice, hi: _LevelSlice):
     O_{j-1}(x + p_j) is the same orbit."""
 
     def image(b: int) -> int:
-        cls, x = lo.orbits[b]
-        if lo.index(cls, _shift(cls, x, hi.p)) == b:
+        sig, cls, x = lo.orbits[b]
+        if lo.index(sig, _shift(cls, x, hi.p)) == b:
             return 0
-        return 1 << hi.index(hi.classes[hi.s][cls.sig], x)
+        return 1 << hi.index(sig, x)
 
     return image
 
@@ -496,8 +470,8 @@ def _gamma(src: _LevelSlice, tgt: _LevelSlice):
     """The Weyl generator, src and tgt one slice: O(x) -> O(x + 1)."""
 
     def image(b: int) -> int:
-        cls, x = src.orbits[b]
-        return 1 << tgt.index(cls, _shift(cls, x, 1))
+        sig, cls, x = src.orbits[b]
+        return 1 << tgt.index(sig, _shift(cls, x, 1))
 
     return image
 
@@ -509,8 +483,8 @@ def _include(src: _LevelSlice, tgt: _LevelSlice):
     O(sig, x) -> O(sig + (0,), x + (0,))."""
 
     def image(b: int) -> int:
-        cls, x = src.orbits[b]
-        return 1 << tgt.index(tgt.classes[tgt.s][cls.sig + (0,)], (*x, 0))
+        sig, _, x = src.orbits[b]
+        return 1 << tgt.index(sig + (0,), (*x, 0))
 
     return image
 
@@ -561,25 +535,35 @@ class MackeyAnswer(namedtuple("MackeyAnswer", "n degree level_dims res tr gamma"
 _DUAL_ALPHA = _Factor(-1, (1, 2), (0,))
 
 
-def _slices(n: int, d: Degree, levels, budget: int | None, extra=None) -> list[list[_LevelSlice]]:
+def _slices(n: int, d: Degree, levels, budget: int | None, extra=()) -> list[list[_LevelSlice]]:
     """Per model, one `_LevelSlice` per level in `levels`.  The models are
-    that of d and, given an `extra` factor, its smash with that factor.  The
-    one budget rule is decided first, so a refused degree builds nothing:
+    that of d and, for each factor in `extra` (none, or the dual alpha pair
+    `_DUAL_ALPHA`, one negative move), its smash with that factor.
+
+    The one emptiness rule comes first, on the coefficients: d's model has
+    cells in degrees -dim N..dim P, and its smash with the dual alpha pair
+    in -dim N - 1..dim P.  A degree s outside the widest of these has no
+    cells in any model: its slices list none, no factor is built, and it is
+    0 wide and never refused.  Otherwise the one budget rule is decided
+    before any slice is built, so a refused degree builds nothing:
     refuse d when the widest of degrees s-1..s+1 over the models at the
     lowest level in `levels` exceeds the budget.  Orbit counts only grow as
-    the level drops.  A query whose degree s has no cells in any model is 0
-    wide and never refused; without an extra factor, whose smash may have
-    cells where d's model has none, it builds no chain either."""
+    the level drops."""
+    check_group(n, d)
     s = -d.t
-    factors = _factors(n, d) if extra is not None else _factors(n, d, s)
-    models = [_Model(n, factors)]
-    if extra is not None:
-        models.append(_Model(n, factors + [extra]))
-    cap = DEFAULT_BUDGET if budget is None else budget
-    widest = max([model.width(s, 1 << (n - min(levels))) for model in models])
-    if widest > cap and widest:
-        raise BudgetExceededError(d, widest, cap)
-    return [[model.level(j, s) for j in levels] for model in models]
+    net = d.c_alpha + 2 * sum(d.c_lambda)
+    span = abs(d.c_alpha) + 2 * sum(map(abs, d.c_lambda))  # net -+ span = -2 dim N, 2 dim P
+    if not (net - span) // 2 - len(extra) <= s <= (net + span) // 2:
+        models = [_Model(n, [], s)] * (1 + len(extra))  # s != 0: lists nothing
+    else:
+        factors = _factors(n, d)
+        models = [_Model(n, factors, s)] + [_Model(n, factors + [f], s) for f in extra]
+        cap = DEFAULT_BUDGET if budget is None else budget
+        p = 1 << (n - min(levels))
+        widest = max([max(model.table(p)[1].values()) for model in models])
+        if widest > cap:
+            raise BudgetExceededError(d, widest, cap)
+    return [[_LevelSlice(model, j) for j in levels] for model in models]
 
 
 def oracle_top(n: int, d: Degree, budget: int | None = None) -> tuple[int, int]:
@@ -627,14 +611,14 @@ def mult_a_alpha(n: int, d: Degree, j: int, budget: int | None = None):
     (columns, source reducer, target reducer)."""
     if not 0 <= j <= n:
         raise DegreeError(f"level j={j} out of range for n={n}")
-    [src], [tgt] = _slices(n, d, [j], budget, _DUAL_ALPHA)
+    [src], [tgt] = _slices(n, d, [j], budget, (_DUAL_ALPHA,))
     return _orbit_induced(src, tgt, _include), src.reducer, tgt.reducer
 
 
 def verify_lemma_kernel(n: int, d: Degree, budget: int | None = None) -> dict:
     """Check ker(a_alpha) = im(tr) on pi_d and im(a_alpha) = ker(res) on
     pi_{d-alpha}, at the top level."""
-    [src, src_sub], [tgt, tgt_sub] = _slices(n, d, [n, n - 1], budget, _DUAL_ALPHA)
+    [src, src_sub], [tgt, tgt_sub] = _slices(n, d, [n, n - 1], budget, (_DUAL_ALPHA,))
     return _lemma_report(
         d, src.reducer.h_dim, tgt.reducer.h_dim,
         _orbit_induced(src, tgt, _include),

@@ -12,6 +12,7 @@ C_{2^i}; alpha is fixed exactly by the index-two subgroup.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 
 # The oracle's default column cap (`hf2.oracle` binds the same value).  It
@@ -149,14 +150,18 @@ def format_degree(d: Degree) -> str:
     return ",".join(str(x) for x in (d.t, d.c_alpha) + d.c_lambda)
 
 
+# one degree entry: ASCII digits with an optional sign, and nothing that
+# int() would also take (underscores, other scripts' digits)
+_ENTRY_RE = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_degree(s: str, n: int) -> Degree:
     if n < 1:
         raise DegreeError(f"n: group exponent must be >= 1, got {n}")
     parts = [p.strip() for p in s.split(",")]
     if len(parts) != n + 1:
         raise DegreeError(f"degree string needs {n + 1} entries for n={n}, got {len(parts)}")
-    try:
-        vals = [int(p) for p in parts]
-    except ValueError as exc:
-        raise DegreeError(f"non-integer entry in degree string {s!r}") from exc
+    if not all(map(_ENTRY_RE.fullmatch, parts)):
+        raise DegreeError(f"non-integer entry in degree string {s!r}")
+    vals = [int(p) for p in parts]
     return make_degree(n, vals[0], vals[1], vals[2:])

@@ -258,7 +258,8 @@ def closed_top_width(n: int, d: Degree) -> int:
     its whole model (`oracle._Model.orbit_counts`) rather than the slice's
     class table: the widest of cochain degrees s-1..s+1, 0 when degree s
     has no cells."""
-    model, s = oracle._Model(n, oracle._factors(n, d)), -d.t
+    s = -d.t
+    model = oracle._Model(n, oracle._factors(n, d), s)
     if not model.lo <= s <= model.hi:
         return 0
     counts = model.orbit_counts(1)

@@ -552,8 +552,8 @@ def lean_level_cols(sl, deg: int, model: LeanModel) -> list[int]:
         if d not in c.dims:
             return []
         lv = _level(c, j, d)
-        out = [lv.orbit_of[model.cell(cls.sig, x)]
-               for cls in sl.classes[d].values() for x in product(*map(range, cls.radices))]
+        out = [lv.orbit_of[model.cell(sig, x)] for sig, (cls, _) in sl.classes[d].items()
+               for x in product(*map(range, cls.radices))]
         if sorted(out) != list(range(lv.dim)):
             raise AssertionError(f"the slice's representatives of degree {d} miss or repeat an orbit")
         return out

@@ -174,11 +174,10 @@ def test_criterion_9_structural_invariants():
         dualize(c).validate()
         for w in (v, make_degree(n, 0, -v.c_alpha, [-x for x in v.c_lambda])):
             factors = oracle._factors(n, w)
-            model = oracle._Model(n, factors)
             top = sum(len(f.kinds) for f in factors)
             for j in range(n + 1):
                 for s in range(-top - 1, top + 2):
-                    sl = model.level(j, s)
+                    sl = oracle._LevelSlice(oracle._Model(n, factors, s), j)
                     d_in, d_out = sl.cols(s - 1), sl.cols(s)
                     ok &= all(_apply(d_out, col) == 0 for col in d_in)
 
@@ -308,7 +307,7 @@ def _euler_mismatches(radii: dict[int, int]) -> tuple[int, list]:
     checked, bad = 0, []
     for n, r in radii.items():
         for d0 in box_degrees(n, (0, 0), (-r, r), (-r, r)):
-            model = oracle._Model(n, oracle._factors(n, d0))
+            model = oracle._Model(n, oracle._factors(n, d0), -d0.t)
             for j in range(1, n + 1):
                 counts = model.orbit_counts(1 << (n - j))
                 euler_engine = euler_cells = 0

@@ -124,6 +124,13 @@ class TestDim:
         code, _, err = run_cli(capsys, "dim", "--n", "2", "--deg", "1,2")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("deg", ["1_0,0", "\u0663,0", "\uff13,0"])
+    def test_non_ascii_integer_exit_2(self, capsys, deg):
+        # int() reads 1_0 as 10 and the Arabic-Indic or fullwidth digit as 3
+        code, out, err = run_cli(capsys, "dim", "--n", "1", "--deg", deg)
+        assert code == 2 and out == ""
+        assert f"non-integer entry in degree string {deg!r}" in err
+
     def test_largest_n(self, capsys):
         n = engine.MAX_N
         code, out, _ = run_cli(capsys, "dim", "--n", str(n), "--deg", ",".join(["0"] * (n + 1)),
@@ -243,6 +250,10 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--n", "2", "--box", "t=1..0,a=0..0")
         assert code == 2
 
+    def test_non_ascii_box_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "--box", "t=\u0663..\u0663,a=0..0")
+        assert code == 2 and out == "" and "bad box item" in err
+
     @pytest.mark.parametrize(
         "option",
         [("--cache-selftest", "-1"), ("--jobs", "-3"), ("--jobs", "0"), ("--budget", "-1")],
@@ -277,6 +288,10 @@ class TestVerify:
         (1, "t=0..1,a=0..0,l0=0..0", "lambda slot l0 out of range for n=1"),
         (3, "t=0..0,a=0..0,l01=0..1,l1=0..0", "box item 'l1=0..0' repeats a coordinate"),
         (2, "t=0..1,l0=0..0", "box must give t=lo..hi and a=lo..hi"),
+        # ASCII digits only: \d would take other scripts' digits
+        (2, "t=\u0663..\u0663,a=0..0", "bad box item 't=\u0663..\u0663'; expected like t=-8..8"),
+        (2, "t=0..0,a=0..0,l\u0660=0..0", "bad box item 'l\u0660=0..0'; expected like t=-8..8"),
+        (2, "t=1_0..1_0,a=0..0", "bad box item 't=1_0..1_0'; expected like t=-8..8"),
     ])
     def test_box_refused(self, n, text, message):
         with pytest.raises(cli.UsageError) as err:

@@ -353,7 +353,8 @@ class TestLevelDirectParity:
             ref = [level_cohomology(c, j, s).h_dim for j in range(n + 1)]
             assert oracle_pi(n, d).level_dims == ref, str(d)
             assert oracle_top_dim(n, d) == ref[n], str(d)
-            level0 = oracle._Model(n, oracle._factors(n, d)).level(0, -d.t).reducer.h_dim
+            model = oracle._Model(n, oracle._factors(n, d), -d.t)
+            level0 = oracle._LevelSlice(model, 0).reducer.h_dim
             assert level0 == ref[0] == (1 if underlying_dim(d) == 0 else 0), str(d)
 
     @pytest.mark.parametrize("n,t_range,r", PARITY_BOXES)
@@ -391,7 +392,7 @@ def _models(n: int, d):
     cell model from the reference."""
     for extra in (False, True):
         factors = oracle._factors(n, d) + ([oracle._DUAL_ALPHA] if extra else [])
-        yield oracle._Model(n, factors), ref.lean_model(n, d, extra)
+        yield oracle._Model(n, factors, -d.t), ref.lean_model(n, d, extra)
 
 
 def _check_cols(n: int, degrees) -> int:
@@ -403,7 +404,7 @@ def _check_cols(n: int, degrees) -> int:
     for d in degrees:
         for model, cells in _models(n, d):
             for j in range(n + 1):
-                sl = model.level(j, -d.t)
+                sl = oracle._LevelSlice(model, j)
                 for deg in (sl.s - 1, sl.s):
                     cols = sl.cols(deg)
                     expected = ref.lean_level_cols(sl, deg, cells)
@@ -437,10 +438,10 @@ N4_STAR_ENTRY = [(-6, 1, (1, 1, 1)), (-3, 1, (1, -1, 1))]
 def test_cols_n4_seeded():
     degrees = [make_degree(4, t, a, lam) for t, a, lam in N4_STAR_ENTRY]
     for d in degrees:
-        top = oracle._Model(4, oracle._factors(4, d)).level(4, -d.t)
+        top = oracle._LevelSlice(oracle._Model(4, oracle._factors(4, d), -d.t), 4)
         [positive, *_] = top.factors
-        moves = [cls for deg in (top.s - 1, top.s) for cls in top.classes[deg].values()
-                 if positive.blocks[cls.sig[0]:cls.sig[0] + 2] in ((8, 16), (4, 16))]
+        moves = [sig for deg in (top.s - 1, top.s) for sig in top.classes[deg]
+                 if positive.blocks[sig[0]:sig[0] + 2] in ((8, 16), (4, 16))]
         assert moves, str(d)
     degrees += random.Random(2031).sample(list(box_degrees(4, (-6, 6), (-1, 1), (-1, 1))), 6)
     assert _check_cols(4, degrees) >= 50
@@ -465,7 +466,7 @@ def _column_degrees() -> dict[int, list]:
 
 
 class TestMoveTemplates:
-    """Moves compiled once per shape (`_LevelSlice.cols`), on the degrees of
+    """Moves compiled once per pair of classes (`_LevelSlice.cols`), on the degrees of
     `_column_degrees` at every level, for each degree's model and the
     a_alpha target model.  Each move is built three ways: directly, with the
     memo bypassed; from an emptied memo; and from one kept warm across every
@@ -490,7 +491,7 @@ class TestMoveTemplates:
                 for d in degrees:
                     for model, cells in _models(n, d):
                         for j in range(n + 1):
-                            sl = model.level(j, -d.t)
+                            sl = oracle._LevelSlice(model, j)
                             for deg in (sl.s - 1, sl.s):
                                 out = []
                                 for memo in (Bypass(), {}, warm):
@@ -521,8 +522,8 @@ class TestMoveTemplates:
     def test_cap(self, runs):
         built, warm, _, _ = runs
         assert warm.keys() == built.keys()
-        for p, blocks, *_ in warm:
-            assert oracle._SHAPES[blocks, p][4] <= oracle.TEMPLATE_MAX
+        for cls, *_ in warm:
+            assert cls.count <= oracle.TEMPLATE_MAX
 
 
 def test_oracle_pi_pinned():
@@ -572,6 +573,25 @@ class TestAlphaParity:
                 nonzero += got[2] > 0
         assert nonzero >= 5  # the sample exercises nonzero a_alpha maps
 
+    def test_target_cells_below_the_model(self):
+        """Degree s = lo - 1, where d's model has no cell but its a_alpha
+        target has: every such degree of the `LEMMA_BOXES`, with mult_a_alpha
+        at every level and the kernel-lemma report against the reference."""
+        degrees = nonzero = 0
+        for n, t_range, r in LEMMA_BOXES:
+            for d in box_degrees(n, t_range, r, r):
+                if -d.t != oracle._Model(n, oracle._factors(n, d), -d.t).lo - 1:
+                    continue
+                degrees += 1
+                assert verify_lemma_kernel(n, d) == ref.verify_lemma_kernel(n, d), str(d)
+                for j in range(n + 1):
+                    cols, red_s, red_t = mult_a_alpha(n, d, j)
+                    ref_cols, ref_s, ref_t = ref.mult_a_alpha(n, d, j)
+                    got = (red_s.h_dim, red_t.h_dim, rank(cols))
+                    assert got == (ref_s.h_dim, ref_t.h_dim, rank(ref_cols)), (str(d), j)
+                    nonzero += got[1] > 0
+        assert (degrees, nonzero) == (54, 53)  # nonzero target groups over every level
+
     @pytest.mark.parametrize("j", [-1, 3])
     def test_mult_a_alpha_level_out_of_range(self, j):
         # unchecked, j = -1 reads as level 0 and j = n + 1 as a negative shift
@@ -612,7 +632,7 @@ class TestTopDim:
 def _product_signatures(factors, s):
     """The signatures of degrees s-1..s+1 by filtering the whole product of
     factor-degree ranges, when degree s has cells: the reference for
-    `oracle._Model.signatures`, order included."""
+    `oracle._Model(..., s).signatures`, order included."""
     by_degree = {deg: [] for deg in (s - 1, s, s + 1)}
     lengths = [len(f.kinds) for f in factors]
     lo = -sum(length for f, length in zip(factors, lengths) if f.sign < 0)
@@ -640,7 +660,7 @@ def test_signatures_in_product_order():
         hi = sum(len(f.kinds) for f in factors if f.sign > 0)
         s = rng.randint(lo - 2, hi + 2)
         expected = _product_signatures(factors, s)
-        listed = oracle._Model(3, factors).signatures(s)
+        listed = oracle._Model(3, factors, s).signatures
         sigs = {deg: [sig for sig, _ in pairs] for deg, pairs in listed.items()}
         assert sigs == expected, (factors, s)
         assert all(blocks == tuple(f.blocks[u] for f, u in zip(factors, sig))
@@ -714,25 +734,27 @@ class TestBudget:
 
 
 def test_widths_closed_form():
-    """`oracle._Model.width` and the built tables against `orbit_counts`,
-    which counts orbits over every signature without a table: the width is
-    the largest count of degrees s-1..s+1, and the built dimensions are the
-    counts (all 0 when degree s has no cells).  The width `oracle_top`
-    returns with its answer is the top-level one."""
+    """The tables `_slices` builds, and those of each model built in full,
+    against `orbit_counts`, which counts orbits over every signature without
+    a table: a table's width is the largest count of degrees s-1..s+1, and
+    the built dimensions are the counts (all 0 when degree s has no cells).
+    The width `oracle_top` returns with its answer is the top-level one."""
     rng = random.Random(1501)
     slices = nonempty = 0
     for n in range(1, 5):
         for _ in range(400):
             d = make_degree(n, rng.randint(-12, 4), rng.randint(-3, 3),
                             [rng.randint(-2, 2) for _ in range(n - 1)])
-            for extra in (None, oracle._DUAL_ALPHA):
+            for extra in ((), (oracle._DUAL_ALPHA,)):
                 *_, levels = oracle._slices(n, d, range(n + 1), 10 ** 9, extra)
+                model = oracle._Model(n, oracle._factors(n, d) + list(extra), -d.t)
                 for sl in levels:
-                    model, built = sl.model, max(sl.dims.values())
+                    built = max(sl.dims.values())
                     counts, live = model.orbit_counts(sl.p), model.lo <= sl.s <= model.hi
                     expected = {deg: counts.get(deg, 0) if live else 0
                                 for deg in (sl.s - 1, sl.s, sl.s + 1)}
-                    assert model.width(sl.s, sl.p) == max(expected.values()), (str(d), extra)
+                    width = max(model.table(sl.p)[1].values())
+                    assert width == max(expected.values()), (str(d), extra)
                     for deg, count in expected.items():
                         assert sl.dims[deg] == count, (str(d), extra, deg)
                     slices += 1
@@ -760,7 +782,8 @@ def test_top_width_decides_the_top_level_budget(monkeypatch):
     boxes = {2: ((-8, 8), 2), 3: ((-6, 6), 1), 4: ((-5, 5), 1)}
     for n, (t_range, r) in boxes.items():
         for d in box_degrees(n, t_range, (-r, r), (-r, r)):
-            w = oracle._Model(n, oracle._factors(n, d, -d.t)).width(-d.t, 1)
+            model = oracle._Model(n, oracle._factors(n, d), -d.t)
+            w = max(model.table(1)[1].values())
             for cap in {0, w - 1, w, w + 1, oracle.DEFAULT_BUDGET} - {-1}:
                 checked += 1
                 if w > cap:
@@ -783,7 +806,7 @@ def test_oracle_pi_budget_at_its_lowest_built_level(monkeypatch):
     class Accepted(Exception):
         pass
 
-    def accept(model, s, j):
+    def accept(model, j):
         raise Accepted(j)  # past the budget: the first slice would be built
 
     monkeypatch.setattr(oracle, "_LevelSlice", accept)
@@ -792,7 +815,8 @@ def test_oracle_pi_budget_at_its_lowest_built_level(monkeypatch):
     for n, (t_range, r) in boxes.items():
         for d in box_degrees(n, t_range, (-r, r), (-r, r)):
             low = 1 if underlying_dim(d) else 0
-            w = oracle._Model(n, oracle._factors(n, d)).width(-d.t, 1 << (n - low))
+            model = oracle._Model(n, oracle._factors(n, d), -d.t)
+            w = max(model.table(1 << (n - low))[1].values())
             for cap in {0, w - 1, w, w + 1, oracle.DEFAULT_BUDGET} - {-1}:
                 checked += 1
                 if w > cap:
@@ -848,18 +872,45 @@ def test_levels_are_subgroup_top_dims_n4():
     assert _check_levels_against_subgroups(4, (-6, 6), 1) == (4212, 786)
 
 
-def test_factors_left_out_exactly_outside_the_interval():
-    """`_factors(n, d, s)`, which reads the interval off the coefficients,
-    builds no chain exactly where d's model has no cells at s."""
+def test_one_emptiness_rule(monkeypatch):
+    """`_slices` decides on the coefficients alone whether degree s has cells
+    in the widest of its models, d's (lo..hi) or, with the dual alpha pair,
+    its a_alpha target's (lo-1..hi): it builds the factors exactly then.
+    Each model's slices, at the bottom and the top level, list the orbit
+    counts of that model, or nothing where it has no cells at s."""
+    calls = []
+
+    def counting(n, d):
+        calls.append(d)
+        return factors(n, d)
+
+    factors = oracle._factors
+    monkeypatch.setattr(oracle, "_factors", counting)
     rng = random.Random(1601)
+    checked = built = 0
     for _ in range(2000):
         n = rng.randint(1, 5)
-        d = make_degree(n, 0, rng.randint(-3, 3), [rng.randint(-3, 3) for _ in range(n - 1)])
-        full = oracle._factors(n, d)
-        model = oracle._Model(n, full)
-        for s in range(model.lo - 2, model.hi + 3):
-            expected = full if model.lo <= s <= model.hi else []
-            assert oracle._factors(n, d, s) == expected, (str(d), s)
+        d0 = make_degree(n, 0, rng.randint(-3, 3), [rng.randint(-3, 3) for _ in range(n - 1)])
+        full = factors(n, d0)
+        wholes = [oracle._Model(n, full + tail, 0) for tail in ([], [oracle._DUAL_ALPHA])]
+        counts = [[whole.orbit_counts(1 << (n - j)) for j in (0, n)] for whole in wholes]
+        lo, hi = wholes[0].lo, wholes[0].hi
+        for extra in ((), (oracle._DUAL_ALPHA,)):
+            for s in range(lo - 2, hi + 3):
+                d = make_degree(n, -s, d0.c_alpha, d0.c_lambda)
+                calls.clear()
+                models = oracle._slices(n, d, (0, n), 10 ** 9, extra)
+                live = lo - len(extra) <= s <= hi
+                assert calls == ([d] if live else []), (str(d), extra)
+                built += live
+                for k, slices in enumerate(models):  # k = 1: the a_alpha target
+                    cells = lo - k <= s <= hi
+                    for sl, count in zip(slices, counts[k]):
+                        expected = {deg: count.get(deg, 0) if cells else 0
+                                    for deg in (s - 1, s, s + 1)}
+                        assert sl.dims == expected, (str(d), extra, k, sl.p)
+                        checked += 1
+    assert (checked, built) == (165072, 41024)
 
 
 def test_empty_degree_builds_nothing(monkeypatch):

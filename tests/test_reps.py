@@ -147,6 +147,18 @@ class TestTextForm:
         with pytest.raises(DegreeError):
             parse_degree("1,x,3", 2)
 
+    @pytest.mark.parametrize("text", ["1_0,0", "\u0663,0", "\uff13,0", "1 0,0", "+,0", "--1,0",
+                                      "0x1,0", ",0", "1,\u00b2"])
+    def test_entries_are_ascii_integers(self, text):
+        """An entry is ASCII digits with an optional sign: int() would also
+        take underscores and other scripts' digits (1_0 as 10, \u0663 as 3)."""
+        with pytest.raises(DegreeError, match=r"^non-integer entry in degree string "):
+            parse_degree(text, 1)
+
+    def test_signs_and_spaces_accepted(self):
+        assert parse_degree(" -0 , +7", 1) == make_degree(1, 0, 7, [])
+        assert parse_degree("007,-01", 1) == make_degree(1, 7, -1, [])
+
 
 class TestValueType:
     """Degree is an immutable value, equal, hashed and ordered by its fields."""
@@ -198,5 +210,6 @@ class TestValueType:
 ], ids=["hh_basis", "ht_basis", "hb_basis", "perp_hb_basis", "oracle_top_dim", "oracle_pi",
         "mult_a_alpha", "verify_lemma_kernel", "oracle_top"])
 def test_degree_over_another_group_refused(query):
-    with pytest.raises(DegreeError, match=r"^degree is over n=2, expected [13]$"):
-        query(make_degree(2, 0, 0, [5]))
+    for t in (0, 40):  # at t = 40 no model has cells: refused all the same
+        with pytest.raises(DegreeError, match=r"^degree is over n=2, expected [13]$"):
+            query(make_degree(2, t, 0, [5]))
