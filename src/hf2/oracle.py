@@ -58,17 +58,18 @@ form.
 Moves are compiled once per pair of classes.  A `_CellClass`, one object
 per (blocks, p) in the process, fixes the star, period, radices and strides
 of every signature with those blocks at that level.  What a move adds to a
-class's columns (`_LevelSlice._add_move`) depends on the slice only through
-its source and target classes, the factor f it moves and its turn (1 -
-gamma, its transpose, or a whole-block move); the target's offset only
-shifts the masks.  So `cols` keys each move by (source class, target class,
-f, turn), builds its nonzero columns once at target offset 0
-(`_template`), and from then on XORs them in shifted by the target's
-offset, with no walk or table built.  The key names all that `_add_move`
-reads, so a memo filled by any degree gives what a direct build gives.
-Only moves out of classes of at most `TEMPLATE_MAX` orbits are kept, which
-bounds the memo's memory; a larger class's moves are built directly.  The
-memo lives in the process, so no template outlives a code change.
+class's columns depends on the slice only through its source and target
+classes, the factor f it moves and its turn (1 - gamma, its transpose, or a
+whole-block move); the target's offset only shifts the masks.  So every
+move is built one way: `_LevelSlice._move` compiles its nonzero columns at
+target offset 0, and `cols` XORs them in shifted by the target's offset.
+`cols` keys each move by (source class, target class, f, turn) and keeps
+the compiled move in a memo, so from then on it is XORed in with no walk or
+table built.  The key names all that `_move` reads, so a memo filled by any
+degree gives what a fresh compile gives.  Only moves out of classes of at
+most `TEMPLATE_MAX` orbits are kept, which bounds the memo's memory; a
+larger class's moves are compiled anew each time.  The memo lives in the
+process, so no template outlives a code change.
 
 The bottom-level routes, which store the whole complex at the trivial-
 subgroup level with the generator's permutation action, live in the test
@@ -88,10 +89,9 @@ from .gf2 import CohomologyReducer, columns_to_bitstrings, nullspace, rank
 from .reps import DEFAULT_BUDGET, Degree, DegreeError, check_group
 from . import reps
 
-# Moves out of classes of at most this many orbits (256 at most: a template
-# stores a position in one byte) are compiled once per pair of classes
-# (`_LevelSlice.cols`); a larger class's moves are built directly, which
-# bounds the memo's memory.
+# Moves out of classes of at most this many orbits are kept once compiled,
+# one per pair of classes (`_LevelSlice.cols`); a larger class's moves are
+# compiled anew each time, which bounds the memo's memory.
 TEMPLATE_MAX = 64
 # the group of every empty slice, shared: a reducer is not changed once built
 _ZERO_GROUP = CohomologyReducer(0, [], [])
@@ -268,7 +268,7 @@ def _cell_class(blocks: tuple[int, ...], p: int) -> _CellClass:
 
 
 # (source class, target class, f, turn) -> one move's nonzero columns at
-# target offset 0 (`_LevelSlice._template`)
+# target offset 0 (`_LevelSlice._move`)
 _TEMPLATES: dict[tuple, tuple] = {}
 
 
@@ -313,9 +313,9 @@ class _LevelSlice:
     def cols(self, deg: int) -> list[int]:
         """The level differential from degree deg to deg + 1 as columns, one
         per degree-deg orbit O in index order: the image of the orbit sum.
-        Each move out of a class of at most `TEMPLATE_MAX` orbits comes from
-        its template (module docstring); a larger class's moves are built
-        directly.
+        Every move is compiled at target offset 0 (`_move`) and XORed in
+        shifted by the target's offset; it is kept in `_TEMPLATES` when its
+        source class has at most `TEMPLATE_MAX` orbits (module docstring).
 
         Counting pairs (x in O, y in O') with y in supp d(x) both ways, the
         coefficient of O' is |supp d(rep O) & O'| |O| / |O'| mod 2.  Orbit
@@ -330,7 +330,6 @@ class _LevelSlice:
         out = []
         for sig, (cls, _) in self.classes[deg].items():
             cols = [0] * cls.count
-            large = cls.count > TEMPLATE_MAX  # no template, to bound memory
             for f, (sign, _, kinds) in enumerate(self.factors):
                 u = sig[f]
                 if sign > 0 and u < len(kinds):
@@ -342,36 +341,27 @@ class _LevelSlice:
                 tgt, o = dst[sig[:f] + (v,) + sig[f + 1:]]
                 if tgt.period < cls.period:  # no image
                     continue
-                if large:
-                    self._add_move(cols, cls, tgt, f, turn, o)
-                    continue
                 key = (cls, tgt, f, turn)
-                template = _TEMPLATES.get(key)
-                if template is None:
-                    template = _TEMPLATES[key] = self._template(cls, tgt, f, turn)
-                for i, m in zip(*template):
+                move = _TEMPLATES.get(key)
+                if move is None:
+                    move = self._move(cls, tgt, f, turn)
+                    if cls.count <= TEMPLATE_MAX:  # bounds the memo's memory
+                        _TEMPLATES[key] = move
+                for i, m in zip(*move):
                     cols[i] ^= m << o
             out.extend(cols)
         return out
 
-    def _template(self, cls: _CellClass, tgt: _CellClass, f: int,
-                  turn: int) -> tuple[bytes, tuple[int, ...]]:
-        """One move compiled at target offset 0: the positions of its nonzero
-        columns (below `TEMPLATE_MAX`, so one byte each) and their masks, to
-        be shifted by the target's offset."""
-        cols = [0] * cls.count
-        self._add_move(cols, cls, tgt, f, turn, 0)
-        positions = bytes(i for i, m in enumerate(cols) if m)
-        return positions, tuple(cols[i] for i in positions)
-
-    def _add_move(self, cols, cls: _CellClass, tgt: _CellClass, f: int, turn: int,
-                  o: int) -> None:
-        """XOR into cols (one per orbit of cls, in index order) the part of
-        the differential that moves factor f into class tgt: source cell x
-        meets the cells of tgt that agree with x off f and carry at f a c of
-        the move's support: x[f] and x[f] + turn for turn = +-1 (1 - gamma,
-        its transpose), every c below min(tgt block, cls period) for turn = 0
-        (a whole-block move, or its transpose).
+    def _move(self, cls: _CellClass, tgt: _CellClass, f: int,
+              turn: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The part of the differential that moves factor f of class cls into
+        class tgt, compiled at target offset 0: the positions of its nonzero
+        columns (one column per orbit of cls, in index order) and their
+        masks, to be shifted by the target's offset.  Source cell x meets the
+        cells of tgt that agree with x off f and carry at f a c of the move's
+        support: x[f] and x[f] + turn for turn = +-1 (1 - gamma, its
+        transpose), every c below min(tgt block, cls period) for turn = 0 (a
+        whole-block move, or its transpose).
 
         index(tgt, .) first shifts every coordinate by k = (star coordinate)
         // p * p.  With the star off f, k is fixed by the coordinates z off f,
@@ -380,10 +370,9 @@ class _LevelSlice:
         over z are outer sums of per-factor terms, and each x[f] adds a mask
         of its cs at offsets from the base, in closed form: one mask for
         every x[f] and k for a full support (the block, or [k, k + p) with
-        the star on f), two bits for a pair.  o is the offset the masks are
-        shifted to: tgt's offset, or 0 when `_template` compiles the move
-        once for every pair of signatures with these classes.
+        the star on f), two bits for a pair.
         """
+        cols = [0] * cls.count
         p, st = self.p, tgt.star
         wf, step, rf = tgt.strides[f], cls.strides[f], cls.radices[f]
         if turn:  # equal blocks at f, so tgt has cls's star and radices
@@ -392,17 +381,17 @@ class _LevelSlice:
                 end = p - 1 if turn > 0 else 0
                 c = (end + turn) % bf
                 moves = {
-                    0: [(y * step, (1 << y * wf | (y != end) << (y + turn) % bf * wf) << o)
+                    0: [(y * step, 1 << y * wf | (y != end) << (y + turn) % bf * wf)
                         for y in range(p)],
-                    c // p * p: [(end * step, 1 << c % p * wf << o)],
+                    c // p * p: [(end * step, 1 << c % p * wf)],
                 }
             else:
-                moves = {0: [(y * step, (1 << y * wf | 1 << (y + turn) % bf * wf) << o)
+                moves = {0: [(y * step, 1 << y * wf | 1 << (y + turn) % bf * wf)
                              for y in range(rf)]}
         else:
             width = min(tgt.blocks[f], cls.period)
             cs = p if st == f else width  # m has bits 0, wf, ..., (cs - 1) wf
-            m = ((1 << cs * wf) - 1) // ((1 << wf) - 1) << o
+            m = ((1 << cs * wf) - 1) // ((1 << wf) - 1)
             if st == f:
                 ks = range(0, width, p)
             else:
@@ -421,6 +410,8 @@ class _LevelSlice:
             for t, b in zip(targets, bases):
                 for off, m in masks:
                     cols[t + off] ^= m << b
+        positions = tuple(i for i, m in enumerate(cols) if m)
+        return positions, tuple(cols[i] for i in positions)
 
     @cached_property
     def reducer(self) -> CohomologyReducer:

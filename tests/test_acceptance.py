@@ -1,10 +1,12 @@
-"""Acceptance suite: the thirteen exit criteria, one test each, and a
-second test with the wider boxes of criterion 13.
+"""Acceptance suite: the thirteen exit criteria, one test each, and more
+tests for criterion 13: its seeded columns at n=16 and 32, and its wider
+boxes and n=64 columns.
 
 Every criterion prints a single PASS/FAIL line (run pytest with -s or read
 captured output).  All comparisons are exact; the boxes are the stated
-desk-scale boxes.  Criterion 12 (the n=4 box with radius 2, about 1 s) and
-the n=6,7 boxes of criterion 13 (about 10 s) are opt-in: `pytest -m slow`.
+desk-scale boxes.  Criterion 12 (the n=4 box with radius 2, about 1 s), the
+n=6,7 boxes of criterion 13 (about 10 s) and its n=64 columns (about 5 s)
+are opt-in: `pytest -m slow`.
 """
 
 import itertools
@@ -296,37 +298,55 @@ def test_criterion_12_differential_n4_wide():
     )
 
 
-def _euler_mismatches(radii: dict[int, int]) -> tuple[int, list]:
-    """The Euler characteristic of every column of each n box at radius
-    radii[n] (t free, the other coefficients in -r..r) at every level j =
-    1..n: the engine's alternating sum of pi^{C_{2^j}} at `restrict(d_s, j)`,
-    d_s the column's degree with t = -s, over s in lo-2..hi+2, against that
-    of the orbit counts W_j(s) of the column's model, with no elimination;
-    and every engine group 0 outside lo..hi.  Integers only: the sign is
-    read from s % 2.  Returns the identities checked and the mismatches."""
+def _euler_mismatches(columns) -> tuple[int, list]:
+    """The Euler characteristic of every column d0 in columns (degrees at t =
+    0; the column is t free) at every level j = 1..n: the engine's
+    alternating sum of pi^{C_{2^j}} at `restrict(d_s, j)`, d_s the column's
+    degree with t = -s, over s in lo-2..hi+2, against that of the orbit
+    counts W_j(s) of the column's model, with no elimination; and every
+    engine group 0 outside lo..hi.  Integers only: the sign is read from
+    s % 2.  Returns the identities checked and the mismatches."""
     checked, bad = 0, []
-    for n, r in radii.items():
-        for d0 in box_degrees(n, (0, 0), (-r, r), (-r, r)):
-            model = oracle._Model(n, oracle._factors(n, d0), -d0.t)
-            for j in range(1, n + 1):
-                counts = model.orbit_counts(1 << (n - j))
-                euler_engine = euler_cells = 0
-                for s in range(model.lo - 2, model.hi + 3):
-                    d = make_degree(n, -s, d0.c_alpha, d0.c_lambda)
-                    h = engine.dimension(j, restrict(d, j))
-                    sign = 1 - 2 * (s % 2)
-                    euler_engine += sign * h
-                    euler_cells += sign * counts.get(s, 0)
-                    if h and not model.lo <= s <= model.hi:
-                        bad.append((str(d), j, "nonzero outside the cells"))
-                checked += 1
-                if euler_engine != euler_cells:
-                    bad.append((str(d0), j, euler_engine, euler_cells))
+    for d0 in columns:
+        n = d0.n
+        model = oracle._Model(n, oracle._factors(n, d0), -d0.t)
+        for j in range(1, n + 1):
+            counts = model.orbit_counts(1 << (n - j))
+            euler_engine = euler_cells = 0
+            for s in range(model.lo - 2, model.hi + 3):
+                d = make_degree(n, -s, d0.c_alpha, d0.c_lambda)
+                h = engine.dimension(j, restrict(d, j))
+                sign = 1 - 2 * (s % 2)
+                euler_engine += sign * h
+                euler_cells += sign * counts.get(s, 0)
+                if h and not model.lo <= s <= model.hi:
+                    bad.append((str(d), j, "nonzero outside the cells"))
+            checked += 1
+            if euler_engine != euler_cells:
+                bad.append((str(d0), j, euler_engine, euler_cells))
     return checked, bad
 
 
+def _box_columns(radii: dict[int, int]) -> list:
+    """The columns of each n box at radius radii[n]: the other coefficients
+    in -r..r."""
+    return [d0 for n, r in radii.items() for d0 in box_degrees(n, (0, 0), (-r, r), (-r, r))]
+
+
+def _seeded_columns(counts: dict[int, int]) -> list:
+    """counts[n] columns per n, drawn from its own random.Random(3): c_alpha,
+    then each c_lambda, in -1..1."""
+    columns = []
+    for n, count in counts.items():
+        rng = random.Random(3)
+        for _ in range(count):
+            a = rng.randint(-1, 1)
+            columns.append(make_degree(n, 0, a, [rng.randint(-1, 1) for _ in range(n - 1)]))
+    return columns
+
+
 def test_criterion_13_euler_characteristic():
-    checked, bad = _euler_mismatches({2: 3, 3: 2, 4: 2, 5: 1})
+    checked, bad = _euler_mismatches(_box_columns({2: 3, 3: 2, 4: 2, 5: 1}))
     _report(
         13,
         f"Euler characteristic of each column and level, engine vs orbit counts, "
@@ -335,14 +355,36 @@ def test_criterion_13_euler_characteristic():
     )
 
 
+def test_criterion_13_euler_characteristic_seeded():
+    checked, bad = _euler_mismatches(_seeded_columns({16: 5, 32: 2}))
+    _report(
+        13,
+        f"Euler characteristic of each level, engine vs orbit counts, on seeded "
+        f"columns at +-1: five at n=16, two at n=32 ({checked} identities, "
+        f"{len(bad)} mismatches)",
+        checked == 144 and not bad,
+    )
+
+
 @pytest.mark.slow
 def test_criterion_13_euler_characteristic_wide():
-    checked, bad = _euler_mismatches({6: 1, 7: 1})
+    checked, bad = _euler_mismatches(_box_columns({6: 1, 7: 1}))
     _report(
         13,
         f"Euler characteristic of each column and level, engine vs orbit counts, "
         f"n=6,7 at +-1 ({checked} identities, {len(bad)} mismatches)",
         checked == 19683 and not bad,
+    )
+
+
+@pytest.mark.slow
+def test_criterion_13_euler_characteristic_seeded_wide():
+    checked, bad = _euler_mismatches(_seeded_columns({64: 2}))
+    _report(
+        13,
+        f"Euler characteristic of each level, engine vs orbit counts, on two "
+        f"seeded n=64 columns at +-1 ({checked} identities, {len(bad)} mismatches)",
+        checked == 128 and not bad,
     )
 
 

@@ -966,6 +966,32 @@ def test_box_against_engine(n, t_range, r, total):
     assert _box_against_engine(n, t_range, r) == (total, [], 0)
 
 
+@pytest.mark.parametrize("n", [
+    pytest.param(10, id="n10"),
+    pytest.param(12, id="n12", marks=pytest.mark.slow),
+])
+def test_sample_against_engine(n):
+    """oracle_top_dim against engine.dimension on 300 degrees drawn from
+    random.Random(7): t in -8..8, then c_alpha and each c_lambda in -1..1,
+    in that order; none over the default budget.  Some top-level source
+    classes here have more than `TEMPLATE_MAX` orbits, so their moves are
+    compiled anew each time, not kept."""
+    rng = random.Random(7)
+    mismatches, large = [], 0
+    for _ in range(300):
+        t, a = rng.randint(-8, 8), rng.randint(-1, 1)
+        d = make_degree(n, t, a, [rng.randint(-1, 1) for _ in range(n - 1)])
+        if oracle_top_dim(n, d) != engine.dimension(n, d):
+            mismatches.append(str(d))
+        classes, _ = oracle._Model(n, oracle._factors(n, d), -t).table(1)
+        large += any(cls.count > oracle.TEMPLATE_MAX
+                     for deg in (-t - 1, -t) for cls, _ in classes[deg].values())
+    print(f"n={n} sample: 300 degrees, {len(mismatches)} mismatches, "
+          f"{large} with a source class over TEMPLATE_MAX")
+    assert not mismatches, mismatches[:5]
+    assert large >= 10
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("n, t_range, sample, seed", [
     (5, (-6, 6), 3159, None), (6, (-6, 6), 1500, 2033), (7, (-4, 4), 500, 2034),
