@@ -451,8 +451,10 @@ def cmd_oracle(args) -> Report:
 # -- entry point --------------------------------------------------------------
 
 
-def _int_at_least(low: int):
+def _int_at_least(low: float = -math.inf):
     def parse(text: str) -> int:
+        if not reps.INTEGER_RE.fullmatch(text):
+            raise ValueError(text)
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
@@ -482,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--n", type=int, required=True, help="group exponent: the group is C_{2^n}")
+        p.add_argument("--n", type=_int_at_least(), required=True,
+                       help="group exponent: the group is C_{2^n}")
         if "deg" in needs:
             p.add_argument("--deg", required=True, help='degree "t,cA,cL0,..."')
         if "box" in needs:

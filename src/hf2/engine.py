@@ -18,13 +18,14 @@ is built only when it is in its window.  Every renaming is one call of
 and multiplies it by the a_lambda_0^k its degree forces.  One assembly path
 serves every n: for the group of order 2 there are no blocks and part (2)
 is its negative cone, the B2 window of its orbit row, which renamed is the
-depth-0 base of the recursion at order 4.
+depth-0 base of the induction at order 4.
 
-The induction runs through one memo keyed by the quotient degree q: its
-entry holds all that q hands up to a degree above it (its divisible
-classes with their depths, and the sources of B1 and of B3), so a degree
-renames one entry and solves its own row pair and positive cone.  The
-memo is cleared whole once the group orders it holds pass a cap.
+The induction from C_{2^(m-1)} to C_{2^m} runs through one memo keyed by
+the quotient degree q: its entry holds all that q hands up to a degree
+above it (its divisible classes with their depths, and the sources of B1
+and of B3), so a degree renames one entry and solves its own row pair and
+positive cone.  A miss builds the entries it lacks bottom-up in one loop,
+so n is unbounded.  The memo is cleared once its group orders pass a cap.
 
 Every family is solved degreewise: given a target degree, the lambda
 slots and the alpha slot force all but finitely many exponents.  The
@@ -33,7 +34,7 @@ window of a row, which has one class per degree.
 
 Overlap bookkeeping: some explicit divisible families (notably the
 u_alpha-a_alpha^2 tower of the first block) are themselves infinitely
-divisible by a_{lambda_1}, so the recursive part-(2) set meets them.  A
+divisible by a_{lambda_1}, so the renamed part-(2) set meets them.  A
 monomial produced by an explicit block keeps the block's tag and is
 dropped from the part-(2) remainder.  Set-level disjointness that
 genuinely must hold (positive cone vs the rest, the non-divisible part vs
@@ -48,16 +49,6 @@ from .reps import Degree, DegreeError, check_group, strip_lambda0
 from .monomial import Monomial, MonomialError, eps_rename, positive_cone_basis
 from .tate import exponents, solve
 
-# The a_lambda_0/a_lambda_1 recursion descends one group order per frame
-# pair, so its depth grows with n; this bound keeps it well inside Python's
-# default recursion limit.
-MAX_N = 256
-
-
-def _too_deep(n: int) -> DegreeError:
-    """The refusal of an n past MAX_N, raised before the memo is read."""
-    return DegreeError(f"the engine's recursion needs n <= {MAX_N}, got n={n}")
-
 
 class PartOverlapError(RuntimeError):
     """Two parts that must be disjoint produced the same monomial."""
@@ -65,7 +56,7 @@ class PartOverlapError(RuntimeError):
 
 class BasisElement(namedtuple("BasisElement", "monomial part depth")):
     """A class of the answer: its Monomial, the tag of the part that made it
-    and its recursion depth.  An immutable named tuple, ordered by its fields."""
+    and its renaming depth.  An immutable named tuple, ordered by its fields."""
 
     __slots__ = ()
 
@@ -185,18 +176,26 @@ def _interned(m: Monomial) -> Monomial:
 
 
 def _quotient(q: Degree) -> tuple:
-    """The memo entry of degree q, built on a miss.  Over C_2 the divisible
-    classes are the negative cone, the B2 window; over a larger group they
-    are the renamed a_lambda_1-divisible classes, then the blocks with their
-    positive-cone members, which start at depth 0.  Each is stored with the
-    depth it carries once renamed: 0 for the negative cone of C_2, one more
-    than its depth in q otherwise."""
-    found = _QUOTIENTS.get(q)
-    if found is None:
+    """The memo entry of degree q, which the memo lacks.  Over C_2 the
+    divisible classes are the negative cone, the B2 window; over a larger
+    group they are the renamed a_lambda_1-divisible classes, then the blocks
+    with their positive-cone members, which start at depth 0.  Each is
+    stored with the depth it carries once renamed: 0 for the negative cone
+    of C_2, one more than its depth in q otherwise.
+
+    It walks down to the first degree whose quotient the memo holds, or to
+    C_2, and builds the entries it passed bottom-up in one loop, handing
+    each the entry built before it: no call nests per group order, and a
+    clear on the way loses nothing."""
+    walk = [q]
+    while q.n > 1 and (found := _QUOTIENTS.get((q.n - 1, q.t, q.c_alpha, q.c_lambda[1:]))) is None:
+        q = strip_lambda0(q)
+        walk.append(q)
+    for q in reversed(walk):
         if q.n == 1:
             pairs, b3 = dict.fromkeys(_windows(1, q)[0], 0), ()
         else:
-            tagged, p2 = _blocks(q.n, q, pos=True)
+            tagged, p2 = _blocks(q.n, q, True, found)
             pairs = {m: dep + 1 for m, dep in p2}
             for _, fam in tagged[:3]:
                 pairs.update(dict.fromkeys(fam, 1))
@@ -218,12 +217,12 @@ def _quotient(q: Degree) -> tuple:
     return found
 
 
-def _blocks(n: int, d: Degree, pos: bool = False) -> tuple:
-    """The explicit families of degree d (n >= 2) as (tag, monomials)
-    pairs, B1, B2, B3 and then P4, with the a_lambda_1-divisible classes
-    as (monomial, depth) pairs, renamed as they are read: one read of the
-    quotient memo and one solve of the Tate row pair.  Every entry to the
-    recursion passes here first.
+def _blocks(n: int, d: Degree, pos: bool = False, below: tuple = ()) -> tuple:
+    """The explicit families of degree d (n >= 2) as (tag, monomials) pairs,
+    B1, B2, B3 and then P4, with the a_lambda_1-divisible classes as
+    (monomial, depth) pairs, renamed as they are read: one read of the
+    quotient memo (or the entry `_quotient` hands down as `below`) and one
+    solve of the Tate row pair.
 
     B2 and P4 are the windows of the row pair (`_windows`).  B1, B3 and the
     divisible classes are renamings eps_rename(m, k) of the memo entry of
@@ -233,11 +232,9 @@ def _blocks(n: int, d: Degree, pos: bool = False) -> tuple:
     which gold keeps free of u_lambda_0, and it is listed only if `pos`
     asks for it.
     """
-    if n > MAX_N:
-        raise _too_deep(n)
     # a Degree equals the plain tuple of its fields, so a hit needs no Degree
     k = -d.c_lambda[0]
-    div, deps, b1, b3 = (_QUOTIENTS.get((n - 1, d.t, d.c_alpha, d.c_lambda[1:]))
+    div, deps, b1, b3 = (below or _QUOTIENTS.get((n - 1, d.t, d.c_alpha, d.c_lambda[1:]))
                          or _quotient(strip_lambda0(d)))
     b2, p4 = _windows(n, d)
     return ((("P3.B1", tuple([eps_rename(m, k) for m in b1]) if b1 and (k < 0 or pos) else ()),
@@ -269,9 +266,7 @@ def d_divisible(n: int, generator: str, d: Degree) -> frozenset[Monomial]:
     if generator == "aL0":
         if n < 2:
             raise DegreeError("the a_lambda_0-divisible set needs n >= 2")
-        if n > MAX_N:
-            raise _too_deep(n)
-        return frozenset(_quotient(d)[0])
+        return frozenset((_QUOTIENTS.get(d) or _quotient(d))[0])
     if generator == "aL1":
         if n < 3:
             raise DegreeError("the a_lambda_1-divisible set needs n >= 3")
@@ -290,7 +285,7 @@ def part2(n: int, d: Degree) -> frozenset[Monomial]:
 
 
 def part2_closed(n: int, d: Degree) -> frozenset[Monomial]:
-    """Second route to part (2): flatten the recursion into iterated
+    """Second route to part (2): flatten the induction into iterated
     renamings of the explicit families with forced Laurent a-tails.
 
     Stage m contributes the blocks of C_{2^m} with their positive-cone

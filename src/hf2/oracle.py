@@ -289,6 +289,16 @@ class _LevelSlice:
         self.factors, self.s = model.factors, model.s
         self.p = 1 << (model.n - j)
         self.classes, self.dims = model.table(self.p)
+        self._group = None if self.dims[self.s] else _ZERO_GROUP
+
+    @property
+    def reducer(self) -> CohomologyReducer:
+        """Cohomology at degree s, built on its first read.  The one
+        empty-degree rule: when s has no cells it is 0 (set in __init__)."""
+        if self._group is None:
+            s = self.s
+            self._group = CohomologyReducer(self.dims[s], self.cols(s - 1), self.cols(s))
+        return self._group
 
     def index(self, sig: tuple[int, ...], x) -> int:
         """Orbit index of the degree-s cell with signature sig and
@@ -412,15 +422,6 @@ class _LevelSlice:
                     cols[t + off] ^= m << b
         positions = tuple(i for i, m in enumerate(cols) if m)
         return positions, tuple(cols[i] for i in positions)
-
-    @cached_property
-    def reducer(self) -> CohomologyReducer:
-        """Cohomology at degree s.  The one empty-degree rule: when degree s
-        has no cells the group is 0 and no differential is built."""
-        s = self.s
-        if not self.dims[s]:
-            return _ZERO_GROUP
-        return CohomologyReducer(self.dims[s], self.cols(s - 1), self.cols(s))
 
 
 def _shift(cls: _CellClass, x, m: int) -> list[int]:

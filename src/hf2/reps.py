@@ -150,9 +150,9 @@ def format_degree(d: Degree) -> str:
     return ",".join(str(x) for x in (d.t, d.c_alpha) + d.c_lambda)
 
 
-# one degree entry: ASCII digits with an optional sign, and nothing that
-# int() would also take (underscores, other scripts' digits)
-_ENTRY_RE = re.compile(r"[+-]?[0-9]+")
+# one CLI integer, a degree entry or an option's value: ASCII digits with an
+# optional sign, and nothing else int() would take (underscores, other digits)
+INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_degree(s: str, n: int) -> Degree:
@@ -161,7 +161,7 @@ def parse_degree(s: str, n: int) -> Degree:
     parts = [p.strip() for p in s.split(",")]
     if len(parts) != n + 1:
         raise DegreeError(f"degree string needs {n + 1} entries for n={n}, got {len(parts)}")
-    if not all(map(_ENTRY_RE.fullmatch, parts)):
+    if not all(map(INTEGER_RE.fullmatch, parts)):
         raise DegreeError(f"non-integer entry in degree string {s!r}")
     vals = [int(p) for p in parts]
     return make_degree(n, vals[0], vals[1], vals[2:])

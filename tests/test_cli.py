@@ -124,18 +124,31 @@ class TestDim:
         code, _, err = run_cli(capsys, "dim", "--n", "2", "--deg", "1,2")
         assert code == 2 and "error" in err
 
-    @pytest.mark.parametrize("deg", ["1_0,0", "\u0663,0", "\uff13,0"])
-    def test_non_ascii_integer_exit_2(self, capsys, deg):
-        # int() reads 1_0 as 10 and the Arabic-Indic or fullwidth digit as 3
-        code, out, err = run_cli(capsys, "dim", "--n", "1", "--deg", deg)
+    @pytest.mark.parametrize("argv", [
+        *(pytest.param(("dim", "--n", "1", "--deg", deg), id=deg)
+          for deg in ("1_0,0", "\u0663,0", "\uff13,0")),
+        *(pytest.param((*base, option, text), id=f"{option}={text}")
+          for base, option in ((("dim", "--deg", "0,0"), "--n"),
+                               (("oracle", "--n", "1", "--deg", "0,0"), "--budget"),
+                               (("verify", "--n", "1", "--box", "t=0..0,a=0..0"), "--jobs"),
+                               (("verify", "--n", "1", "--box", "t=0..0,a=0..0"), "--cache-selftest"))
+          for text in ("1_0", "\u0663", "\uff13", " 3")),
+    ])
+    def test_non_ascii_integer_exit_2(self, capsys, argv):
+        # int() reads 1_0 as 10, the Arabic-Indic or fullwidth digit as 3 and
+        # " 3" as 3; every integer of the CLI is [+-]?[0-9]+ in ASCII
+        code, out, err = run_cli(capsys, *argv, "--no-cache")
         assert code == 2 and out == ""
-        assert f"non-integer entry in degree string {deg!r}" in err
+        if argv[-2] == "--deg":
+            assert f"non-integer entry in degree string {argv[-1]!r}" in err
+        else:
+            assert f"argument {argv[-2]}: invalid int value: {argv[-1]!r}" in err
 
-    def test_largest_n(self, capsys):
-        n = engine.MAX_N
-        code, out, _ = run_cli(capsys, "dim", "--n", str(n), "--deg", ",".join(["0"] * (n + 1)),
+    def test_dim_unbounded(self, capsys):
+        # the engine's induction is a loop, so n has no upper bound
+        code, out, _ = run_cli(capsys, "dim", "--n", "400", "--deg", ",".join(["0"] * 401),
                                "--format", "table")
-        assert n == 256 and code == 0 and out.strip() == "1"
+        assert code == 0 and out.strip() == "1"
 
     def test_oracle_and_summands_unbounded(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--n", "400", "--deg", ",".join(["0"] * 401),
@@ -187,6 +200,17 @@ class TestVerify:
             "skipped": 0,
             "cache_selftest_failures": 0,
         }
+
+    @pytest.mark.parametrize("n", [300, pytest.param(512, marks=pytest.mark.slow)])
+    def test_large_n(self, capsys, n):
+        # the engine has no bound on n: 135 degrees that reach the first and
+        # the last lambda slot, 44 of them nonzero
+        box = f"t=-3..1,a=-1..1,l0=-1..1,l{n - 2}=-1..1"
+        code, out, _ = run_cli(capsys, "verify", "--n", str(n), "--box", box, "--no-cache")
+        payload = json.loads(out)
+        assert code == 0 and payload["summary"]["mismatches"] == 0
+        assert payload["summary"]["total"] == 135 and payload["summary"]["skipped"] == 0
+        assert sum(r["engine"] > 0 for r in payload["records"]) == 44
 
     def test_inject_fault(self, capsys, monkeypatch):
         fault_at(monkeypatch, "0,0,0")
@@ -777,8 +801,8 @@ class TestInternalFault:
         # part (2) offering a part-(4) class trips the second overlap check
         blocks = engine._blocks
         monkeypatch.setattr(engine, "_QUOTIENTS", engine._Memo())
-        monkeypatch.setattr(engine, "_blocks", lambda n, d, pos=False: (
-            blocks(n, d, pos)[0], tuple((m, 1) for m in engine.part4(n, d))))
+        monkeypatch.setattr(engine, "_blocks", lambda n, d, pos=False, below=(): (
+            blocks(n, d, pos, below)[0], tuple((m, 1) for m in engine.part4(n, d))))
         code, out, err = run_cli(capsys, "basis", "--n", "3", "--deg", "0,-3,-3,2")
         assert code == 4 and out == ""
         assert "is divisible yet tagged P4" in err
@@ -801,13 +825,6 @@ class TestInternalFault:
         code, out, err = run_cli(capsys, "dim", "--n", "2", "--deg", "0,0,0")
         assert code == 4 and out == ""
         assert err.startswith("internal error: ") and "boom" in err and "Traceback" in err
-
-    def test_deep_recursion_is_not_a_mismatch(self, capsys):
-        # exit 1 is reserved for a verified mismatch; past engine.MAX_N the
-        # engine refuses n before its recursion can overflow the stack
-        code, out, err = run_cli(capsys, "dim", "--n", "400", "--deg", ",".join(["0"] * 401))
-        assert code == 2 and out == ""
-        assert f"n <= {engine.MAX_N}" in err and "Traceback" not in err
 
 
 def test_console_script():

@@ -250,13 +250,19 @@ class TestDivisible:
             with pytest.raises(DegreeError, match=r"^degree is over n=3, expected 4$"):
                 d_divisible(4, generator, d)
 
-    def test_recursion_bound(self):
-        # every entry to the divisibility recursion refuses n past MAX_N
-        d = zero_degree(engine.MAX_N + 1)
-        for query in (lambda: basis(d.n, d), lambda: part2(d.n, d),
-                      lambda: d_divisible(d.n, "aL0", d), lambda: d_divisible(d.n, "aL1", d)):
-            with pytest.raises(DegreeError, match=f"n <= {engine.MAX_N}"):
-                query()
+    def test_n2000_under_default_recursion_limit(self):
+        # the induction is a loop: a cold query at n = 2000 walks 1999 groups
+        # down and builds them back up with no call nesting per group order,
+        # through both entries to the memo (basis by _blocks, aL0 by _quotient)
+        from hf2.oracle import oracle_top_dim
+
+        n = 2000
+        d = make_degree(n, -2, 1, [-1] + [0] * (n - 3) + [1])
+        assert sys.getrecursionlimit() <= 1000
+        clear_memo()
+        assert dimension(n, d) == 2 == oracle_top_dim(n, d)
+        clear_memo()
+        assert len(d_divisible(n, "aL0", d)) == 1
 
 
 def clear_memo() -> None:
@@ -382,6 +388,30 @@ class TestMemo:
         for k in keys[::50]:
             div, _, b1, b3 = engine._QUOTIENTS[k]
             assert all(degree_of(m) == k for m in div + b1 + b3)
+
+    def test_cold_walk_past_the_cap(self, monkeypatch):
+        # a cold walk to n = 1100 stores groups whose n sum past the cap, so
+        # the memo is cleared partway up; each build is handed the entry
+        # built just before it, so the walk goes down once (n - 1 quotient
+        # degrees), and the answer is the one an uncapped walk and a warm
+        # memo give
+        n = 1100
+        rng = random.Random(3)
+        d = make_degree(n, rng.randint(-4, 4), rng.randint(-2, 2),
+                        [rng.choice((0, 0, 0, -1, 1)) for _ in range(n - 1)])
+        stripped, strip = [], engine.strip_lambda0
+        monkeypatch.setattr(engine, "strip_lambda0", lambda q: stripped.append(q) or strip(q))
+        clear_memo()
+        cold = basis(n, d)
+        assert 0 < engine._QUOTIENTS.weight < n * (n - 1) // 2
+        assert len(stripped) == n - 1
+        monkeypatch.setattr(engine, "_MEMO_CAP", 1 << 30)
+        clear_memo()
+        uncapped = basis(n, d)
+        assert engine._QUOTIENTS.weight == n * (n - 1) // 2
+        assert cold == uncapped == basis(n, d)
+        assert len(cold.elements) == 5 and max(e.depth for e in cold.elements) > 1000
+        clear_memo()
 
     @pytest.mark.slow
     def test_n128_scan_peak_rss(self):

@@ -5,6 +5,7 @@ from importlib import import_module
 import pytest
 
 import hf2
+from hf2 import duality, engine, monomial, reps
 
 # The package surface: the names each submodule exports at package level.
 # Each submodule is exported under its own name too.
@@ -76,3 +77,41 @@ for argv in (["dim", "--n", "3", "--deg=-1,0,1,-1"], ["oracle", "--n", "3", "--d
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == ["dim", "oracle", ""]
+
+
+unit, zero = monomial.unit, reps.zero_degree
+DegreeError, MonomialError = reps.DegreeError, monomial.MonomialError
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: duality.lambda_class(1), DegreeError, "the duality unit needs n >= 2",
+                 id="lambda_class"),
+    pytest.param(lambda: duality.dual_monomial(unit(1)), DegreeError, "duality needs n >= 2",
+                 id="dual_monomial"),
+    pytest.param(lambda: engine.part3(2, zero(2)), DegreeError, "part3 blocks need n >= 3",
+                 id="part3"),
+    pytest.param(lambda: engine.d_divisible(1, "aL0", zero(1)), DegreeError,
+                 "the a_lambda_0-divisible set needs n >= 2", id="d_divisible-aL0"),
+    pytest.param(lambda: engine.d_divisible(2, "aL1", zero(2)), DegreeError,
+                 "the a_lambda_1-divisible set needs n >= 3", id="d_divisible-aL1"),
+    pytest.param(lambda: engine.summand_audit(0), DegreeError, "n must be >= 1, got 0",
+                 id="summand_audit"),
+    pytest.param(lambda: monomial.multiply(unit(1), unit(2)), MonomialError,
+                 "group mismatch: n=1 vs n=2", id="multiply"),
+    pytest.param(lambda: monomial.times_a_lambda(unit(2), 1, 1), MonomialError,
+                 "lambda index 1 out of range for n=2", id="times_a_lambda"),
+    pytest.param(lambda: monomial.parse_monomial("S*S", 2), MonomialError,
+                 "repeated suspension factor", id="parse_monomial"),
+    pytest.param(lambda: reps.lambda_degree(2, 1), DegreeError,
+                 "lambda index 1 out of range for n=2", id="lambda_degree"),
+    pytest.param(lambda: reps.restrict(zero(2), 3), DegreeError,
+                 "restriction target m=3 out of range for n=2", id="restrict"),
+    pytest.param(lambda: reps.strip_lambda0(zero(1)), DegreeError,
+                 "strip_lambda0 needs n >= 2", id="strip_lambda0"),
+])
+def test_input_refusal(call, error, message):
+    # the input checks that no other test reaches, each with its class and
+    # its message
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
