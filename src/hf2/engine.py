@@ -184,18 +184,18 @@ def _quotient(q: Degree) -> tuple:
     of C_2, one more than its depth in q otherwise.
 
     It walks down to the first degree whose quotient the memo holds, or to
-    C_2, and builds the entries it passed bottom-up in one loop, handing
-    each the entry built before it: no call nests per group order, and a
-    clear on the way loses nothing."""
+    C_2, and builds the entries it passed bottom-up in one loop.  Each entry
+    is stored after any clear and before the next step reads it, so that
+    read hits and no call nests per group order."""
     walk = [q]
-    while q.n > 1 and (found := _QUOTIENTS.get((q.n - 1, q.t, q.c_alpha, q.c_lambda[1:]))) is None:
+    while q.n > 1 and (q.n - 1, q.t, q.c_alpha, q.c_lambda[1:]) not in _QUOTIENTS:
         q = strip_lambda0(q)
         walk.append(q)
     for q in reversed(walk):
         if q.n == 1:
             pairs, b3 = dict.fromkeys(_windows(1, q)[0], 0), ()
         else:
-            tagged, p2 = _blocks(q.n, q, True, found)
+            tagged, p2 = _blocks(q.n, q, True)
             pairs = {m: dep + 1 for m, dep in p2}
             for _, fam in tagged[:3]:
                 pairs.update(dict.fromkeys(fam, 1))
@@ -217,12 +217,11 @@ def _quotient(q: Degree) -> tuple:
     return found
 
 
-def _blocks(n: int, d: Degree, pos: bool = False, below: tuple = ()) -> tuple:
+def _blocks(n: int, d: Degree, pos: bool = False) -> tuple:
     """The explicit families of degree d (n >= 2) as (tag, monomials) pairs,
     B1, B2, B3 and then P4, with the a_lambda_1-divisible classes as
     (monomial, depth) pairs, renamed as they are read: one read of the
-    quotient memo (or the entry `_quotient` hands down as `below`) and one
-    solve of the Tate row pair.
+    quotient memo and one solve of the Tate row pair.
 
     B2 and P4 are the windows of the row pair (`_windows`).  B1, B3 and the
     divisible classes are renamings eps_rename(m, k) of the memo entry of
@@ -234,7 +233,7 @@ def _blocks(n: int, d: Degree, pos: bool = False, below: tuple = ()) -> tuple:
     """
     # a Degree equals the plain tuple of its fields, so a hit needs no Degree
     k = -d.c_lambda[0]
-    div, deps, b1, b3 = (below or _QUOTIENTS.get((n - 1, d.t, d.c_alpha, d.c_lambda[1:]))
+    div, deps, b1, b3 = (_QUOTIENTS.get((n - 1, d.t, d.c_alpha, d.c_lambda[1:]))
                          or _quotient(strip_lambda0(d)))
     b2, p4 = _windows(n, d)
     return ((("P3.B1", tuple([eps_rename(m, k) for m in b1]) if b1 and (k < 0 or pos) else ()),
@@ -275,13 +274,11 @@ def d_divisible(n: int, generator: str, d: Degree) -> frozenset[Monomial]:
 
 
 def part2(n: int, d: Degree) -> frozenset[Monomial]:
-    """Part (2): the a_lambda_1-divisible classes not already listed in
-    the positive cone or in the explicit blocks."""
+    """Part (2): the classes `basis` tags P2, the a_lambda_1-divisible
+    classes that the positive cone and the blocks do not list."""
     if n < 3:
         raise DegreeError("part2 needs n >= 3")
-    tagged, p2 = _blocks(n, d)
-    listed = positive_cone_basis(n, d) | _union(tagged[:3])
-    return frozenset(m for m, _ in p2 if m not in listed)
+    return frozenset(e.monomial for e in basis(n, d).elements if e.part == "P2")
 
 
 def part2_closed(n: int, d: Degree) -> frozenset[Monomial]:

@@ -200,12 +200,13 @@ class _Model:
     def orbit_counts(self, p: int) -> dict[int, int]:
         """Orbits by cochain degree at the level whose orbits have at most p
         cells, over every signature of every degree; a degree with none is
-        left out."""
+        left out.  A class it only counts is not kept in `_CLASSES`."""
         counts = {}
         for sig in product(*(range(len(f.blocks)) for f in self.factors)):
             deg = sum(f.sign * u for f, u in zip(self.factors, sig))
             blocks = tuple(f.blocks[u] for f, u in zip(self.factors, sig))
-            counts[deg] = counts.get(deg, 0) + _cell_class(blocks, p).count
+            cls = _CLASSES.get((blocks, p)) or _CellClass(blocks, p)
+            counts[deg] = counts.get(deg, 0) + cls.count
         return counts
 
     def table(self, p: int) -> tuple[dict, dict]:
@@ -378,12 +379,23 @@ class _LevelSlice:
         so each k takes its own run of z; with the star on f, k = c // p * p,
         so each k takes its own cs.  Per k, column positions and base indices
         over z are outer sums of per-factor terms, and each x[f] adds a mask
-        of its cs at offsets from the base, in closed form: one mask for
-        every x[f] and k for a full support (the block, or [k, k + p) with
-        the star on f), two bits for a pair.
+        of its cs at offsets from the base, in closed form: two bits for a
+        pair, and one mask per k for a full support (the block, or [k, k +
+        p) with the star on f).  That mask is the same for every x[f], so a
+        whole-block move is built at x[f] = 0 and its columns copied.
+
+        A whole-block move with the star on f has no image when its width
+        exceeds P = max(p, every other block of tgt).  The index of a target
+        cell (z, c) reads c % p and z shifted by k = c // p * p, so it
+        repeats in c with period P.  Width and P are powers of two, so a
+        wider support covers an even number of periods, and every hit
+        cancels mod 2.
         """
-        cols = [0] * cls.count
         p, st = self.p, tgt.star
+        width = min(tgt.blocks[f], cls.period)
+        if not turn and st == f and width > max((p, *tgt.blocks[:f], *tgt.blocks[f + 1:])):
+            return (), ()
+        cols = [0] * cls.count
         wf, step, rf = tgt.strides[f], cls.strides[f], cls.radices[f]
         if turn:  # equal blocks at f, so tgt has cls's star and radices
             bf = tgt.blocks[f]
@@ -399,14 +411,13 @@ class _LevelSlice:
                 moves = {0: [(y * step, 1 << y * wf | 1 << (y + turn) % bf * wf)
                              for y in range(rf)]}
         else:
-            width = min(tgt.blocks[f], cls.period)
             cs = p if st == f else width  # m has bits 0, wf, ..., (cs - 1) wf
             m = ((1 << cs * wf) - 1) // ((1 << wf) - 1)
             if st == f:
                 ks = range(0, width, p)
             else:
                 ks = range(0, cls.radices[st], p) if st >= 0 else (0,)
-            moves = dict.fromkeys(ks, [(y * step, m) for y in range(rf)])
+            moves = dict.fromkeys(ks, [(0, m)])  # at x[f] = 0, copied below
         terms = [(g, r, s, bg, w) for g, (r, s, bg, w) in enumerate(
                  zip(cls.radices, cls.strides, tgt.blocks, tgt.strides))
                  if g != f and bg > 1]  # a block-1 factor adds 0 to both
@@ -420,6 +431,8 @@ class _LevelSlice:
             for t, b in zip(targets, bases):
                 for off, m in masks:
                     cols[t + off] ^= m << b
+        if not turn:  # a whole-block move's image does not depend on x[f]
+            cols = [cols[i - i // step % rf * step] for i in range(cls.count)]
         positions = tuple(i for i, m in enumerate(cols) if m)
         return positions, tuple(cols[i] for i in positions)
 

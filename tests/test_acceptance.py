@@ -388,6 +388,17 @@ def test_criterion_13_euler_characteristic_seeded_wide():
     )
 
 
+@pytest.mark.slow
+def test_criterion_13_euler_characteristic_seeded_n128():
+    checked, bad = _euler_mismatches(_seeded_columns({128: 1}))
+    _report(
+        13,
+        f"Euler characteristic of each level, engine vs orbit counts, on one "
+        f"seeded n=128 column at +-1 ({checked} identities, {len(bad)} mismatches)",
+        checked == 128 and not bad,
+    )
+
+
 def _apply(cols, vec):
     out = 0
     for i in range(vec.bit_length()):

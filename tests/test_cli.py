@@ -212,6 +212,19 @@ class TestVerify:
         assert payload["summary"]["total"] == 135 and payload["summary"]["skipped"] == 0
         assert sum(r["engine"] > 0 for r in payload["records"]) == 44
 
+    @pytest.mark.slow
+    def test_n512_five_slot_box(self, capsys):
+        # 405 degrees through the first, a middle and the last lambda slot,
+        # whose oracle once ran out of memory on moves that cancel; 60 are
+        # over the default budget
+        box = "t=-3..1,a=-1..1,l0=-1..1,l255=-1..1,l510=-1..1"
+        code, out, _ = run_cli(capsys, "verify", "--n", "512", "--box", box, "--no-cache")
+        payload = json.loads(out)
+        assert code == 3
+        assert payload["summary"] == {
+            "total": 405, "mismatches": 0, "skipped": 60, "cache_selftest_failures": 0,
+        }
+
     def test_inject_fault(self, capsys, monkeypatch):
         fault_at(monkeypatch, "0,0,0")
         code, out, _ = run_cli(capsys, "verify", "--n", "2", "--box", self.BOX)
@@ -801,8 +814,8 @@ class TestInternalFault:
         # part (2) offering a part-(4) class trips the second overlap check
         blocks = engine._blocks
         monkeypatch.setattr(engine, "_QUOTIENTS", engine._Memo())
-        monkeypatch.setattr(engine, "_blocks", lambda n, d, pos=False, below=(): (
-            blocks(n, d, pos, below)[0], tuple((m, 1) for m in engine.part4(n, d))))
+        monkeypatch.setattr(engine, "_blocks", lambda n, d, pos=False: (
+            blocks(n, d, pos)[0], tuple((m, 1) for m in engine.part4(n, d))))
         code, out, err = run_cli(capsys, "basis", "--n", "3", "--deg", "0,-3,-3,2")
         assert code == 4 and out == ""
         assert "is divisible yet tagged P4" in err

@@ -2,8 +2,11 @@ import hashlib
 import json
 import pickle
 import random
+import subprocess
+import sys
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -966,30 +969,59 @@ def test_box_against_engine(n, t_range, r, total):
     assert _box_against_engine(n, t_range, r) == (total, [], 0)
 
 
-@pytest.mark.parametrize("n", [
-    pytest.param(10, id="n10"),
-    pytest.param(12, id="n12", marks=pytest.mark.slow),
+@pytest.mark.parametrize("n, refused", [
+    pytest.param(10, 0, id="n10"),
+    pytest.param(12, 0, id="n12", marks=pytest.mark.slow),
+    pytest.param(14, 2, id="n14", marks=pytest.mark.slow),
 ])
-def test_sample_against_engine(n):
+def test_sample_against_engine(n, refused):
     """oracle_top_dim against engine.dimension on 300 degrees drawn from
     random.Random(7): t in -8..8, then c_alpha and each c_lambda in -1..1,
-    in that order; none over the default budget.  Some top-level source
-    classes here have more than `TEMPLATE_MAX` orbits, so their moves are
-    compiled anew each time, not kept."""
+    in that order; `refused` of them over the default budget, and reported.
+    Some top-level source classes here have more than `TEMPLATE_MAX`
+    orbits, so their moves are compiled anew each time, not kept."""
     rng = random.Random(7)
-    mismatches, large = [], 0
+    mismatches, over, large = [], [], 0
     for _ in range(300):
         t, a = rng.randint(-8, 8), rng.randint(-1, 1)
         d = make_degree(n, t, a, [rng.randint(-1, 1) for _ in range(n - 1)])
-        if oracle_top_dim(n, d) != engine.dimension(n, d):
-            mismatches.append(str(d))
+        try:
+            if oracle_top_dim(n, d) != engine.dimension(n, d):
+                mismatches.append(str(d))
+        except BudgetExceededError as exc:
+            over.append(f"{d} ({exc.predicted} columns)")
         classes, _ = oracle._Model(n, oracle._factors(n, d), -t).table(1)
         large += any(cls.count > oracle.TEMPLATE_MAX
                      for deg in (-t - 1, -t) for cls, _ in classes[deg].values())
-    print(f"n={n} sample: 300 degrees, {len(mismatches)} mismatches, "
-          f"{large} with a source class over TEMPLATE_MAX")
+    print(f"n={n} sample: 300 degrees, {len(mismatches)} mismatches, {len(over)} over "
+          f"budget {over}, {large} with a source class over TEMPLATE_MAX")
     assert not mismatches, mismatches[:5]
+    assert len(over) == refused
     assert large >= 10
+
+
+def test_n512_moves_that_cancel_build_nothing():
+    """Two n = 512 degrees in a fresh process capped at 1.5 GB of address
+    space: t = -3, c_alpha = 0, c_lambda_0 = c_lambda_255 = 1 and
+    c_lambda_510 = -1, then 0.  Their whole-block moves with the star on
+    the moved factor are wider than the index period P (`_LevelSlice._move`)
+    and have no image; built mask by mask, they ran out of memory under
+    that cap."""
+    src = str(Path(oracle.__file__).parents[1])
+    code = (
+        "import resource, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1500 << 20, 1500 << 20))\n"
+        "from hf2 import engine, oracle\n"
+        "from hf2.reps import Degree\n"
+        "for last in (-1, 0):\n"
+        "    d = Degree(512, -3, 0, (1,) + (0,) * 254 + (1,) + (0,) * 254 + (last,))\n"
+        "    print(oracle.oracle_top_dim(512, d), engine.dimension(512, d))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["0", "0", "1", "1"]
 
 
 @pytest.mark.slow
