@@ -9,16 +9,18 @@ code.  JSON reports indent unless they are one flat record (`dim`, `oracle`).
 
 Exit codes: 0 pass, 1 verified mismatch, 2 usage or IO error, 3 budget
 exceeded for a required computation, 4 internal fault (an invariant of the
-engine or oracle failed, or any other unexpected exception: a defect in
-hf2, not in the input).  Reports are deterministic: record ordering follows
-box iteration order and timestamps only appear in the "meta" sidecar, which
-comparison tooling must ignore.
+engine or oracle failed, a module failed to import, or any other unexpected
+exception: a defect in hf2, not in the input), reported with its traceback.
+Reports are deterministic: record ordering follows box iteration order and
+timestamps only appear in the "meta" sidecar, which comparison tooling must
+ignore.
 
 A subcommand imports what it runs, where it runs it: `dim` loads the engine
 and no oracle, `oracle` the oracle and no engine, `verify` both.  Building
-the parser and mapping exit codes load neither, so a one-shot query compiles
-only its own modules.  An oracle value found in the cache is answered, and
-checked against the budget, without loading the oracle or `hashlib`.
+the parser and mapping exit codes load neither (the budget's refusal lives
+in `reps`), so a one-shot query compiles only its own modules.  An oracle
+value found in the cache is answered, and checked against the budget,
+without loading the oracle or `hashlib`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import sys
 import time
 
 from . import reps
-from .reps import Degree, DegreeError
+from .reps import BudgetExceededError, Degree, DegreeError
 
 SCHEMA_VERSION = 1
 
@@ -203,7 +205,7 @@ def _oracle_value(task):
 
     try:
         return oracle.oracle_top(n, d, budget), None
-    except oracle.BudgetExceededError as exc:
+    except BudgetExceededError as exc:
         return None, (exc.predicted, exc.cap)
 
 
@@ -440,8 +442,6 @@ def cmd_oracle(args) -> Report:
     d = reps.parse_degree(args.deg, args.n)
     [(entry, refusal)] = _oracle_values(args, [d])
     if refusal is not None:  # a one-degree query cannot skip it
-        from .oracle import BudgetExceededError
-
         raise BudgetExceededError(d, *refusal)
     dim = entry[0]
     return Report({"n": args.n, "degree": reps.format_degree(d), "oracle_dimension": dim},
@@ -551,21 +551,13 @@ def main(argv=None) -> int:
             _devnull(sys.stdout)
         _warn(f"error: {exc}")
         return EXIT_USAGE
-    except Exception as exc:
-        # imported on the way out only, where a module that raised is loaded
-        from . import oracle
+    except BudgetExceededError as exc:  # a one-degree query cannot skip it
+        _warn(json.dumps({"error": str(exc)}))
+        return EXIT_BUDGET
+    except Exception as exc:  # a defect in hf2, never a mismatch
+        import traceback
 
-        if isinstance(exc, oracle.BudgetExceededError):  # a one-degree query cannot skip it
-            _warn(json.dumps({"error": str(exc)}))
-            return EXIT_BUDGET
-        from . import engine, gf2
-
-        if isinstance(exc, (gf2.InternalInvariantError, engine.PartOverlapError)):
-            _warn(f"internal error: {exc}")
-        else:  # anything else is a defect too, never a mismatch
-            import traceback
-
-            _warn(f"internal error: {exc!r}", traceback.format_exc().rstrip("\n"))
+        _warn(f"internal error: {exc!r}", traceback.format_exc().rstrip("\n"))
         return EXIT_INTERNAL
     return report.code
 

@@ -86,7 +86,7 @@ from itertools import product
 from operator import mul, xor
 
 from .gf2 import CohomologyReducer, columns_to_bitstrings, nullspace, rank
-from .reps import DEFAULT_BUDGET, Degree, DegreeError, check_group
+from .reps import DEFAULT_BUDGET, BudgetExceededError, Degree, DegreeError, check_group
 from . import reps
 
 # Moves out of classes of at most this many orbits are kept once compiled,
@@ -95,16 +95,6 @@ from . import reps
 TEMPLATE_MAX = 64
 # the group of every empty slice, shared: a reducer is not changed once built
 _ZERO_GROUP = CohomologyReducer(0, [], [])
-
-
-class BudgetExceededError(RuntimeError):
-    def __init__(self, degree, predicted: int, cap: int):
-        super().__init__(
-            f"degree {degree}: predicted matrix dimension {predicted} exceeds budget {cap}"
-        )
-        self.degree = degree
-        self.predicted = predicted
-        self.cap = cap
 
 
 def _bits(mask: int):

@@ -15,10 +15,21 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-# The oracle's default column cap (`hf2.oracle` binds the same value).  It
-# lives here, in a module the CLI loads anyway, so that the CLI can name it
-# and check a cached width against it without loading the oracle.
+# The oracle's default column cap and its refusal (`hf2.oracle` binds both).
+# They live here, in a module the CLI loads anyway, so that the CLI can name
+# the cap, check a cached width against it and report a refusal without
+# loading the oracle.
 DEFAULT_BUDGET = 20000
+
+
+class BudgetExceededError(RuntimeError):
+    def __init__(self, degree, predicted: int, cap: int):
+        super().__init__(
+            f"degree {degree}: predicted matrix dimension {predicted} exceeds budget {cap}"
+        )
+        self.degree = degree
+        self.predicted = predicted
+        self.cap = cap
 
 
 class DegreeError(ValueError):

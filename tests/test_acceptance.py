@@ -378,6 +378,17 @@ def test_criterion_13_euler_characteristic_wide():
 
 
 @pytest.mark.slow
+def test_criterion_13_euler_characteristic_n8():
+    checked, bad = _euler_mismatches(_box_columns({8: 1}))
+    _report(
+        13,
+        f"Euler characteristic of each column and level, engine vs orbit counts, "
+        f"n=8 at +-1 ({checked} identities, {len(bad)} mismatches)",
+        checked == 52488 and not bad,
+    )
+
+
+@pytest.mark.slow
 def test_criterion_13_euler_characteristic_seeded_wide():
     checked, bad = _euler_mismatches(_seeded_columns({64: 2}))
     _report(

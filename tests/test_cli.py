@@ -839,6 +839,21 @@ class TestInternalFault:
         assert code == 4 and out == ""
         assert err.startswith("internal error: ") and "boom" in err and "Traceback" in err
 
+    @pytest.mark.parametrize("module, argv", [
+        ("engine", ["dim", "--n", "1", "--deg", "0,0"]),
+        ("oracle", ["oracle", "--n", "1", "--deg", "0,0", "--no-cache"]),
+    ])
+    def test_failed_import_exit_4(self, module, argv):
+        # in a fresh process, where the submodule is not yet bound on the
+        # package, so its import fails inside the command; the handler must
+        # not import it again on the way out
+        code = (f"import sys; sys.modules['hf2.{module}'] = None\n"
+                f"from hf2 import cli; sys.exit(cli.main({argv!r}))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.startswith("internal error:"), proc.stderr
+        assert "During handling of the above exception" not in proc.stderr
+
 
 def test_console_script():
     proc = subprocess.run(
